@@ -6,17 +6,16 @@ failure (repro only).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-import tempfile
-
-import numpy as np
 
 from . import events as ev
+from .atomic import write_atomic
 from .config import EXAMPLE_CONFIG, RunConfig, default_config, load_config
 from .energy import energy_report
 from .errors import ConfigError, DataError, HexgaitError
-from .frames import andpool, popcount
+from .frames import popcount, tile_pool
 from .gait import (format_sequence, format_trace, is_tripod, label_sequence,
                    sequence_accuracy, spikes_to_gait)
 from .neurons import (WeightMap, load_raster, load_weights, run_network,
@@ -24,20 +23,6 @@ from .neurons import (WeightMap, load_raster, load_weights, run_network,
 from .scene import (GaitSchedule, ground_truth_raster, render_expert_sequence,
                     segment_boundaries, splice_segments)
 from .training import calibrate_priors, train
-import math
-
-
-def _write_atomic(path, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _ensure_out(cfg: RunConfig, override=None) -> str:
@@ -98,8 +83,8 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
     evts = ev.frames_to_events(stream)
     ev.save_events(os.path.join(out, "events.txt"), evts,
                    cfg["scene"]["width"], cfg["scene"]["height"])
-    _write_atomic(os.path.join(out, "schedule.txt"),
-                  _schedule_text(cfg, schedule))
+    write_atomic(os.path.join(out, "schedule.txt"),
+                 _schedule_text(cfg, schedule))
     print(f"wrote {len(evts)} events over {len(stream)} frames to {out}/events.txt")
     return 0
 
@@ -112,16 +97,16 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
                    repeats=cfg["training"]["repeats"])
     save_weights(os.path.join(out, "weights.txt"), result.weights)
     save_raster(os.path.join(out, "train_raster.txt"), result.raster)
-    _write_atomic(os.path.join(out, "train_log.txt"),
-                  "# t_sec leg theta_rad p m popcount_i10\n"
-                  + "\n".join(result.log) + "\n")
+    write_atomic(os.path.join(out, "train_log.txt"),
+                 "# t_sec leg theta_rad p m popcount_i10\n"
+                 + "\n".join(result.log) + "\n")
     print(f"trained for {result.duration_s:.1f} simulated s "
           f"({result.skipped} frames skipped); weights in {out}/weights.txt")
     return 0
 
 
 def _run_frozen(cfg: RunConfig, weights: WeightMap, stream):
-    i10_frames = [andpool(f, 10) for f in stream.frames]
+    i10_frames, _ = tile_pool(stream, body=False)
     _, raster = run_network(i10_frames, weights, cfg.neuron_params())
     return i10_frames, raster
 
@@ -133,14 +118,14 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
     _, raster = _run_frozen(cfg, weights, stream)
     save_raster(os.path.join(out, "test_raster.txt"), raster)
     trace = spikes_to_gait(raster, cfg.period_s())
-    _write_atomic(os.path.join(out, "gait_trace.txt"), format_trace(trace))
+    write_atomic(os.path.join(out, "gait_trace.txt"), format_trace(trace))
     sequence = label_sequence(raster, cfg.group_gap_s())
     report = [format_sequence(sequence).rstrip()]
     report.append(f"is_tripod={is_tripod(sequence)}")
     if schedule_path:
         expected = [set(legs) for _, legs in _load_schedule(schedule_path).entries]
         report.append(f"sequence_accuracy={sequence_accuracy(sequence, expected):.6f}")
-    _write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
+    write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))
     return 0
 
@@ -179,7 +164,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     evts = ev.frames_to_events(stream)
     ev.save_events(os.path.join(out, "events.txt"), evts,
                    cfg["scene"]["width"], cfg["scene"]["height"])
-    _write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
+    write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
 
     priors = calibrate_priors(cfg.geometry(),
                               std=math.radians(cfg["training"]["prior_std_deg"]))
@@ -205,7 +190,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     i10_frames, tri_raster = _run_frozen(cfg, result.weights, tripod_stream)
     save_raster(os.path.join(out, "tripod_raster.txt"), tri_raster)
     trace = spikes_to_gait(tri_raster, cfg.period_s())
-    _write_atomic(os.path.join(out, "tripod_trace.txt"), format_trace(trace))
+    write_atomic(os.path.join(out, "tripod_trace.txt"), format_trace(trace))
     tri_observed = label_sequence(tri_raster, gap_s)
     tri_expected = [set(legs) for _, legs in tripod_schedule.entries]
     tri_acc = sequence_accuracy(tri_observed, tri_expected)
@@ -223,7 +208,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
         f"is_tripod={tripod_ok}",
         erep.format().rstrip(),
     ]
-    _write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
+    write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))
     if seq_acc != 1.0 or tri_acc != 1.0 or not tripod_ok:
         print("repro check FAILED", file=sys.stderr)

@@ -21,6 +21,10 @@ class EmptyFrameError(HexgaitError, ValueError):
     """Operation requires at least one set bit."""
 
 
+class EmptyStreamError(DataError, ValueError):
+    """A stream holds no frames where at least one is needed."""
+
+
 class EventBoundsError(DataError):
     """An event fell outside the sensor bounds."""
 

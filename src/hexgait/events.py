@@ -1,32 +1,55 @@
-"""Event streams: accumulation into binary frames, file I/O, cropping.
+"""Event streams: file I/O, cropping, accumulation into binary frames.
 
-The on-disk format is plain text, one `x,y,t_us` triple per line, `#`
-comments, and a sidecar header line `!sensor WxH`.
+Events are held as one struct of arrays, `EventArray`, with int64 `x`,
+`y` and `t` columns. The on-disk format is plain text, one `x,y,t_us`
+triple per line, `#` comments, and a sidecar header line `!sensor WxH`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EventBoundsError, EventFileError
-from .frames import BinaryFrame, FrameStream
+from .atomic import write_atomic
+from .errors import DataError, EventBoundsError, EventFileError
+from .frames import FrameStream
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class Event:
-    """One asynchronous pixel event: column, row, timestamp in microseconds."""
+@dataclass(frozen=True, eq=False)
+class EventArray:
+    """Asynchronous pixel events: column, row, timestamp in microseconds.
 
-    x: int
-    y: int
-    t: int
+    Three int64 arrays of one length, every value >= 0.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
-        if self.x < 0 or self.y < 0 or self.t < 0:
-            raise ValueError(f"event fields must be >= 0: {self}")
+        cols = [np.asarray(c, dtype=np.int64) for c in (self.x, self.y, self.t)]
+        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+            raise ValueError("x, y and t must be 1-D arrays of one length")
+        if cols[0].size and min(int(c.min()) for c in cols) < 0:
+            raise ValueError("event fields must be >= 0")
+        for name, c in zip("xyt", cols):
+            object.__setattr__(self, name, c)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventArray):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip((self.x, self.y, self.t), (other.x, other.y, other.t)))
 
 
-def accumulate_frames(events, window_ms: float, width: int, height: int) -> FrameStream:
+def accumulate_frames(events: EventArray, window_ms: float, width: int,
+                      height: int) -> FrameStream:
     """OR-accumulate events into binary frames of `window_ms` each.
 
     Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
@@ -34,66 +57,90 @@ def accumulate_frames(events, window_ms: float, width: int, height: int) -> Fram
     """
     if window_ms <= 0:
         raise ValueError(f"window_ms must be > 0, got {window_ms}")
-    events = list(events)
-    if not events:
-        return FrameStream((), window_ms)
-    for i, ev in enumerate(events):
-        if not (0 <= ev.x < width and 0 <= ev.y < height):
-            raise EventBoundsError(
-                i, f"event {i} at ({ev.x},{ev.y}) outside {width}x{height} sensor")
-    window_us = int(round(window_ms * 1000))
-    xs = np.array([ev.x for ev in events])
-    ys = np.array([ev.y for ev in events])
-    ts = np.array([ev.t for ev in events], dtype=np.int64)
-    n_frames = int(ts.max()) // window_us + 1
-    bits = np.zeros((n_frames, height, width), dtype=bool)
-    bits[ts // window_us, ys, xs] = True
-    frames = tuple(BinaryFrame(b) for b in bits)
-    return FrameStream(frames, window_ms)
+    if not len(events):
+        return FrameStream.from_pixels([], [], [], 0, width, height, window_ms)
+    x, y = events.x, events.y
+    outside = np.flatnonzero((x >= width) | (y >= height))
+    if outside.size:
+        i = int(outside[0])
+        raise EventBoundsError(
+            i, f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+    frame = events.t // int(round(window_ms * 1000))
+    return FrameStream.from_pixels(frame, y, x, int(frame.max()) + 1, width,
+                                   height, window_ms)
 
 
-def frames_to_events(stream: FrameStream) -> list:
+def frames_to_events(stream: FrameStream) -> EventArray:
     """Invert accumulation: one event per set pixel, mid-window timestamp."""
     window_us = int(round(stream.window_ms * 1000))
-    out = []
-    for k, frame in enumerate(stream.frames):
-        t = k * window_us + window_us // 2
-        rows, cols = np.nonzero(frame.bits)
-        out.extend(Event(int(x), int(y), t) for x, y in zip(cols, rows))
-    return out
+    frame, y, x = stream.pixels()
+    return EventArray(x, y, frame * window_us + window_us // 2)
 
 
-def crop_events(events, left: int, top: int, width: int, height: int) -> list:
+def crop_events(events: EventArray, left: int, top: int, width: int,
+                height: int) -> EventArray:
     """Keep events inside the crop region and rebase coordinates to it."""
-    return [
-        Event(ev.x - left, ev.y - top, ev.t)
-        for ev in events
-        if left <= ev.x < left + width and top <= ev.y < top + height
-    ]
+    x, y = events.x, events.y
+    keep = (x >= left) & (x < left + width) & (y >= top) & (y < top + height)
+    return EventArray(x[keep] - left, y[keep] - top, events.t[keep])
 
 
 def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
     """(left, top) of a centered width x height region of the sensor."""
     if width > sensor_w or height > sensor_h:
-        raise ValueError(
-            f"crop {width}x{height} larger than sensor {sensor_w}x{sensor_h}")
+        raise DataError(
+            f"sensor {sensor_w}x{sensor_h} is smaller than the {width}x{height} frame")
     return (sensor_w - width) // 2, (sensor_h - height) // 2
 
 
-def save_events(path, events, sensor_w: int, sensor_h: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"!sensor {sensor_w}x{sensor_h}\n")
-        for ev in events:
-            fh.write(f"{ev.x},{ev.y},{ev.t}\n")
+def save_events(path, events: EventArray, sensor_w: int, sensor_h: int) -> None:
+    values = np.column_stack((events.x, events.y, events.t)).ravel().tolist()
+    write_atomic(path, f"!sensor {sensor_w}x{sensor_h}\n"
+                 + ("%d,%d,%d\n" * len(events)) % tuple(values))
 
 
-def load_events(path):
-    """Read an event file. Returns (events, sensor_w, sensor_h).
+def _sensor(line: str):
+    """(W, H) of a `!sensor WxH` line; IndexError or ValueError if malformed."""
+    dims = line.split(None, 1)[1]
+    w, h = dims.lower().split("x")
+    return int(w), int(h)
 
-    Events are sorted by timestamp on ingest; the format permits
-    non-strict ordering.
+
+def _parse_bulk(fh):
+    """(rows, sensor) of an event file by np.loadtxt, or None.
+
+    Handles the usual layout: comments, blank lines and `!sensor` headers
+    before the first event, then only events and comments. None, or an
+    IndexError or ValueError, means the line parser has to decide.
     """
-    events = []
+    sensor = None
+    for raw in fh:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not line.startswith("!sensor"):
+            break
+        sensor = _sensor(line)
+    else:
+        raw = None
+    if sensor is None:
+        return None
+    if raw is None:
+        return np.empty((0, 3), dtype=np.int64), sensor
+    rows = np.loadtxt(itertools.chain([raw], fh), delimiter=",", comments="#",
+                      dtype=np.int64, ndmin=2)
+    if rows.shape[1] != 3 or not rows.size or rows.min() < 0:
+        return None
+    return rows, sensor
+
+
+def _parse_lines(path):
+    """(rows, sensor) of an event file, one line at a time.
+
+    The reference parser: it accepts whatever `int()` does and raises
+    EventFileError naming the first bad line.
+    """
+    rows = []
     sensor = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -102,9 +149,7 @@ def load_events(path):
                 continue
             if line.startswith("!sensor"):
                 try:
-                    dims = line.split(None, 1)[1]
-                    w, h = dims.lower().split("x")
-                    sensor = (int(w), int(h))
+                    sensor = _sensor(line)
                 except (IndexError, ValueError):
                     raise EventFileError(lineno, f"line {lineno}: bad sensor header {line!r}")
                 continue
@@ -112,11 +157,31 @@ def load_events(path):
             if len(parts) != 3:
                 raise EventFileError(lineno, f"line {lineno}: expected x,y,t_us, got {line!r}")
             try:
-                ev = Event(int(parts[0]), int(parts[1]), int(parts[2]))
+                row = [int(p) for p in parts]
+                if not all(0 <= v <= _INT64_MAX for v in row):
+                    raise ValueError(row)
             except ValueError:
                 raise EventFileError(lineno, f"line {lineno}: bad event {line!r}")
-            events.append(ev)
+            rows.append(row)
     if sensor is None:
         raise EventFileError(0, "missing !sensor WxH header")
-    events.sort(key=lambda ev: ev.t)
-    return events, sensor[0], sensor[1]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), sensor
+
+
+def load_events(path):
+    """Read an event file. Returns (events, sensor_w, sensor_h).
+
+    The body is parsed in bulk; any line the bulk parse rejects, or a
+    negative value, sends the whole file through the line parser, which
+    raises EventFileError with the line number. Events are sorted by
+    timestamp on ingest; the format permits non-strict ordering.
+    """
+    with open(path) as fh:
+        try:
+            parsed = _parse_bulk(fh)
+        except (IndexError, ValueError):
+            parsed = None
+    rows, (w, h) = parsed or _parse_lines(path)
+    if (rows[1:, 2] < rows[:-1, 2]).any():
+        rows = rows[np.argsort(rows[:, 2], kind="stable")]
+    return EventArray(rows[:, 0], rows[:, 1], rows[:, 2]), w, h

@@ -1,15 +1,20 @@
 """Binary frames and Boolean pooling primitives.
 
 A BinaryFrame is an immutable 2-D bit grid; pooling reduces it with
-non-overlapping k x k AND/OR tiles (binary min/max pooling).
+non-overlapping k x k AND/OR tiles (binary min/max pooling). A
+FrameStream stores a whole recording sparsely, as the keys of its set
+pixels, and `tile_pool` derives both pooled views of every frame from
+those keys by counting set pixels per tile. The dense `andpool` and
+`orpool` are its reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, EmptyFrameError
+from .errors import DataError, DimensionError, EmptyFrameError
 
 
 @dataclass(frozen=True)
@@ -69,31 +74,104 @@ class BinaryFrame:
         return hash((self.scale, self.bits.shape, self.bits.tobytes()))
 
 
-@dataclass(frozen=True)
-class FrameStream:
-    """Ordered frames sharing one accumulation window and pooling scale.
+# Longest stream accepted: one hour of 40 ms frames. Its I10 stack alone
+# takes 324 MB, so a wild timestamp is rejected before anything is sized
+# by it.
+MAX_FRAMES = 90_000
 
-    Frame k covers real time [k * window_ms, (k+1) * window_ms).
+
+def _check_frame_count(n_frames: int) -> None:
+    if n_frames > MAX_FRAMES:
+        raise DataError(
+            f"stream spans {n_frames} frames, more than the limit of {MAX_FRAMES}")
+
+
+def _sort_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array.
+
+    Sort plus a neighbour compare: np.unique is several times slower on
+    the few hundred thousand keys of a recording.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class FrameStream:
+    """Ordered binary frames sharing one size, window and pooling scale.
+
+    Only the set pixels are stored: `keys` holds their sorted, distinct
+    flat indices (frame * height + y) * width + x. Frame k covers real
+    time [k * window_ms, (k+1) * window_ms). Dense frames are built on
+    request (`frames`, indexing).
     """
 
-    frames: tuple
+    keys: np.ndarray
+    n_frames: int
+    width: int
+    height: int
     window_ms: float
     scale: int = 1
 
     def __post_init__(self):
-        frames = tuple(self.frames)
         if self.window_ms <= 0:
             raise ValueError(f"window_ms must be > 0, got {self.window_ms}")
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        if min(self.n_frames, self.width, self.height) < 0:
+            raise ValueError("frame count and dimensions must be >= 0")
+        _check_frame_count(self.n_frames)
+        keys = np.asarray(self.keys, dtype=np.int64)
+        if keys.ndim != 1:
+            raise DimensionError(f"keys must be 1-D, got shape {keys.shape}")
+        if keys.size and (keys[0] < 0 or keys[-1] >= len(self) * self.height * self.width
+                          or (keys[1:] <= keys[:-1]).any()):
+            raise ValueError("keys must be sorted, distinct and inside the stream")
+        keys.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+
+    @classmethod
+    def from_pixels(cls, frame, y, x, n_frames: int, width: int, height: int,
+                    window_ms: float, scale: int = 1) -> "FrameStream":
+        """Stream with pixel (x[i], y[i]) of frame frame[i] set, for every i.
+
+        Coordinates must lie inside the frames; repeated pixels OR together.
+        """
+        _check_frame_count(n_frames)  # before a wild frame index overflows a key
+        frame, y, x = (np.asarray(a, dtype=np.int64) for a in (frame, y, x))
+        keys = _sort_unique((frame * height + y) * width + x)
+        return cls(keys, n_frames, width, height, window_ms, scale)
+
+    @classmethod
+    def from_frames(cls, frames, window_ms: float, scale: int = 1) -> "FrameStream":
+        """Stream of dense BinaryFrames of one size and scale."""
+        frames = tuple(frames)
         for f in frames:
-            if f.scale != self.scale:
-                raise DimensionError(
-                    f"frame scale {f.scale} != stream scale {self.scale}")
-            if frames and (f.width != frames[0].width or f.height != frames[0].height):
+            if f.scale != scale:
+                raise DimensionError(f"frame scale {f.scale} != stream scale {scale}")
+            if f.bits.shape != frames[0].bits.shape:
                 raise DimensionError("frames in a stream must share dimensions")
-        object.__setattr__(self, "frames", frames)
+        if not frames:
+            return cls(np.empty(0, dtype=np.int64), 0, 0, 0, window_ms, scale)
+        bits = np.stack([f.bits for f in frames])
+        return cls(np.flatnonzero(bits), len(frames), frames[0].width,
+                   frames[0].height, window_ms, scale)
+
+    def pixels(self):
+        """(frame, y, x) arrays of every set pixel, ordered by frame, y, x."""
+        rows, x = np.divmod(self.keys, self.width)
+        frame, y = np.divmod(rows, self.height)
+        return frame, y, x
+
+    @cached_property
+    def frames(self) -> tuple:
+        """Dense BinaryFrames, built on first request."""
+        return tuple(_dense(self.keys, len(self), self.height, self.width, self.scale))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.n_frames
 
     def __getitem__(self, i):
         return self.frames[i]
@@ -121,6 +199,62 @@ def orpool(frame: BinaryFrame, k: int) -> BinaryFrame:
     h, w = frame.height // k, frame.width // k
     tiled = frame.bits.reshape(h, k, w, k)
     return BinaryFrame(tiled.any(axis=(1, 3)), frame.scale * k)
+
+
+def _tile_keys(keys: np.ndarray, width: int, k: int) -> np.ndarray:
+    """Flat keys on the grid of k x k tiles of the tile holding each pixel.
+
+    `keys` are flat pixel keys (row * width + x) of a stack whose height
+    and width are multiples of k, so rows // k is frame * (height // k) +
+    y // k.
+    """
+    rows, x = np.divmod(keys, width)
+    return (rows // k) * (width // k) + x // k
+
+
+def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
+    """Sorted keys of the tiles listed k * k times, i.e. with every pixel set.
+
+    Pixel keys are distinct, so no tile is listed more than k * k times:
+    after sorting, a run of that length starts exactly where an entry
+    equals the one k * k - 1 places further on.
+    """
+    tiles = np.sort(tiles)
+    m = k * k - 1
+    if m == 0:
+        return tiles
+    head = tiles[:max(tiles.size - m, 0)]
+    return head[head == tiles[m:]]
+
+
+def _dense(keys: np.ndarray, n: int, height: int, width: int, scale: int):
+    """n BinaryFrames of height x width with the flat `keys` set."""
+    bits = np.zeros(n * height * width, dtype=bool)
+    bits[keys] = True
+    return [BinaryFrame(b, scale) for b in bits.reshape(n, height, width)]
+
+
+def tile_pool(stream: FrameStream, body: bool = True):
+    """(I10, body map) frames of every frame of `stream`, by tile counting.
+
+    I10 is andpool(frame, 10): the 10 x 10 tiles with all 100 pixels set.
+    The body map is orpool(andpool(frame, 2), 10): a tile is set when any
+    of its 2 x 2 sub-tiles has all 4 pixels set. Both come from sorting
+    tile keys of the set pixels, so the cost follows the events, not the
+    frame area. Returns two lists of BinaryFrame; the second is None
+    unless `body`.
+    """
+    n, h, w = len(stream), stream.height, stream.width
+    k = 20 if body else 10
+    if h % k or w % k:
+        raise DimensionError(f"frame {w}x{h} not divisible by kernel {k}")
+    i10 = _full_tiles(_tile_keys(stream.keys, w, 10), 10)
+    leg = _dense(i10, n, h // 10, w // 10, stream.scale * 10)
+    if not body:
+        return leg, None
+    i2 = _full_tiles(_tile_keys(stream.keys, w, 2), 2)
+    i20 = _tile_keys(i2, w // 2, 10)
+    return leg, _dense(i20, n, h // 20, w // 20, stream.scale * 20)
 
 
 def _check_same_dims(a: BinaryFrame, b: BinaryFrame) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import DimensionError
 from .frames import BinaryFrame
 
@@ -99,11 +100,11 @@ class WeightMap:
 
 def save_weights(path, weights: WeightMap) -> None:
     """Plain-text weights: header `neurons height width`, then rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{weights.n_neurons} {weights.height} {weights.width}\n")
-        for n in range(weights.n_neurons):
-            for row in weights.w[n]:
-                fh.write(" ".join(format(v, ".12g") for v in row) + "\n")
+    lines = [f"{weights.n_neurons} {weights.height} {weights.width}"]
+    for n in range(weights.n_neurons):
+        for row in weights.w[n]:
+            lines.append(" ".join(format(v, ".12g") for v in row))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_weights(path) -> WeightMap:
@@ -143,11 +144,10 @@ class SpikeRaster:
 
 def save_raster(path, raster: SpikeRaster) -> None:
     """Step-indexed `time_s neuron` pairs, one spike per line."""
-    with open(path, "w") as fh:
-        fh.write(f"# dt={raster.dt:.6g} n_steps={raster.n_steps}\n")
-        for t, spikes in raster.steps:
-            for n in sorted(spikes):
-                fh.write(f"{t:.6f} {n}\n")
+    lines = [f"# dt={raster.dt:.6g} n_steps={raster.n_steps}"]
+    for t, spikes in raster.steps:
+        lines.extend(f"{t:.6f} {n}" for n in sorted(spikes))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_raster(path) -> SpikeRaster:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .frames import BinaryFrame, FrameStream, Point, frame_or
+from .frames import FrameStream, Point
 from .neurons import SpikeRaster, N_LEGS
 
 # Anchor directions (degrees, image coords): legs 1-3 on the left side,
@@ -189,7 +189,7 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
     if not (0.0 <= noise_density < 1.0):
         raise ValueError(f"noise_density must be in [0,1), got {noise_density}")
     seg_len = frames_per_cycle + params.gap_frames
-    frames = []
+    fs, ys, xs = [], [], []
     for step_idx, (_, legs) in enumerate(schedule.entries):
         for j in range(seg_len):
             bits = np.zeros((height, width), dtype=bool)
@@ -204,8 +204,13 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
             if noise_density > 0.0:
                 rng = np.random.default_rng([seed, k])
                 bits |= rng.random((height, width)) < noise_density
-            frames.append(BinaryFrame(bits))
-    return FrameStream(tuple(frames), window_ms)
+            y, x = np.divmod(np.flatnonzero(bits), width)
+            fs.append(np.full(y.size, k))
+            ys.append(y)
+            xs.append(x)
+    return FrameStream.from_pixels(np.concatenate(fs), np.concatenate(ys),
+                                   np.concatenate(xs), len(fs), width, height,
+                                   window_ms)
 
 
 def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
@@ -256,20 +261,18 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
     if pos != len(stream):
         raise DataError(
             f"boundaries cover {pos} frames but stream has {len(stream)}")
-    w, h = stream.frames[0].width, stream.frames[0].height
-    empty = BinaryFrame.zeros(w, h, stream.scale)
-    out = []
+    frame, y, x = stream.pixels()
+    pieces = []
+    start = 0
     for _, legs in new_schedule.entries:
-        segs = [stream.frames[boundaries[l - 1][0]:boundaries[l - 1][1]]
-                for l in sorted(legs)]
-        longest = max(len(s) for s in segs)
-        for j in range(longest):
-            frame = empty
-            for seg in segs:
-                if j < len(seg):
-                    frame = frame_or(frame, seg[j])
-            out.append(frame)
-    return FrameStream(tuple(out), stream.window_ms, stream.scale)
+        segs = [boundaries[l - 1] for l in sorted(legs)]
+        for a, b in segs:
+            lo, hi = np.searchsorted(frame, (a, b))
+            pieces.append((frame[lo:hi] - a + start, y[lo:hi], x[lo:hi]))
+        start += max(b - a for a, b in segs)
+    return FrameStream.from_pixels(
+        *(np.concatenate(col) for col in zip(*pieces)), start, stream.width,
+        stream.height, stream.window_ms, stream.scale)
 
 
 def ground_truth_raster(schedule: GaitSchedule, frames_per_cycle: int,

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFrameError
+from .errors import EmptyFrameError, EmptyStreamError
 from .frames import (BinaryFrame, FrameStream, andpool, centroid, frame_and,
-                     frame_not, orpool, popcount)
+                     frame_not, orpool, popcount, tile_pool)
 from .neurons import (N_LEGS, NeuronParams, SpikeRaster, WeightMap,
                       fresh_states, step_network)
 from .scene import HexapodGeometry
@@ -115,11 +115,6 @@ def _estimate_from_pooled(body_union: BinaryFrame, i10: BinaryFrame,
     return classify_angle(theta, priors), theta
 
 
-def pooled_views(frame: BinaryFrame):
-    """(I10, body contribution) of one raw frame: the two pooled pipelines."""
-    return andpool(frame, 10), orpool(andpool(frame, 2), 10)
-
-
 def estimate_leg(history, priors: GaussianPriors) -> int:
     """Label the leg moving in the last frame of `history` (<= 11 raw frames)."""
     history = list(history)
@@ -172,8 +167,8 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
     """
     n = len(stream)
     if n == 0:
-        raise ValueError("cannot train on an empty stream")
-    pooled = [pooled_views(f) for f in stream.frames]
+        raise EmptyStreamError("cannot train on an empty stream")
+    pooled = list(zip(*tile_pool(stream)))
     i10_w, i10_h = pooled[0][0].width, pooled[0][0].height
     if weights is None:
         weights = WeightMap.zeros(i10_w, i10_h)

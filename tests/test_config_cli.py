@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import pytest
 
@@ -82,6 +84,45 @@ def test_cli_data_error_exit_3(tmp_path, capsys):
     assert main(["--out", str(out), "train", str(bad)]) == 3
     assert "line 2" in capsys.readouterr().err
     assert main(["--out", str(out), "train", str(tmp_path / "absent")]) == 3
+
+
+def test_cli_sensor_smaller_than_frame_exit_3(tmp_path, capsys):
+    small = tmp_path / "small.events"
+    small.write_text("!sensor 100x100\n1,1,0\n")
+    assert main(["--out", str(tmp_path / "out"), "train", str(small)]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "100x100" in err
+
+
+def test_cli_train_on_no_events_exit_3(tmp_path, capsys):
+    header_only = tmp_path / "header.events"
+    header_only.write_text("!sensor 600x600\n# nothing recorded\n")
+    border_only = tmp_path / "border.events"  # every event outside the crop
+    border_only.write_text("!sensor 800x800\n5,5,0\n790,400,40000\n")
+    for path in (header_only, border_only):
+        assert main(["--out", str(tmp_path / "out"), "train", str(path)]) == 3
+        assert "data error: cannot train on an empty stream" in capsys.readouterr().err
+
+
+def test_cli_wild_timestamp_exit_3(tmp_path, capsys):
+    wild = tmp_path / "wild.events"
+    wild.write_text("!sensor 600x600\n1,1,99999999999\n")
+    assert main(["--out", str(tmp_path / "out"), "train", str(wild)]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "2500000 frames" in err
+
+
+def test_cli_artifacts_share_one_mode(fast_cfg_path, tmp_path):
+    out = tmp_path / "run"
+    assert main(["--config", fast_cfg_path, "--out", str(out), "repro"]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    names = sorted(os.listdir(out))
+    assert names == ["events.txt", "report.txt", "schedule.txt", "seq_raster.txt",
+                     "train_raster.txt", "tripod_raster.txt", "tripod_trace.txt",
+                     "weights.txt"]
+    modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in names}
+    assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
 def test_cli_pipeline_synth_train_test(fast_cfg_path, tmp_path, capsys):

@@ -4,35 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexgait.errors import EventBoundsError, EventFileError
-from hexgait.events import (Event, accumulate_frames, centered_crop,
+from hexgait.events import (EventArray, accumulate_frames, centered_crop,
                             crop_events, frames_to_events, load_events,
                             save_events)
 
 
+def events_of(triples):
+    """EventArray of (x, y, t) triples, in the given order."""
+    cols = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    return EventArray(cols[:, 0], cols[:, 1], cols[:, 2])
+
+
 def brute_bucket(events, window_us, width, height):
     """Direct bucketing oracle for accumulate_frames."""
-    if not events:
+    if not len(events):
         return []
-    n = max(ev.t for ev in events) // window_us + 1
+    n = int(events.t.max()) // window_us + 1
     frames = [np.zeros((height, width), dtype=bool) for _ in range(n)]
-    for ev in events:
-        frames[ev.t // window_us][ev.y, ev.x] = True
+    for x, y, t in zip(events.x.tolist(), events.y.tolist(), events.t.tolist()):
+        frames[t // window_us][y, x] = True
     return frames
 
 
 def test_empty_stream():
-    assert len(accumulate_frames([], 40, 10, 10)) == 0
+    assert len(accumulate_frames(events_of([]), 40, 10, 10)) == 0
 
 
 def test_single_event():
-    stream = accumulate_frames([Event(5, 7, 10_000)], 40, 16, 16)
+    stream = accumulate_frames(events_of([(5, 7, 10_000)]), 40, 16, 16)
     assert len(stream) == 1
     assert stream[0].bits[7, 5]
     assert stream[0].bits.sum() == 1
 
 
 def test_window_boundary():
-    events = [Event(3, 3, 0), Event(3, 3, 39_999), Event(3, 3, 40_000)]
+    events = events_of([(3, 3, 0), (3, 3, 39_999), (3, 3, 40_000)])
     stream = accumulate_frames(events, 40, 8, 8)
     expected = brute_bucket(events, 40_000, 8, 8)
     assert len(stream) == len(expected) == 2
@@ -45,27 +51,27 @@ def test_window_boundary():
                           st.integers(0, 200_000)), max_size=60),
        st.randoms())
 def test_accumulate_matches_oracle_and_order_invariance(triples, rnd):
-    events = [Event(x, y, t) for x, y, t in triples]
+    events = events_of(triples)
     stream = accumulate_frames(events, 40, 16, 16)
     expected = brute_bucket(events, 40_000, 16, 16)
     assert len(stream) == len(expected)
     for frame, exp in zip(stream.frames, expected):
         assert np.array_equal(frame.bits, exp)
-    shuffled = list(events)
+    shuffled = list(triples)
     rnd.shuffle(shuffled)
-    stream2 = accumulate_frames(shuffled, 40, 16, 16)
+    stream2 = accumulate_frames(events_of(shuffled), 40, 16, 16)
     assert stream.frames == stream2.frames
 
 
 def test_out_of_bounds_reports_index():
-    events = [Event(0, 0, 0), Event(20, 0, 10)]
+    events = events_of([(0, 0, 0), (20, 0, 10)])
     with pytest.raises(EventBoundsError) as exc:
         accumulate_frames(events, 40, 16, 16)
     assert exc.value.index == 1
 
 
 def test_event_file_roundtrip(tmp_path):
-    events = [Event(1, 2, 30), Event(5, 5, 99_000)]
+    events = events_of([(1, 2, 30), (5, 5, 99_000)])
     path = tmp_path / "ev.txt"
     save_events(path, events, 600, 600)
     loaded, w, h = load_events(path)
@@ -88,22 +94,21 @@ def test_event_file_comments_and_sorting(tmp_path):
     path = tmp_path / "ev.txt"
     path.write_text("# comment\n!sensor 8x8\n3,3,500\n1,1,100  # inline\n")
     events, _, _ = load_events(path)
-    assert [ev.t for ev in events] == [100, 500]
+    assert events.t.tolist() == [100, 500]
 
 
 def test_crop():
-    events = [Event(100, 100, 0), Event(700, 400, 1), Event(1279, 799, 2)]
+    events = events_of([(100, 100, 0), (700, 400, 1), (1279, 799, 2)])
     left, top = centered_crop(1280, 800, 600, 600)
     assert (left, top) == (340, 100)
     cropped = crop_events(events, left, top, 600, 600)
-    assert cropped == [Event(360, 300, 1)]
+    assert cropped == events_of([(360, 300, 1)])
 
 
 def test_frames_to_events_roundtrip():
     rng = np.random.default_rng(2)
-    events = [Event(int(x), int(y), int(t))
-              for x, y, t in zip(rng.integers(0, 16, 30), rng.integers(0, 16, 30),
-                                 rng.integers(0, 200_000, 30))]
+    events = EventArray(rng.integers(0, 16, 30), rng.integers(0, 16, 30),
+                        rng.integers(0, 200_000, 30))
     stream = accumulate_frames(events, 40, 16, 16)
     rebuilt = accumulate_frames(frames_to_events(stream), 40, 16, 16)
     assert stream.frames == rebuilt.frames

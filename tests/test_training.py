@@ -143,14 +143,14 @@ def test_train_bounds(trained, cfg):
 def test_train_empty_stream_rejected(priors, cfg):
     from hexgait.frames import FrameStream
     with pytest.raises(ValueError):
-        train(FrameStream((), 40.0), priors, cfg.train_schedule(),
+        train(FrameStream.from_frames((), 40.0), priors, cfg.train_schedule(),
               cfg.neuron_params())
 
 
 def test_train_blank_stream_is_noop(priors, cfg):
     from hexgait.frames import FrameStream
-    blank = FrameStream(tuple(BinaryFrame.zeros(600, 600) for _ in range(20)),
-                        40.0)
+    blank = FrameStream.from_frames(
+        tuple(BinaryFrame.zeros(600, 600) for _ in range(20)), 40.0)
     result = train(blank, priors, cfg.train_schedule(), cfg.neuron_params())
     assert not result.weights.w.any()
     assert result.log == []
