@@ -140,8 +140,11 @@ def cmd_energy(cfg: RunConfig, raster_path, active_frames: int,
 
 
 def _leg_event_counts(i10_frames):
-    """Canonical per-leg-event accounting: peak pixel count of each burst
-    of consecutive active frames, one filter application per burst."""
+    """Canonical per-leg-event accounting: (spikes, leg events).
+
+    A leg event is one burst of consecutive active I10 frames, so a step
+    that moves three legs at once counts once. It costs the peak pixel
+    count of the burst in spikes and one filter application."""
     n_spikes = n_events = 0
     peak = 0
     for f in i10_frames:

@@ -23,7 +23,7 @@ _SCHEMA = {
         "shaft_clusters": int, "body_radius": float, "leg_length": float,
         "sweep_angle_deg": float, "active_frames": int,
     },
-    "events": {"window_ms": float, "sensor_width": int, "sensor_height": int},
+    "events": {"window_ms": float},
     "neuron": {
         "tau_v": float, "tau_ge": float, "v_rest": float, "v_exc": float,
         "v_thresh": float, "refractory": float, "dt": float,
@@ -33,10 +33,7 @@ _SCHEMA = {
         "w_max": float, "repeats": int, "prior_std_deg": float,
     },
     "gait": {"period_s": float, "group_gap_s": float},
-    "energy": {
-        "energy_per_spike_nj": float, "andpool_energy_per_frame_nj": float,
-        "gates": int,
-    },
+    "energy": {"energy_per_spike_nj": float, "andpool_energy_per_frame_nj": float},
     "test": {"tripod_repeats": int},
 }
 
@@ -48,7 +45,7 @@ _DEFAULTS = {
         "shaft_clusters": 5, "body_radius": 0.18, "leg_length": 0.17,
         "sweep_angle_deg": 30.0, "active_frames": 8,
     },
-    "events": {"window_ms": 40.0, "sensor_width": 600, "sensor_height": 600},
+    "events": {"window_ms": 40.0},
     "neuron": {
         "tau_v": 4.0, "tau_ge": 1.2, "v_rest": -65.0, "v_exc": -30.0,
         "v_thresh": -52.0, "refractory": 2.0, "dt": 0.04,
@@ -58,10 +55,7 @@ _DEFAULTS = {
         "w_max": 0.35, "repeats": 10, "prior_std_deg": 15.0,
     },
     "gait": {"period_s": 0.0, "group_gap_s": 0.0},  # 0 = derive from scene
-    "energy": {
-        "energy_per_spike_nj": 1.7, "andpool_energy_per_frame_nj": 2.5,
-        "gates": 3600,
-    },
+    "energy": {"energy_per_spike_nj": 1.7, "andpool_energy_per_frame_nj": 2.5},
     "test": {"tripod_repeats": 4},
 }
 
@@ -112,8 +106,7 @@ class RunConfig:
     def energy_model(self) -> EnergyModel:
         e = self.values["energy"]
         return EnergyModel(energy_per_spike=e["energy_per_spike_nj"] * 1e-9,
-                           andpool_energy_per_frame=e["andpool_energy_per_frame_nj"] * 1e-9,
-                           gates=e["gates"])
+                           andpool_energy_per_frame=e["andpool_energy_per_frame_nj"] * 1e-9)
 
     def period_s(self) -> float:
         p = self.values["gait"]["period_s"]
@@ -198,9 +191,7 @@ sweep_angle_deg = 30.0
 active_frames = 8          # fast-sweep frames that light the foot site
 
 [events]
-window_ms = 40.0
-sensor_width = 600
-sensor_height = 600        # larger sensors are center-cropped
+window_ms = 40.0           # sensors larger than the scene are center-cropped
 
 [neuron]
 tau_v = 4.0
@@ -227,7 +218,6 @@ group_gap_s = 0.0          # 0 = period / 2
 [energy]
 energy_per_spike_nj = 1.7
 andpool_energy_per_frame_nj = 2.5
-gates = 3600
 
 [test]
 tripod_repeats = 4

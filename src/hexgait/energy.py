@@ -4,10 +4,14 @@ Counts input spikes at a fixed per-spike cost plus one pooled-filter
 application per active frame. This is an accounting model, not a hardware
 simulation; the per-leg-event figure is flagged when it departs the
 expected ~10 nJ neighborhood by more than 2x.
+
+A leg event is one burst of consecutive active I10 frames, whatever the
+number of legs moving in it (see `cli._leg_event_counts`): a tripod step
+is one leg event, not three.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NOMINAL_PER_LEG_J = 10e-9
 
@@ -16,8 +20,6 @@ NOMINAL_PER_LEG_J = 10e-9
 class EnergyModel:
     energy_per_spike: float = 1.7e-9        # joules per event spike
     andpool_energy_per_frame: float = 2.5e-9  # joules per filter application
-    gates: int = 3600                        # AND kernels over the raw frame
-    technology: str = "6T AND gates, 14nm class"
 
     def __post_init__(self):
         if self.energy_per_spike < 0 or self.andpool_energy_per_frame < 0:

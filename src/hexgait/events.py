@@ -173,15 +173,19 @@ def load_events(path):
 
     The body is parsed in bulk; any line the bulk parse rejects, or a
     negative value, sends the whole file through the line parser, which
-    raises EventFileError with the line number. Events are sorted by
+    raises EventFileError with the line number. A file that is not text
+    in the locale's encoding is a DataError. Events are sorted by
     timestamp on ingest; the format permits non-strict ordering.
     """
-    with open(path) as fh:
-        try:
-            parsed = _parse_bulk(fh)
-        except (IndexError, ValueError):
-            parsed = None
-    rows, (w, h) = parsed or _parse_lines(path)
+    try:
+        with open(path) as fh:
+            try:
+                parsed = _parse_bulk(fh)
+            except (IndexError, ValueError):
+                parsed = None
+        rows, (w, h) = parsed or _parse_lines(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"bad event file {path}: {exc}") from exc
     if (rows[1:, 2] < rows[:-1, 2]).any():
         rows = rows[np.argsort(rows[:, 2], kind="stable")]
     return EventArray(rows[:, 0], rows[:, 1], rows[:, 2]), w, h

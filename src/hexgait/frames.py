@@ -3,8 +3,8 @@
 A BinaryFrame is an immutable 2-D bit grid; pooling reduces it with
 non-overlapping k x k AND/OR tiles (binary min/max pooling). A
 FrameStream stores a whole recording sparsely, as the keys of its set
-pixels, and `tile_pool` derives both pooled views of every frame from
-those keys by counting set pixels per tile. The dense `andpool` and
+pixels, and `pooled_streams` derives both pooled views of every frame
+from those keys by counting set pixels per tile. The dense `andpool` and
 `orpool` are its reference.
 """
 from __future__ import annotations
@@ -145,6 +145,14 @@ class FrameStream:
         return cls(keys, n_frames, width, height, window_ms, scale)
 
     @classmethod
+    def from_keys(cls, keys, n_frames: int, width: int, height: int,
+                  window_ms: float, scale: int = 1) -> "FrameStream":
+        """Stream with the flat pixel keys `keys` set, in any order;
+        repeated keys OR together."""
+        return cls(_sort_unique(np.asarray(keys, dtype=np.int64)), n_frames,
+                   width, height, window_ms, scale)
+
+    @classmethod
     def from_frames(cls, frames, window_ms: float, scale: int = 1) -> "FrameStream":
         """Stream of dense BinaryFrames of one size and scale."""
         frames = tuple(frames)
@@ -165,10 +173,20 @@ class FrameStream:
         frame, y = np.divmod(rows, self.height)
         return frame, y, x
 
+    def per_frame(self) -> list:
+        """Sorted flat indices y * width + x of the set pixels of each frame."""
+        if not len(self):
+            return []
+        frame, flat = np.divmod(self.keys, self.height * self.width)
+        return np.split(flat, np.searchsorted(frame, np.arange(1, len(self))))
+
     @cached_property
     def frames(self) -> tuple:
         """Dense BinaryFrames, built on first request."""
-        return tuple(_dense(self.keys, len(self), self.height, self.width, self.scale))
+        bits = np.zeros(len(self) * self.height * self.width, dtype=bool)
+        bits[self.keys] = True
+        return tuple(BinaryFrame(b, self.scale)
+                     for b in bits.reshape(len(self), self.height, self.width))
 
     def __len__(self) -> int:
         return self.n_frames
@@ -227,34 +245,34 @@ def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
     return head[head == tiles[m:]]
 
 
-def _dense(keys: np.ndarray, n: int, height: int, width: int, scale: int):
-    """n BinaryFrames of height x width with the flat `keys` set."""
-    bits = np.zeros(n * height * width, dtype=bool)
-    bits[keys] = True
-    return [BinaryFrame(b, scale) for b in bits.reshape(n, height, width)]
-
-
-def tile_pool(stream: FrameStream, body: bool = True):
-    """(I10, body map) frames of every frame of `stream`, by tile counting.
+def pooled_streams(stream: FrameStream, body: bool = True):
+    """(I10, body map) of every frame of `stream`, as FrameStreams.
 
     I10 is andpool(frame, 10): the 10 x 10 tiles with all 100 pixels set.
     The body map is orpool(andpool(frame, 2), 10): a tile is set when any
     of its 2 x 2 sub-tiles has all 4 pixels set. Both come from sorting
     tile keys of the set pixels, so the cost follows the events, not the
-    frame area. Returns two lists of BinaryFrame; the second is None
-    unless `body`.
+    frame area. The body map is None unless `body`.
     """
     n, h, w = len(stream), stream.height, stream.width
     k = 20 if body else 10
     if h % k or w % k:
         raise DimensionError(f"frame {w}x{h} not divisible by kernel {k}")
     i10 = _full_tiles(_tile_keys(stream.keys, w, 10), 10)
-    leg = _dense(i10, n, h // 10, w // 10, stream.scale * 10)
+    leg = FrameStream(i10, n, w // 10, h // 10, stream.window_ms, stream.scale * 10)
     if not body:
         return leg, None
     i2 = _full_tiles(_tile_keys(stream.keys, w, 2), 2)
-    i20 = _tile_keys(i2, w // 2, 10)
-    return leg, _dense(i20, n, h // 20, w // 20, stream.scale * 20)
+    i20 = _sort_unique(_tile_keys(i2, w // 2, 10))
+    return leg, FrameStream(i20, n, w // 20, h // 20, stream.window_ms,
+                            stream.scale * 20)
+
+
+def tile_pool(stream: FrameStream, body: bool = True):
+    """`pooled_streams` as two lists of dense BinaryFrames (second None
+    unless `body`)."""
+    leg, body_map = pooled_streams(stream, body)
+    return list(leg.frames), None if body_map is None else list(body_map.frames)
 
 
 def _check_same_dims(a: BinaryFrame, b: BinaryFrame) -> None:
@@ -288,11 +306,17 @@ def centroid(frame: BinaryFrame) -> Point:
     Each axis is divided by (dimension - 1) so a single-bit frame maps the
     bit's pixel coordinates exactly; resolution-independent by design.
     """
-    rows, cols = np.nonzero(frame.bits)
-    if rows.size == 0:
+    return cell_centroid(np.flatnonzero(frame.bits), frame.width, frame.height)
+
+
+def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
+    """`centroid` of the width x height frame whose set bits have the flat
+    indices `cells` (y * width + x)."""
+    if cells.size == 0:
         raise EmptyFrameError("centroid of an empty frame is undefined")
-    x = float(cols.mean()) / (frame.width - 1) if frame.width > 1 else 0.0
-    y = float(rows.mean()) / (frame.height - 1) if frame.height > 1 else 0.0
+    rows, cols = np.divmod(cells, width)
+    x = float(cols.mean()) / (width - 1) if width > 1 else 0.0
+    y = float(rows.mean()) / (height - 1) if height > 1 else 0.0
     return Point(x, y)
 
 

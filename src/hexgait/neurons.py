@@ -8,6 +8,10 @@ through a nonnegative weight grid. Membrane dynamics:
 
 integrated with a fixed step dt; crossing v_thresh emits a spike, resets
 v to v_rest and starts the refractory hold.
+
+The network runs on `NetworkState`, one (n,) array per state variable,
+stepped by `step_state`. The scalar `NeuronState`, `inject`,
+`step_neuron` and `step_network` are its per-neuron reference.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 from .frames import BinaryFrame
 
 N_LEGS = 6
@@ -64,6 +68,20 @@ def fresh_states(params: NeuronParams, n: int = N_LEGS):
     return tuple(NeuronState.resting(params) for _ in range(n))
 
 
+@dataclass(eq=False)
+class NetworkState:
+    """The state of every neuron as (n,) float64 arrays, one per field of
+    NeuronState; `step_state` replaces them each step."""
+
+    v: np.ndarray
+    g_e: np.ndarray
+    refractory_until: np.ndarray
+
+    @classmethod
+    def resting(cls, params: NeuronParams, n: int = N_LEGS) -> "NetworkState":
+        return cls(np.full(n, params.v_rest), np.zeros(n), np.full(n, -math.inf))
+
+
 class WeightMap:
     """Per-neuron real-valued weight grids matching the input frame dims."""
 
@@ -108,12 +126,15 @@ def save_weights(path, weights: WeightMap) -> None:
 
 
 def load_weights(path) -> WeightMap:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: bad weight header {header!r}")
-        n, h, w = (int(v) for v in header)
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise ValueError(f"bad weight header {header!r}")
+            n, h, w = (int(v) for v in header)
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"bad weight file {path}: {exc}") from exc
     if values.shape != (n * h, w):
         raise DimensionError(
             f"{path}: expected {n * h}x{w} rows, got {values.shape}")
@@ -153,20 +174,25 @@ def save_raster(path, raster: SpikeRaster) -> None:
 def load_raster(path) -> SpikeRaster:
     dt, n_steps = 0.04, 0
     by_time = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("dt="):
-                        dt = float(tok[3:])
-                    elif tok.startswith("n_steps="):
-                        n_steps = int(tok[8:])
-                continue
-            if not line:
-                continue
-            t_s, n = line.split()
-            by_time.setdefault(float(t_s), set()).add(int(n))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line.startswith("#"):
+                    for tok in line[1:].split():
+                        if tok.startswith("dt="):
+                            dt = float(tok[3:])
+                        elif tok.startswith("n_steps="):
+                            n_steps = int(tok[8:])
+                    continue
+                if not line:
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(f"line {lineno}: expected `time_s neuron`, got {line!r}")
+                by_time.setdefault(float(fields[0]), set()).add(int(fields[1]))
+    except ValueError as exc:
+        raise DataError(f"bad raster file {path}: {exc}") from exc
     steps = tuple((t, frozenset(s)) for t, s in sorted(by_time.items()))
     return SpikeRaster(dt=dt, steps=steps, n_steps=n_steps)
 
@@ -212,19 +238,51 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
     return tuple(new_states), spiked
 
 
+def step_state(state: NetworkState, weights: np.ndarray, cells: np.ndarray,
+               params: NeuronParams, now: float) -> frozenset:
+    """Inject then step every neuron, in place: step_network on arrays.
+
+    `weights` holds one flat weight row per neuron and `cells` the sorted
+    flat indices of the set input pixels. Returns the spiked labels.
+    """
+    live = now >= state.refractory_until
+    g_e = state.g_e
+    if cells.size:
+        # np.take keeps the gathered block C-ordered, so each row sums in
+        # the same order as float(w[i][bits].sum()); w[:, cells] is
+        # F-ordered and sums column by column, to different doubles.
+        g_e = np.where(live, g_e + np.take(weights, cells, axis=1).sum(axis=1), g_e)
+    v = state.v
+    decayed = g_e * (1.0 - params.dt / params.tau_ge)
+    state.g_e = np.where(decayed < 0.0, 0.0, decayed)
+    v_next = v + params.dt / params.tau_v * (-(v - params.v_rest)
+                                             - g_e * (v - params.v_exc))
+    fired = live & (v_next >= params.v_thresh)
+    state.v = np.where(live & ~fired, v_next, params.v_rest)
+    if not fired.any():
+        return frozenset()
+    state.refractory_until = np.where(fired, now + params.refractory,
+                                      state.refractory_until)
+    return frozenset((np.flatnonzero(fired) + 1).tolist())
+
+
 def run_network(frames, weights: WeightMap, params: NeuronParams,
-                states=None, t0: float = 0.0):
+                state: NetworkState = None, t0: float = 0.0):
     """Drive the network over a frame sequence with frozen weights.
 
-    Returns (final states, SpikeRaster). One frame per dt step.
+    Returns (final state, SpikeRaster). One frame per dt step; a given
+    `state` is advanced in place.
     """
-    if states is None:
-        states = fresh_states(params, weights.n_neurons)
+    if state is None:
+        state = NetworkState.resting(params, weights.n_neurons)
+    rows = weights.w.reshape(weights.n_neurons, -1)
     steps = []
-    now = t0
     for k, frame in enumerate(frames):
+        if frame.bits.shape != weights.w.shape[1:]:
+            raise DimensionError(
+                f"weight grid {weights.w.shape[1:]} != frame {frame.bits.shape}")
         now = t0 + k * params.dt
-        states, spiked = step_network(states, weights, frame, params, now)
+        spiked = step_state(state, rows, np.flatnonzero(frame.bits), params, now)
         if spiked:
-            steps.append((now, frozenset(spiked)))
-    return states, SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=len(frames))
+            steps.append((now, spiked))
+    return state, SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=len(frames))

@@ -10,11 +10,12 @@ active frame:
   2x2 AND pool and give the leg estimator a body-side anchor.
 
 Salt noise is added as isolated single pixels; a 2x2 AND pool removes it.
+Frames are built as flat pixel indices, never as dense grids.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,16 +156,21 @@ def _shaft_points(geom: HexapodGeometry, leg: int, width: int, height: int,
     return pts
 
 
-def _draw_leg(bits: np.ndarray, geom: HexapodGeometry, leg: int,
-              sweep_offset: float, params: RenderParams,
-              foot_active: bool = True) -> None:
-    h, w = bits.shape
+def _leg_pixels(geom: HexapodGeometry, leg: int, sweep_offset: float,
+                width: int, height: int, params: RenderParams,
+                foot_active: bool = True) -> np.ndarray:
+    """Flat indices y * width + x of the pixels one leg sets (may repeat)."""
+    b = params.block
+    parts = [np.empty(0, dtype=np.int64)]
     if foot_active:
-        for bx, by in _foot_blocks(geom, leg, w, h, params):
-            bits[by * params.block:(by + 1) * params.block,
-                 bx * params.block:(bx + 1) * params.block] = True
-    for cx, cy in _shaft_points(geom, leg, w, h, sweep_offset, params):
-        bits[cy:cy + 2, cx:cx + 2] = True
+        block = (np.arange(b)[:, None] * width + np.arange(b)).ravel()
+        parts.extend(by * b * width + bx * b + block
+                     for bx, by in _foot_blocks(geom, leg, width, height, params))
+    cluster = np.array([0, 1, width, width + 1])
+    parts.extend(cy * width + cx + cluster
+                 for cx, cy in _shaft_points(geom, leg, width, height,
+                                             sweep_offset, params))
+    return np.concatenate(parts)
 
 
 def sweep_offset(geom: HexapodGeometry, j: int, frames_per_cycle: int) -> float:
@@ -181,36 +187,38 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
 
     Each schedule step is one oscillation of its legs over
     `frames_per_cycle` frames followed by `gap_frames` still frames.
-    Noise uses a counter-based per-frame substream, so the output is
-    deterministic and frame-order independent for a given seed.
+    Salt noise sets each pixel of a frame independently with probability
+    `noise_density`, drawn sparsely: a Binomial(width * height, p) count,
+    then that many distinct positions, uniformly. Noise uses a
+    counter-based per-frame substream, so the output is deterministic
+    and frame k's noise depends on the seed and k only.
     """
     if frames_per_cycle < 2:
         raise ValueError(f"frames_per_cycle must be >= 2, got {frames_per_cycle}")
     if not (0.0 <= noise_density < 1.0):
         raise ValueError(f"noise_density must be in [0,1), got {noise_density}")
     seg_len = frames_per_cycle + params.gap_frames
-    fs, ys, xs = [], [], []
+    area = width * height
+    keys = []
     for step_idx, (_, legs) in enumerate(schedule.entries):
         for j in range(seg_len):
-            bits = np.zeros((height, width), dtype=bool)
+            k = step_idx * seg_len + j
+            parts = [np.empty(0, dtype=np.int64)]
             if j < frames_per_cycle:
                 off = sweep_offset(geom, j, frames_per_cycle)
                 # The foot site only lights while the sweep is fast (early
                 # cycle); the slower shaft clusters persist all cycle.
                 foot = j < min(params.active_frames, frames_per_cycle)
-                for leg in sorted(legs):
-                    _draw_leg(bits, geom, leg, off, params, foot_active=foot)
-            k = step_idx * seg_len + j
+                parts.extend(_leg_pixels(geom, leg, off, width, height, params,
+                                         foot_active=foot)
+                             for leg in sorted(legs))
             if noise_density > 0.0:
                 rng = np.random.default_rng([seed, k])
-                bits |= rng.random((height, width)) < noise_density
-            y, x = np.divmod(np.flatnonzero(bits), width)
-            fs.append(np.full(y.size, k))
-            ys.append(y)
-            xs.append(x)
-    return FrameStream.from_pixels(np.concatenate(fs), np.concatenate(ys),
-                                   np.concatenate(xs), len(fs), width, height,
-                                   window_ms)
+                parts.append(rng.choice(area, rng.binomial(area, noise_density),
+                                        replace=False, shuffle=False))
+            keys.append(np.concatenate(parts) + k * area)
+    return FrameStream.from_keys(np.concatenate(keys), len(keys), width, height,
+                                 window_ms)
 
 
 def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
@@ -219,7 +227,8 @@ def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
     """Union of every pixel leg `leg` can set over one noise-free cycle."""
     bits = np.zeros((height, width), dtype=bool)
     for j in range(frames_per_cycle):
-        _draw_leg(bits, geom, leg, sweep_offset(geom, j, frames_per_cycle), params)
+        bits.flat[_leg_pixels(geom, leg, sweep_offset(geom, j, frames_per_cycle),
+                              width, height, params)] = True
     return bits
 
 
@@ -261,18 +270,17 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
     if pos != len(stream):
         raise DataError(
             f"boundaries cover {pos} frames but stream has {len(stream)}")
-    frame, y, x = stream.pixels()
+    area = stream.width * stream.height
     pieces = []
     start = 0
     for _, legs in new_schedule.entries:
         segs = [boundaries[l - 1] for l in sorted(legs)]
         for a, b in segs:
-            lo, hi = np.searchsorted(frame, (a, b))
-            pieces.append((frame[lo:hi] - a + start, y[lo:hi], x[lo:hi]))
+            lo, hi = np.searchsorted(stream.keys, (a * area, b * area))
+            pieces.append(stream.keys[lo:hi] + (start - a) * area)
         start += max(b - a for a, b in segs)
-    return FrameStream.from_pixels(
-        *(np.concatenate(col) for col in zip(*pieces)), start, stream.width,
-        stream.height, stream.window_ms, stream.scale)
+    return FrameStream.from_keys(np.concatenate(pieces), start, stream.width,
+                                 stream.height, stream.window_ms, stream.scale)
 
 
 def ground_truth_raster(schedule: GaitSchedule, frames_per_cycle: int,

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFrameError, EmptyStreamError
-from .frames import (BinaryFrame, FrameStream, andpool, centroid, frame_and,
-                     frame_not, orpool, popcount, tile_pool)
-from .neurons import (N_LEGS, NeuronParams, SpikeRaster, WeightMap,
-                      fresh_states, step_network)
+from .errors import DimensionError, EmptyFrameError, EmptyStreamError
+from .frames import FrameStream, cell_centroid, pooled_streams
+from .neurons import (N_LEGS, NetworkState, NeuronParams, SpikeRaster,
+                      WeightMap, step_state)
 from .scene import HexapodGeometry
 
 TWO_PI = 2.0 * math.pi
@@ -95,22 +94,28 @@ def classify_angle(theta: float, priors: GaussianPriors) -> int:
     return best_leg
 
 
-def _estimate_from_pooled(body_union: BinaryFrame, i10: BinaryFrame,
-                          priors: GaussianPriors):
-    """Label + direction from the pooled body map and the current leg frame.
+HISTORY = 11  # frames feeding the body map, current included
 
-    `body_union` is the OR over the history window of
-    orpool(andpool(I0, 2), 10); `i10` is the current andpool(I0, 10).
-    Returns (leg, theta).
+
+def _estimate(body_count: np.ndarray, leg_cells: np.ndarray, width: int,
+              height: int, priors: GaussianPriors):
+    """Label + direction of the current leg frame against the body map.
+
+    `leg_cells` are the set cells of the current andpool(I0, 10) on its
+    width x height grid. `body_count` counts, per cell of the grid of half
+    that size, the frames of the history window whose
+    orpool(andpool(I0, 2), 10) sets it. Returns (leg, theta).
     """
-    if not i10.any():
+    if not leg_cells.size:
         raise EmptyFrameError("no movement: current pooled leg frame is empty")
-    leg_mask = orpool(i10, 2)  # 60x60 leg frame onto the 30x30 body grid
-    body = frame_and(frame_not(leg_mask), body_union)
-    if not body.any():
+    rows, cols = np.divmod(leg_cells, width)
+    body = body_count > 0
+    body[(rows // 2) * (width // 2) + cols // 2] = False  # minus orpool(leg, 2)
+    body_cells = np.flatnonzero(body)
+    if not body_cells.size:
         raise EmptyFrameError("degenerate scene: body map empty after leg masking")
-    c = centroid(body)
-    l = centroid(i10)
+    c = cell_centroid(body_cells, width // 2, height // 2)
+    l = cell_centroid(leg_cells, width, height)
     theta = math.atan2(c.y - l.y, c.x - l.x)
     return classify_angle(theta, priors), theta
 
@@ -120,15 +125,11 @@ def estimate_leg(history, priors: GaussianPriors) -> int:
     history = list(history)
     if not history:
         raise ValueError("history must contain at least the current frame")
-    current = history[-1]
-    i10 = andpool(current, 10)
-    body_union = None
-    for frame in history:
-        b = orpool(andpool(frame, 2), 10)
-        body_union = b if body_union is None else BinaryFrame(
-            body_union.bits | b.bits, b.scale)
-    leg, _ = _estimate_from_pooled(body_union, i10, priors)
-    return leg
+    stream = FrameStream.from_frames(history, window_ms=1.0, scale=history[0].scale)
+    leg, body = pooled_streams(stream)
+    size = body.width * body.height
+    return _estimate(np.bincount(body.keys % size, minlength=size),
+                     leg.per_frame()[-1], leg.width, leg.height, priors)[0]
 
 
 def calibrate_priors(geom: HexapodGeometry, std: float = DEFAULT_PRIOR_STD) -> GaussianPriors:
@@ -153,9 +154,6 @@ class TrainResult:
     duration_s: float = 0.0
 
 
-HISTORY = 11  # frames feeding the body map, current included
-
-
 def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
           params: NeuronParams, repeats: int = 1,
           weights: WeightMap = None) -> TrainResult:
@@ -168,45 +166,47 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
     n = len(stream)
     if n == 0:
         raise EmptyStreamError("cannot train on an empty stream")
-    pooled = list(zip(*tile_pool(stream)))
-    i10_w, i10_h = pooled[0][0].width, pooled[0][0].height
+    leg, body = pooled_streams(stream)
     if weights is None:
-        weights = WeightMap.zeros(i10_w, i10_h)
+        weights = WeightMap.zeros(leg.width, leg.height)
+    elif weights.w.shape[1:] != (leg.height, leg.width):
+        raise DimensionError(
+            f"weight grid {weights.w.shape[1:]} != frame {(leg.height, leg.width)}")
     else:
         weights = weights.copy()
-    states = fresh_states(params)
+    rows = weights.w.reshape(weights.n_neurons, -1)  # a view: updates land in weights
+    leg_cells, body_cells = leg.per_frame(), body.per_frame()
+    state = NetworkState.resting(params, weights.n_neurons)
+    body_count = np.zeros(body.width * body.height, dtype=np.int64)
     raster_steps = []
     log = []
     skipped = 0
-    gt = 0
-    for _ in range(repeats):
-        for t in range(n):
-            i10, _ = pooled[gt % n]
-            now = gt * params.dt
-            states, spiked = step_network(states, weights, i10, params, now)
-            if spiked:
-                raster_steps.append((now, frozenset(spiked)))
-            if i10.any():
-                body_union_bits = None
-                for i in range(min(HISTORY, gt + 1)):
-                    b = pooled[(gt - i) % n][1]
-                    body_union_bits = b.bits if body_union_bits is None \
-                        else body_union_bits | b.bits
-                body_union = BinaryFrame(body_union_bits, pooled[0][1].scale)
-                try:
-                    leg, theta = _estimate_from_pooled(body_union, i10, priors)
-                except EmptyFrameError:
-                    skipped += 1
-                    gt += 1
-                    continue
-                p = sched.potentiation(now)
-                m = sched.depression(now)
-                w = weights.w[leg - 1]
-                w[i10.bits] += p
-                w[~i10.bits] -= m
-                np.clip(w, 0.0, sched.w_max, out=w)
-                log.append(f"{now:.3f} {leg} {theta:.6f} {p:.9g} {m:.9g} {popcount(i10)}")
-            gt += 1
+    for gt in range(repeats * n):
+        k = gt % n
+        cells = leg_cells[k]
+        now = gt * params.dt
+        spiked = step_state(state, rows, cells, params, now)
+        if spiked:
+            raster_steps.append((now, spiked))
+        body_count[body_cells[k]] += 1  # the window is frames gt-10..gt, mod n
+        if gt >= HISTORY:
+            body_count[body_cells[(gt - HISTORY) % n]] -= 1
+        if not cells.size:
+            continue
+        try:
+            label, theta = _estimate(body_count, cells, leg.width, leg.height, priors)
+        except EmptyFrameError:
+            skipped += 1
+            continue
+        p = sched.potentiation(now)
+        m = sched.depression(now)
+        w = rows[label - 1]
+        potentiated = w[cells] + p
+        w -= m
+        w[cells] = potentiated
+        np.clip(w, 0.0, sched.w_max, out=w)
+        log.append(f"{now:.3f} {label} {theta:.6f} {p:.9g} {m:.9g} {cells.size}")
+    gt = repeats * n
     raster = SpikeRaster(dt=params.dt, steps=tuple(raster_steps), n_steps=gt)
     return TrainResult(weights=weights, raster=raster, log=log,
                        skipped=skipped, duration_s=gt * params.dt)

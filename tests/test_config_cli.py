@@ -112,6 +112,42 @@ def test_cli_wild_timestamp_exit_3(tmp_path, capsys):
     assert "data error:" in err and "2500000 frames" in err
 
 
+def test_cli_energy_bad_raster_exit_3(tmp_path, capsys):
+    raster = tmp_path / "raster.txt"
+    raster.write_text("# dt=0.04 n_steps=10\n0.080000 1\n0.120000 2 5\n")
+    assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "line 3" in err
+
+
+def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1 2 2\n0.1 0.2\nabc 0.4\n")
+    evts = tmp_path / "events.txt"
+    evts.write_text("!sensor 600x600\n1,1,0\n")
+    assert main(["--out", str(tmp_path / "out"), "test", str(weights),
+                 str(evts)]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "abc" in err
+
+
+def test_cli_train_non_text_events_exit_3(tmp_path, capsys):
+    evts = tmp_path / "events.txt"
+    evts.write_bytes(b"!sensor 600x600\n1,1,0\n\xff\xfe,\x80,0\n")
+    assert main(["--out", str(tmp_path / "out"), "train", str(evts)]) == 3
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("events", "sensor_width"),
+                                         ("events", "sensor_height"),
+                                         ("energy", "gates")])
+def test_cli_removed_keys_exit_2(tmp_path, capsys, section, key):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text(f"[{section}]\n{key} = 600\n")
+    assert main(["--config", str(cfg), "example-config"]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_cli_artifacts_share_one_mode(fast_cfg_path, tmp_path):
     out = tmp_path / "run"
     assert main(["--config", fast_cfg_path, "--out", str(out), "repro"]) == 0

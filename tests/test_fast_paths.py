@@ -1,7 +1,8 @@
-"""The two fast paths against their references.
+"""The fast paths against their references.
 
 Tile-count pooling (`tile_pool`) against the dense `andpool`/`orpool`,
-and the bulk event-file parse against the line parser.
+the bulk event-file parse against the line parser, and the array-state
+network step (`step_state`) against the scalar `step_network`.
 """
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import EventArray, accumulate_frames, load_events
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             orpool, tile_pool)
+from hexgait.neurons import (NetworkState, NeuronParams, WeightMap,
+                             fresh_states, run_network, step_network,
+                             step_state)
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -114,3 +118,37 @@ def test_plain_files_never_reach_the_line_parser(tmp_path, triples):
         loaded, w, h = load_events(path)
     assert (w, h) == (800, 800)
     assert loaded == _reference(path)[0]
+
+
+_PARAMS = st.builds(
+    lambda tau_v, tau_ge, v_rest, exc, thresh, refractory, dt: NeuronParams(
+        tau_v=tau_v, tau_ge=tau_ge, v_rest=v_rest, v_exc=v_rest + exc,
+        v_thresh=v_rest + thresh, refractory=refractory, dt=dt),
+    st.floats(0.05, 10), st.floats(0.01, 5), st.floats(-80, -40),
+    st.floats(1, 60), st.floats(0.5, 30), st.floats(0.01, 3), st.floats(0.005, 0.2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 60), _PARAMS,
+       st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+def test_array_state_matches_scalar_reference(seed, n, h, w, steps, params, scale):
+    rng = np.random.default_rng(seed)
+    weights = WeightMap(rng.random((n, h, w)) * scale)
+    densities = rng.choice([0.0, 0.0, 0.1, 0.5, 1.0], size=steps)
+    frames = [BinaryFrame(rng.random((h, w)) < d) for d in densities]
+    states = fresh_states(params, n)
+    state = NetworkState.resting(params, n)
+    rows = weights.w.reshape(n, -1)
+    spikes = []
+    for k, frame in enumerate(frames):
+        now = k * params.dt
+        states, expected = step_network(states, weights, frame, params, now)
+        assert step_state(state, rows, np.flatnonzero(frame.bits), params, now) == expected
+        for field in ("v", "g_e", "refractory_until"):
+            reference = np.array([getattr(s, field) for s in states])
+            assert getattr(state, field).tobytes() == reference.tobytes(), field
+        if expected:
+            spikes.append((now, frozenset(expected)))
+    _, raster = run_network(frames, weights, params)
+    assert raster.steps == tuple(spikes)

@@ -136,3 +136,34 @@ def test_render_rejects_bad_args(geom):
         render_expert_sequence(geom, sched, 1, 600, 600)
     with pytest.raises(ValueError):
         render_expert_sequence(geom, sched, FPC, 600, 600, noise_density=1.0)
+
+
+def test_render_noise_depends_on_seed_and_frame_only(geom, cfg):
+    # Frame k draws its noise from the substream (seed, k): a longer
+    # schedule renders the frames of its first step exactly as a short one.
+    params = cfg.render_params()
+    kwargs = dict(frames_per_cycle=FPC, width=200, height=200, seed=3,
+                  params=params)
+    short = render_expert_sequence(geom, GaitSchedule(((0, {1}),)),
+                                   noise_density=0.01, **kwargs)
+    long = render_expert_sequence(geom, GaitSchedule.sequential(),
+                                  noise_density=0.01, **kwargs)
+    clean = render_expert_sequence(geom, GaitSchedule(((0, {1}),)),
+                                   noise_density=0.0, **kwargs)
+    seg_len = FPC + params.gap_frames
+    assert len(short) == seg_len and len(long) == 6 * seg_len
+    assert long.frames[:seg_len] == short.frames
+    assert np.setdiff1d(short.keys, clean.keys).size > 0
+
+
+def test_render_noise_count_is_binomial(geom, cfg, train_stream):
+    # Noise only adds pixels, and over the 216 default frames their count
+    # lies within 5 sigma of n_frames * H * W * p.
+    clean = render_expert_sequence(geom, GaitSchedule.sequential(), FPC, 600,
+                                   600, noise_density=0.0, seed=0,
+                                   params=cfg.render_params())
+    assert np.isin(clean.keys, train_stream.keys).all()
+    noise = np.setdiff1d(train_stream.keys, clean.keys).size
+    trials, p = len(train_stream) * 600 * 600, 0.001
+    assert len(train_stream) == 216
+    assert abs(noise - trials * p) <= 5 * np.sqrt(trials * p * (1 - p))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hexgait.errors import EmptyFrameError
-from hexgait.frames import BinaryFrame, andpool
+from hexgait.frames import (BinaryFrame, andpool, centroid, frame_and,
+                            frame_not, orpool)
 from hexgait.neurons import NeuronParams, WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
@@ -191,3 +192,68 @@ def test_train_starts_from_given_weights(train_stream, priors, cfg):
     # input map untouched, output differs from it
     assert (seed_w.w == 0.2).all()
     assert not np.array_equal(result.weights.w, seed_w.w)
+
+
+def test_train_ignores_salt_noise(geom, priors, cfg):
+    # Salt noise never fills a 2x2 or 10x10 tile, so training on the noisy
+    # default streams learns exactly what it learns on the clean one.
+    def run(density, seed):
+        stream = render_expert_sequence(
+            geom, GaitSchedule.sequential(), FPC, 600, 600,
+            noise_density=density, seed=seed, params=cfg.render_params())
+        return train(stream, priors, cfg.train_schedule(), cfg.neuron_params(),
+                     repeats=cfg["training"]["repeats"])
+
+    clean = run(0.0, 0)
+    for seed in (0, 1):
+        noisy = run(cfg["scene"]["noise_density"], seed)
+        assert np.array_equal(noisy.weights.w, clean.weights.w)
+        assert noisy.raster == clean.raster
+        assert noisy.log == clean.log
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 40])
+def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
+    # Three plays of a stream are one play of the stream written out three
+    # times: the same history windows at the same steps, so the same bits.
+    from hexgait.frames import FrameStream
+    frames = train_stream.frames[:n]
+    sched = TrainSchedule(omega=0.5)
+    looped = train(FrameStream.from_frames(frames, 40.0), priors, sched,
+                   cfg.neuron_params(), repeats=3)
+    unrolled = train(FrameStream.from_frames(frames * 3, 40.0), priors, sched,
+                     cfg.neuron_params())
+    assert looped.log and looped.log == unrolled.log
+    assert np.array_equal(looped.weights.w, unrolled.weights.w)
+    assert looped.raster == unrolled.raster
+
+
+def _dense_estimate(history, priors):
+    """(leg, theta) of the last frame from dense pools: the labeller's reference."""
+    i10 = andpool(history[-1], 10)
+    union = np.logical_or.reduce([orpool(andpool(f, 2), 10).bits for f in history])
+    body = frame_and(frame_not(orpool(i10, 2)), BinaryFrame(union, 20))
+    c, l = centroid(body), centroid(i10)
+    theta = math.atan2(c.y - l.y, c.x - l.x)
+    return classify_angle(theta, priors), theta
+
+
+@pytest.mark.parametrize("n,repeats", [(216, 2), (15, 3)])
+def test_train_labels_match_dense_reference(train_stream, priors, cfg, n, repeats):
+    # Each update labels the leg, at the angle, that the dense pools give
+    # for the last 11 frames played, the window wrapping into the previous
+    # repeat; estimate_leg agrees. Fifteen frames of one leg's cycle, looped,
+    # slide the window over frames whose body maps overlap.
+    from hexgait.frames import FrameStream
+    frames = train_stream.frames[:n]
+    params = cfg.neuron_params()
+    result = train(FrameStream.from_frames(frames, 40.0), priors,
+                   cfg.train_schedule(), params, repeats=repeats)
+    assert len(result.log) == repeats * (48 if n == 216 else 8)
+    for line in result.log:
+        t, leg, theta = line.split()[:3]
+        gt = round(float(t) / params.dt)
+        history = [frames[(gt - i) % n] for i in reversed(range(min(11, gt + 1)))]
+        expected_leg, expected_theta = _dense_estimate(history, priors)
+        assert (int(leg), theta) == (expected_leg, f"{expected_theta:.6f}"), line
+        assert estimate_leg(history, priors) == expected_leg
