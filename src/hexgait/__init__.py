@@ -9,6 +9,13 @@ footage through the frozen network to drive central-pattern-generator leg
 cycles.
 """
 
+import os
+
+# hexgait makes no BLAS call, yet numpy's bundled OpenBLAS starts its
+# worker threads when numpy is imported, which costs CPU time on every CLI
+# call. Set before any submodule imports numpy; a user's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (ConfigError, DataError, DimensionError, EmptyFrameError,
                      EmptyStreamError, EventBoundsError, EventFileError,
                      HexgaitError)

@@ -61,11 +61,11 @@ def _load_schedule(path) -> GaitSchedule:
                 if line.startswith("step "):
                     _, idx, legs = line.split()
                     entries.append((int(idx), {int(l) for l in legs.split(",")}))
+        if not entries:
+            raise DataError(f"schedule file {path} has no steps")
+        return GaitSchedule(tuple(entries))
     except (OSError, ValueError) as exc:
         raise DataError(f"bad schedule file {path}: {exc}") from exc
-    if not entries:
-        raise DataError(f"schedule file {path} has no steps")
-    return GaitSchedule(tuple(entries))
 
 
 def _ingest_events(cfg: RunConfig, path):
@@ -114,6 +114,7 @@ def _run_frozen(cfg: RunConfig, weights: WeightMap, stream):
 def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
              schedule_path=None) -> int:
     weights = load_weights(weights_path)
+    schedule = _load_schedule(schedule_path) if schedule_path else None
     stream = _ingest_events(cfg, events_path)
     _, raster = _run_frozen(cfg, weights, stream)
     save_raster(os.path.join(out, "test_raster.txt"), raster)
@@ -122,8 +123,8 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
     sequence = label_sequence(raster, cfg.group_gap_s())
     report = [format_sequence(sequence).rstrip()]
     report.append(f"is_tripod={is_tripod(sequence)}")
-    if schedule_path:
-        expected = [set(legs) for _, legs in _load_schedule(schedule_path).entries]
+    if schedule is not None:
+        expected = [set(legs) for _, legs in schedule.entries]
         report.append(f"sequence_accuracy={sequence_accuracy(sequence, expected):.6f}")
     write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))

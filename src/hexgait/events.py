@@ -6,7 +6,7 @@ triple per line, `#` comments, and a sidecar header line `!sensor WxH`.
 """
 from __future__ import annotations
 
-import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,29 +106,36 @@ def _sensor(line: str):
     return int(w), int(h)
 
 
-def _parse_bulk(fh):
+def _parse_bulk(path):
     """(rows, sensor) of an event file by np.loadtxt, or None.
 
     Handles the usual layout: comments, blank lines and `!sensor` headers
     before the first event, then only events and comments. None, or an
     IndexError or ValueError, means the line parser has to decide.
     """
+    # np.loadtxt opens a str path through numpy.lib._datasource, which
+    # decompresses by suffix and fetches URL-shaped names. So files so named
+    # take the line parser, and the path handed over is absolute.
+    if str(path).lower().endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
     sensor = None
-    for raw in fh:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("!sensor"):
-            break
-        sensor = _sensor(line)
-    else:
-        raw = None
+    with open(path) as fh:
+        for skip, raw in enumerate(fh):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if not line.startswith("!sensor"):
+                break
+            sensor = _sensor(line)
+        else:
+            skip = None
     if sensor is None:
         return None
-    if raw is None:
+    if skip is None:
         return np.empty((0, 3), dtype=np.int64), sensor
-    rows = np.loadtxt(itertools.chain([raw], fh), delimiter=",", comments="#",
-                      dtype=np.int64, ndmin=2)
+    # Given a path, numpy reads the file in C chunks, not one str per line.
+    rows = np.loadtxt(os.path.abspath(path), delimiter=",", comments="#",
+                      dtype=np.int64, ndmin=2, skiprows=skip)
     if rows.shape[1] != 3 or not rows.size or rows.min() < 0:
         return None
     return rows, sensor
@@ -178,11 +185,10 @@ def load_events(path):
     timestamp on ingest; the format permits non-strict ordering.
     """
     try:
-        with open(path) as fh:
-            try:
-                parsed = _parse_bulk(fh)
-            except (IndexError, ValueError):
-                parsed = None
+        try:
+            parsed = _parse_bulk(path)
+        except (IndexError, ValueError):
+            parsed = None
         rows, (w, h) = parsed or _parse_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc

@@ -1,12 +1,19 @@
 import math
 import os
 import stat
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hexgait
 from hexgait.cli import main
 from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
 from hexgait.errors import ConfigError
+from hexgait.neurons import WeightMap, save_weights
 
 FAST_CFG = """\
 [scene]
@@ -138,6 +145,88 @@ def test_cli_train_non_text_events_exit_3(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_cli_bad_schedule_exit_3(tmp_path, capsys):
+    weights = tmp_path / "weights.txt"
+    save_weights(weights, WeightMap.zeros(60, 60))
+    evts = tmp_path / "events.txt"
+    evts.write_text("!sensor 600x600\n1,1,0\n")
+    schedule = tmp_path / "schedule.txt"
+    out = tmp_path / "out"
+    for steps in ("step 0 1,7\n", "step 1 1\nstep 0 2\n"):
+        schedule.write_text("frames_per_cycle=25\n" + steps)
+        assert main(["--out", str(out), "test", str(weights), str(evts),
+                     "--schedule", str(schedule)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "test_raster.txt").exists()
+
+
+# Small valid inputs for the parser fuzz: a 100x100 scene, so the weight
+# file holds 6x10x10 values, and one full 10x10 tile per active window.
+_FUZZ_CFG = "[scene]\nwidth = 100\nheight = 100\n\n[training]\nrepeats = 2\n"
+_FUZZ_EVENTS = "# two tiles and some salt\n!sensor 120x100\n" + "".join(
+    f"{x},{y},{t}\n" for t, (x0, y0) in ((1000, (40, 30)), (41000, (70, 60)))
+    for y in range(y0, y0 + 10) for x in range(x0, x0 + 10)) + "3,4,5000\n119,99,90000\n"
+_FUZZ_RASTER = "# dt=0.04 n_steps=10\n0.080000 1\n0.080000 3\n0.120000 2\n"
+_FUZZ_SCHEDULE = "frames_per_cycle=25\ngap_frames=11\nstep 0 1,3,5\nstep 1 2,4,6\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"config": _FUZZ_CFG, "events": _FUZZ_EVENTS, "raster": _FUZZ_RASTER,
+             "schedule": _FUZZ_SCHEDULE}
+    paths = {name: root / f"{name}.txt" for name in (*files, "weights")}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    rng = np.random.default_rng(0)
+    save_weights(paths["weights"], WeightMap(rng.random((6, 10, 10)) * 40))
+    return root, {name: str(path) for name, path in paths.items()}
+
+
+def _fuzz_argv(target, mutated, p):
+    """CLI argv that feeds the mutated copy of `target`'s file to a parser."""
+    if target == "events-train":
+        return ["train", mutated]
+    if target == "events-test":
+        return ["test", p["weights"], mutated]
+    if target == "weights":
+        return ["test", mutated, p["events"]]
+    if target == "raster":
+        return ["energy", mutated, "--active-frames", "2", "--leg-events", "1"]
+    return ["test", p["weights"], p["events"], "--schedule", mutated]
+
+
+_INSERT = st.one_of(st.binary(min_size=1, max_size=3), st.sampled_from([
+    b"-", b"0", b"9", b",", b" ", b"\t", b"\n", b"\r", b"#", b".", b"e", b"x",
+    b"nan", b"inf", b"!sensor 8x8\n", b"step ", b"\xff", b"\x00"]))
+# Edits at a position (taken modulo the length): delete up to 4 bytes, then
+# insert some; the result may also be cut short.
+_EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _INSERT),
+                  max_size=3)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["events-train", "events-test", "weights", "raster",
+                        "schedule"]),
+       _EDITS, st.one_of(st.none(), st.integers(0, 1 << 16)))
+def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, cut):
+    root, p = fuzz_inputs
+    data = open(p[target.split("-")[0]], "rb").read()
+    for pos, n, insert in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + insert + data[pos + n:]
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    mutated = root / "mutated.txt"
+    mutated.write_bytes(data)
+    argv = ["--config", p["config"], "--out", str(root / "out")]
+    rc = main(argv + _fuzz_argv(target, str(mutated), p))
+    assert rc in (0, 2, 3)
+    if rc:
+        assert "error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,key", [("events", "sensor_width"),
                                          ("events", "sensor_height"),
                                          ("energy", "gates")])
@@ -202,3 +291,27 @@ def test_cli_seed_override_changes_events(fast_cfg_path, tmp_path):
     a = open(f"{out1}/events.txt").read()
     b = open(f"{out2}/events.txt").read()
     assert a != b
+
+
+_THREADS = """\
+import os, sys, hexgait, numpy
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(l.split()[1]) for l in fh if l.startswith("Threads:"))
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_import_starts_no_blas_thread_pool(user_value):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user_value:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    run = subprocess.run([sys.executable, "-c", _THREADS], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    value, threads = run.stdout.split()
+    assert value == (user_value or "1")
+    if not user_value and threads != "None":
+        assert threads == "1"

@@ -56,17 +56,20 @@ def test_stream_length_is_capped():
 
 
 # Field tokens: mostly plain digits, plus what int() and np.loadtxt disagree
-# on (signs, underscores, full-width and other Unicode digits) and what
-# both reject.
+# on (signs, underscores, full-width and other Unicode digits, odd
+# whitespace, line breaks, BOM and NUL) and what both reject.
 _GOOD = st.integers(0, 10**6).map(str)
 _ODD = st.sampled_from([
     "+5", "1_000", "１２", "٥", " 7 ", "\t8", "-3", "-0", "",
-    "1.0", "0x1", "1e3", "99999999999999999999", "9223372036854775807", "2 3"])
+    "1.0", "0x1", "1e3", "99999999999999999999", "9223372036854775807", "2 3",
+    "4\r5", "\r6", "\f7", "8\v", "\ufeff9", "1\x00", "\x00"])
 _FIELD = st.one_of(_GOOD, _GOOD, _GOOD, _ODD)
 _EVENT = st.lists(_FIELD, min_size=2, max_size=4).map(",".join)
 _OTHER = st.sampled_from([
     "", "   ", "\t", "# comment", "   # indented comment", "!sensor 8x8",
-    "!sensor 10X12 # inline", "!sensor bad", "!sensor", "1,2,3 # inline !"])
+    "!sensor 10X12 # inline", "!sensor bad", "!sensor", "1,2,3 # inline !",
+    "\f", "\v", "\f\v # page", "\ufeff!sensor 8x8", "\ufeff1,2,3", "\x00",
+    "1,2,3\r4,5,6", "# caf\udce9 (latin-1, not UTF-8)"])
 # Lines the bulk parse takes: it must agree with the line parser on these.
 _PLAIN = st.one_of(
     st.tuples(_GOOD, _GOOD, _GOOD).map(",".join),
@@ -79,7 +82,8 @@ _LINES = st.one_of(
     st.tuples(st.lists(_PLAIN, max_size=8), _NEGATIVE, st.lists(_PLAIN, max_size=4))
     .map(lambda parts: parts[0] + [parts[1]] + parts[2]),
     st.lists(st.one_of(_PLAIN, _PLAIN, _EVENT, _OTHER), max_size=12))
-_HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", ""])
+_HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", "",
+                         "\ufeff!sensor 600x600", "# \udcff\n!sensor 600x600"])
 
 
 def _reference(path):
@@ -94,15 +98,37 @@ def _outcome(fn, path):
         return fn(path)
     except EventFileError as exc:
         return ("error", exc.line_number, str(exc))
+    except (DataError, UnicodeDecodeError) as exc:
+        return ("undecodable", str(exc.__cause__ or exc))
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n"]))
+@given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]))
 def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline):
     path = tmp_path / "events.txt"
-    path.write_bytes(newline.join([head] + lines).encode() + b"\n")
+    # Lone surrogates in the text stand for bytes that are not UTF-8.
+    text = newline.join([head] + lines) + "\n"
+    path.write_bytes(text.encode(errors="surrogateescape"))
     assert _outcome(load_events, path) == _outcome(_reference, path)
+
+
+def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
+        tmp_path, monkeypatch):
+    """numpy's file opener decompresses by suffix and fetches URLs."""
+    def no_network(*args, **kwargs):
+        raise AssertionError("event files are never fetched")
+
+    monkeypatch.setattr("urllib.request.urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    text = "# recorded\n!sensor 800x800\n3,4,40000\n1,2,5\n"
+    names = ["ev.gz", "ev.bz2", "ev.xz", "ev.lzma", "http://host/ev.txt"]
+    for name in names:
+        (tmp_path / name).write_text(text)
+        loaded = load_events(name)
+        assert loaded == _reference(name), name
+        assert loaded[0] == EventArray([1, 3], [2, 4], [5, 40000]), name
 
 
 @settings(max_examples=50, deadline=None,
