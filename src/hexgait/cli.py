@@ -15,7 +15,7 @@ from .atomic import write_atomic
 from .config import EXAMPLE_CONFIG, RunConfig, default_config, load_config
 from .energy import energy_report
 from .errors import ConfigError, DataError, HexgaitError
-from .frames import popcount, tile_pool
+from .frames import as_stream, pooled_streams
 from .gait import (format_sequence, format_trace, is_tripod, label_sequence,
                    sequence_accuracy, spikes_to_gait)
 from .neurons import (WeightMap, load_raster, load_weights, run_network,
@@ -106,9 +106,9 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
 
 
 def _run_frozen(cfg: RunConfig, weights: WeightMap, stream):
-    i10_frames, _ = tile_pool(stream, body=False)
-    _, raster = run_network(i10_frames, weights, cfg.neuron_params())
-    return i10_frames, raster
+    i10, _ = pooled_streams(stream, body=False)
+    _, raster = run_network(i10, weights, cfg.neuron_params())
+    return i10, raster
 
 
 def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
@@ -143,13 +143,13 @@ def cmd_energy(cfg: RunConfig, raster_path, active_frames: int,
 def _leg_event_counts(i10_frames):
     """Canonical per-leg-event accounting: (spikes, leg events).
 
-    A leg event is one burst of consecutive active I10 frames, so a step
-    that moves three legs at once counts once. It costs the peak pixel
-    count of the burst in spikes and one filter application."""
+    `i10_frames` is the I10 FrameStream or its BinaryFrames. A leg event
+    is one burst of consecutive active I10 frames, so a step that moves
+    three legs at once counts once. It costs the peak pixel count of the
+    burst in spikes and one filter application."""
     n_spikes = n_events = 0
     peak = 0
-    for f in i10_frames:
-        c = popcount(f)
+    for c in (cells.size for cells in as_stream(i10_frames).per_frame()):
         if c:
             peak = max(peak, c)
         elif peak:
@@ -191,7 +191,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     bounds = segment_boundaries(schedule, fpc, cfg.render_params())
     tripod_schedule = GaitSchedule.tripod(cfg["test"]["tripod_repeats"])
     tripod_stream = splice_segments(stream, bounds, tripod_schedule)
-    i10_frames, tri_raster = _run_frozen(cfg, result.weights, tripod_stream)
+    i10, tri_raster = _run_frozen(cfg, result.weights, tripod_stream)
     save_raster(os.path.join(out, "tripod_raster.txt"), tri_raster)
     trace = spikes_to_gait(tri_raster, cfg.period_s())
     write_atomic(os.path.join(out, "tripod_trace.txt"), format_trace(trace))
@@ -200,7 +200,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     tri_acc = sequence_accuracy(tri_observed, tri_expected)
     tripod_ok = is_tripod(tri_observed)
 
-    n_spikes, n_events = _leg_event_counts(i10_frames)
+    n_spikes, n_events = _leg_event_counts(i10)
     erep = energy_report(n_spikes, n_events, n_events, cfg.energy_model())
 
     report = [

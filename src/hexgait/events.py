@@ -93,10 +93,21 @@ def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
     return (sensor_w - width) // 2, (sensor_h - height) // 2
 
 
+_SAVE_BLOCK = 8192  # events formatted per chunk of an event file
+
+
 def save_events(path, events: EventArray, sensor_w: int, sensor_h: int) -> None:
-    values = np.column_stack((events.x, events.y, events.t)).ravel().tolist()
-    write_atomic(path, f"!sensor {sensor_w}x{sensor_h}\n"
-                 + ("%d,%d,%d\n" * len(events)) % tuple(values))
+    """Write an event file a block of events at a time, so that the Python
+    ints and text of one block only are alive at once."""
+    rows = np.column_stack((events.x, events.y, events.t))
+
+    def chunks():
+        yield f"!sensor {sensor_w}x{sensor_h}\n"
+        for lo in range(0, len(rows), _SAVE_BLOCK):
+            block = rows[lo:lo + _SAVE_BLOCK]
+            yield ("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+
+    write_atomic(path, chunks())
 
 
 def _sensor(line: str):

@@ -195,6 +195,15 @@ class FrameStream:
         return self.frames[i]
 
 
+def as_stream(frames) -> FrameStream:
+    """`frames` if it is a FrameStream, else the stream of that sequence of
+    dense BinaryFrames (one size and scale; the window is nominal)."""
+    if isinstance(frames, FrameStream):
+        return frames
+    frames = tuple(frames)
+    return FrameStream.from_frames(frames, 1.0, frames[0].scale if frames else 1)
+
+
 def _check_divisible(frame: BinaryFrame, k: int) -> None:
     if k < 1:
         raise ValueError(f"kernel size must be >= 1, got {k}")

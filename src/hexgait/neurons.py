@@ -9,20 +9,22 @@ through a nonnegative weight grid. Membrane dynamics:
 integrated with a fixed step dt; crossing v_thresh emits a spike, resets
 v to v_rest and starts the refractory hold.
 
-The network runs on `NetworkState`, one (n,) array per state variable,
+The network runs on `NetworkState`, n doubles per state variable,
 stepped by `step_state`. The scalar `NeuronState`, `inject`,
 `step_neuron` and `step_network` are its per-neuron reference.
 """
 from __future__ import annotations
 
 import math
+import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atomic import write_atomic
 from .errors import DataError, DimensionError
-from .frames import BinaryFrame
+from .frames import BinaryFrame, as_stream
 
 N_LEGS = 6
 
@@ -70,16 +72,19 @@ def fresh_states(params: NeuronParams, n: int = N_LEGS):
 
 @dataclass(eq=False)
 class NetworkState:
-    """The state of every neuron as (n,) float64 arrays, one per field of
-    NeuronState; `step_state` replaces them each step."""
+    """The state of every neuron as n doubles, one array("d") per field of
+    NeuronState; `step_state` updates them in place. For six neurons a step
+    is a few dozen float operations: fewer than the numpy calls it would
+    take on arrays, each of which costs more than its arithmetic."""
 
-    v: np.ndarray
-    g_e: np.ndarray
-    refractory_until: np.ndarray
+    v: array
+    g_e: array
+    refractory_until: array
 
     @classmethod
     def resting(cls, params: NeuronParams, n: int = N_LEGS) -> "NetworkState":
-        return cls(np.full(n, params.v_rest), np.zeros(n), np.full(n, -math.inf))
+        return cls(array("d", [params.v_rest] * n), array("d", [0.0] * n),
+                   array("d", [-math.inf] * n))
 
 
 class WeightMap:
@@ -118,11 +123,11 @@ class WeightMap:
 
 def save_weights(path, weights: WeightMap) -> None:
     """Plain-text weights: header `neurons height width`, then rows."""
-    lines = [f"{weights.n_neurons} {weights.height} {weights.width}"]
-    for n in range(weights.n_neurons):
-        for row in weights.w[n]:
-            lines.append(" ".join(format(v, ".12g") for v in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    # "%.12g" formats every double as format(v, ".12g") does.
+    row = " ".join(["%.12g"] * weights.width) + "\n"
+    write_atomic(path, f"{weights.n_neurons} {weights.height} {weights.width}\n"
+                 + (row * (weights.n_neurons * weights.height))
+                 % tuple(weights.w.ravel().tolist()))
 
 
 def load_weights(path) -> WeightMap:
@@ -132,12 +137,15 @@ def load_weights(path) -> WeightMap:
             if len(header) != 3:
                 raise ValueError(f"bad weight header {header!r}")
             n, h, w = (int(v) for v in header)
-            values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                # An empty body is reported below, not as numpy's warning.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataError(f"bad weight file {path}: {exc}") from exc
     if values.shape != (n * h, w):
-        raise DimensionError(
-            f"{path}: expected {n * h}x{w} rows, got {values.shape}")
+        raise DataError(f"bad weight file {path}: header {n} {h} {w} wants "
+                        f"{n * h} rows of {w}, got {values.shape}")
     return WeightMap(values.reshape(n, h, w))
 
 
@@ -240,49 +248,61 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
 
 def step_state(state: NetworkState, weights: np.ndarray, cells: np.ndarray,
                params: NeuronParams, now: float) -> frozenset:
-    """Inject then step every neuron, in place: step_network on arrays.
+    """Inject then step every neuron, in place: step_network on floats.
 
     `weights` holds one flat weight row per neuron and `cells` the sorted
-    flat indices of the set input pixels. Returns the spiked labels.
+    flat indices of the set input pixels. Each neuron takes step_neuron's
+    operations in step_neuron's order, so the doubles are the same.
+    Returns the spiked labels.
     """
-    live = now >= state.refractory_until
-    g_e = state.g_e
-    if cells.size:
-        # np.take keeps the gathered block C-ordered, so each row sums in
-        # the same order as float(w[i][bits].sum()); w[:, cells] is
-        # F-ordered and sums column by column, to different doubles.
-        g_e = np.where(live, g_e + np.take(weights, cells, axis=1).sum(axis=1), g_e)
-    v = state.v
-    decayed = g_e * (1.0 - params.dt / params.tau_ge)
-    state.g_e = np.where(decayed < 0.0, 0.0, decayed)
-    v_next = v + params.dt / params.tau_v * (-(v - params.v_rest)
-                                             - g_e * (v - params.v_exc))
-    fired = live & (v_next >= params.v_thresh)
-    state.v = np.where(live & ~fired, v_next, params.v_rest)
-    if not fired.any():
-        return frozenset()
-    state.refractory_until = np.where(fired, now + params.refractory,
-                                      state.refractory_until)
-    return frozenset((np.flatnonzero(fired) + 1).tolist())
+    # np.take keeps the gathered block C-ordered, so each row sums in the
+    # same order as float(w[i][bits].sum()); w[:, cells] is F-ordered and
+    # sums column by column, to different doubles.
+    gain = np.take(weights, cells, axis=1).sum(axis=1).tolist() if len(cells) else None
+    decay = 1.0 - params.dt / params.tau_ge
+    rate = params.dt / params.tau_v
+    vs, gs, until = state.v, state.g_e, state.refractory_until
+    spiked = []
+    for i in range(len(vs)):
+        g_e = gs[i]
+        live = now >= until[i]
+        if live and gain:
+            g_e = g_e + gain[i]
+        decayed = g_e * decay
+        gs[i] = 0.0 if decayed < 0.0 else decayed
+        if not live:
+            vs[i] = params.v_rest
+            continue
+        v = vs[i]
+        v = v + rate * (-(v - params.v_rest) - g_e * (v - params.v_exc))
+        if v >= params.v_thresh:
+            vs[i] = params.v_rest
+            until[i] = now + params.refractory
+            spiked.append(i + 1)
+        else:
+            vs[i] = v
+    return frozenset(spiked)
 
 
 def run_network(frames, weights: WeightMap, params: NeuronParams,
                 state: NetworkState = None, t0: float = 0.0):
-    """Drive the network over a frame sequence with frozen weights.
+    """Drive the network over a FrameStream, or a sequence of BinaryFrames,
+    with frozen weights.
 
     Returns (final state, SpikeRaster). One frame per dt step; a given
     `state` is advanced in place.
     """
+    stream = as_stream(frames)
+    if len(stream) and (stream.height, stream.width) != weights.w.shape[1:]:
+        raise DimensionError(f"weight grid {weights.w.shape[1:]} != frame "
+                             f"{(stream.height, stream.width)}")
     if state is None:
         state = NetworkState.resting(params, weights.n_neurons)
     rows = weights.w.reshape(weights.n_neurons, -1)
     steps = []
-    for k, frame in enumerate(frames):
-        if frame.bits.shape != weights.w.shape[1:]:
-            raise DimensionError(
-                f"weight grid {weights.w.shape[1:]} != frame {frame.bits.shape}")
+    for k, cells in enumerate(stream.per_frame()):
         now = t0 + k * params.dt
-        spiked = step_state(state, rows, np.flatnonzero(frame.bits), params, now)
+        spiked = step_state(state, rows, cells, params, now)
         if spiked:
             steps.append((now, spiked))
-    return state, SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=len(frames))
+    return state, SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=len(stream))

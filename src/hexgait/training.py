@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, EmptyFrameError, EmptyStreamError
-from .frames import FrameStream, cell_centroid, pooled_streams
+from .frames import FrameStream, as_stream, cell_centroid, pooled_streams
 from .neurons import (N_LEGS, NetworkState, NeuronParams, SpikeRaster,
                       WeightMap, step_state)
 from .scene import HexapodGeometry
@@ -122,10 +122,9 @@ def _estimate(body_count: np.ndarray, leg_cells: np.ndarray, width: int,
 
 def estimate_leg(history, priors: GaussianPriors) -> int:
     """Label the leg moving in the last frame of `history` (<= 11 raw frames)."""
-    history = list(history)
-    if not history:
+    stream = as_stream(history)
+    if not len(stream):
         raise ValueError("history must contain at least the current frame")
-    stream = FrameStream.from_frames(history, window_ms=1.0, scale=history[0].scale)
     leg, body = pooled_streams(stream)
     size = body.width * body.height
     return _estimate(np.bincount(body.keys % size, minlength=size),
@@ -181,6 +180,7 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
     raster_steps = []
     log = []
     skipped = 0
+    labels = {}  # frame index -> (label, theta), or None for a skipped update
     for gt in range(repeats * n):
         k = gt % n
         cells = leg_cells[k]
@@ -193,11 +193,19 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
             body_count[body_cells[(gt - HISTORY) % n]] -= 1
         if not cells.size:
             continue
-        try:
-            label, theta = _estimate(body_count, cells, leg.width, leg.height, priors)
-        except EmptyFrameError:
+        if k in labels:
+            labelled = labels[k]
+        else:
+            try:
+                labelled = _estimate(body_count, cells, leg.width, leg.height, priors)
+            except EmptyFrameError:
+                labelled = None
+            if gt >= HISTORY:  # the window, frames gt-10..gt mod n, is k's alone now
+                labels[k] = labelled
+        if labelled is None:
             skipped += 1
             continue
+        label, theta = labelled
         p = sched.potentiation(now)
         m = sched.depression(now)
         w = rows[label - 1]

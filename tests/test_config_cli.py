@@ -138,6 +138,19 @@ def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
     assert "data error:" in err and "abc" in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+def test_cli_test_weight_body_mismatch_exit_3(tmp_path, capsys):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("6 10 10\n")
+    evts = tmp_path / "events.txt"
+    evts.write_text("!sensor 600x600\n1,1,0\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "test", str(weights), str(evts)]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "Warning" not in err
+    assert not (out / "test_raster.txt").exists()
+
+
 def test_cli_train_non_text_events_exit_3(tmp_path, capsys):
     evts = tmp_path / "events.txt"
     evts.write_bytes(b"!sensor 600x600\n1,1,0\n\xff\xfe,\x80,0\n")

@@ -1,8 +1,10 @@
 """The fast paths against their references.
 
 Tile-count pooling (`tile_pool`) against the dense `andpool`/`orpool`,
-the bulk event-file parse against the line parser, and the array-state
-network step (`step_state`) against the scalar `step_network`.
+the bulk event-file parse against the line parser, the array-state
+network step (`step_state`) against the scalar `step_network`, the frozen
+replay of a pooled stream against that of its dense frames, and the
+one-template weight writer against per-value formatting.
 """
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from hexgait import events
 from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import EventArray, accumulate_frames, load_events
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
-                            orpool, tile_pool)
+                            orpool, pooled_streams, tile_pool)
 from hexgait.neurons import (NetworkState, NeuronParams, WeightMap,
-                             fresh_states, run_network, step_network,
-                             step_state)
+                             fresh_states, run_network, save_weights,
+                             step_network, step_state)
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -178,3 +180,41 @@ def test_array_state_matches_scalar_reference(seed, n, h, w, steps, params, scal
             spikes.append((now, frozenset(expected)))
     _, raster = run_network(frames, weights, params)
     assert raster.steps == tuple(spikes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 30), st.floats(0, 1), _PARAMS,
+       st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+def test_run_network_on_pooled_stream_matches_dense_frames(seed, tw, th, n, p_tile,
+                                                           params, scale):
+    rng = np.random.default_rng(seed)
+    frames = [_frame(rng, 20 * tw, 20 * th, p_tile, 0.05) for _ in range(n)]
+    stream = FrameStream.from_frames(frames, 40.0)
+    weights = WeightMap(rng.random((6, 2 * th, 2 * tw)) * scale)
+    i10, _ = pooled_streams(stream, body=False)
+    state, raster = run_network(i10, weights, params)
+    dense_state, dense_raster = run_network(tile_pool(stream, body=False)[0],
+                                            weights, params)
+    assert raster == dense_raster and raster.n_steps == n
+    for field in ("v", "g_e", "refractory_until"):
+        assert getattr(state, field).tobytes() == getattr(dense_state, field).tobytes()
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, float("inf"), float("-inf"),
+                                float("nan"), 1e16, 1e-5, 0.1, 123456789012.5])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_save_weights_equals_per_value_formatting(tmp_path, n, h, w, data):
+    values = data.draw(st.lists(st.one_of(st.floats(), _EDGE_FLOATS),
+                                min_size=n * h * w, max_size=n * h * w))
+    weights = WeightMap(np.array(values, dtype=np.float64).reshape(n, h, w))
+    path = tmp_path / "weights.txt"
+    save_weights(path, weights)
+    lines = [f"{n} {h} {w}"] + [" ".join(format(v, ".12g") for v in row)
+                                for grid in weights.w for row in grid]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

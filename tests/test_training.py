@@ -212,12 +212,28 @@ def test_train_ignores_salt_noise(geom, priors, cfg):
         assert noisy.log == clean.log
 
 
-@pytest.mark.parametrize("n", [3, 7, 12, 40])
+def _lone_tile_frame(y, x):
+    """One full 10x10 tile and nothing else: its body map is its own leg
+    cell, so labelling it after blank frames raises EmptyFrameError."""
+    bits = np.zeros((600, 600), dtype=bool)
+    bits[y:y + 10, x:x + 10] = True
+    return BinaryFrame(bits)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 10, 11, 12, 40, "skips"])
 def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
     # Three plays of a stream are one play of the stream written out three
     # times: the same history windows at the same steps, so the same bits.
+    # n = 1, 10 and 11 sit at the edges of the 11-frame history. "skips"
+    # loops 24 frames: the last is skipped in every play, and its body cell
+    # joins frame 9's window from the second play on, moving frame 9's angle.
     from hexgait.frames import FrameStream
-    frames = train_stream.frames[:n]
+    if n == "skips":
+        blank = BinaryFrame.zeros(600, 600)
+        frames = (train_stream.frames[:8] + (blank, _lone_tile_frame(300, 200))
+                  + (blank,) * 13 + (_lone_tile_frame(100, 400),))
+    else:
+        frames = train_stream.frames[:n]
     sched = TrainSchedule(omega=0.5)
     looped = train(FrameStream.from_frames(frames, 40.0), priors, sched,
                    cfg.neuron_params(), repeats=3)
@@ -226,6 +242,7 @@ def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
     assert looped.log and looped.log == unrolled.log
     assert np.array_equal(looped.weights.w, unrolled.weights.w)
     assert looped.raster == unrolled.raster
+    assert looped.skipped == unrolled.skipped == (3 if n == "skips" else 0)
 
 
 def _dense_estimate(history, priors):
