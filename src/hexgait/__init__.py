@@ -22,14 +22,13 @@ from .errors import (ConfigError, DataError, DimensionError, EmptyFrameError,
 from .events import (EventArray, accumulate_frames, crop_events, load_events,
                      save_events)
 from .frames import (BinaryFrame, FrameStream, Point, andpool, centroid,
-                     frame_and, frame_not, frame_or, orpool, pooled_streams,
-                     popcount, tile_pool)
+                     frame_not, orpool, pooled_streams, popcount)
 from .gait import GaitTrace, is_tripod, label_sequence, sequence_accuracy, spikes_to_gait
 from .neurons import (N_LEGS, NetworkState, NeuronParams, NeuronState, SpikeRaster,
                       WeightMap, inject, run_network, step_network, step_neuron,
                       step_state)
-from .scene import (GaitSchedule, HexapodGeometry, ground_truth_raster,
-                    render_expert_sequence, splice_segments)
+from .scene import (GaitSchedule, HexapodGeometry, render_expert_sequence,
+                    splice_segments)
 from .training import (GaussianPriors, TrainSchedule, calibrate_priors,
                        classify_angle, estimate_leg, train)
 from .energy import EnergyModel, energy_report

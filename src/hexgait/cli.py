@@ -12,7 +12,8 @@ import sys
 
 from . import events as ev
 from .atomic import write_atomic
-from .config import EXAMPLE_CONFIG, RunConfig, default_config, load_config
+from .config import (EXAMPLE_CONFIG, RunConfig, default_config, load_config,
+                     validate)
 from .energy import energy_report
 from .errors import ConfigError, DataError, HexgaitError
 from .frames import as_stream, pooled_streams
@@ -20,26 +21,9 @@ from .gait import (format_sequence, format_trace, is_tripod, label_sequence,
                    sequence_accuracy, spikes_to_gait)
 from .neurons import (WeightMap, load_raster, load_weights, run_network,
                       save_raster, save_weights)
-from .scene import (GaitSchedule, ground_truth_raster, render_expert_sequence,
-                    segment_boundaries, splice_segments)
+from .scene import (GaitSchedule, render_expert_sequence, segment_boundaries,
+                    splice_segments)
 from .training import calibrate_priors, train
-
-
-def _ensure_out(cfg: RunConfig, override=None) -> str:
-    out = override or cfg["run"]["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _synth_stream(cfg: RunConfig):
-    schedule = GaitSchedule.sequential()
-    stream = render_expert_sequence(
-        cfg.geometry(), schedule,
-        frames_per_cycle=cfg["scene"]["frames_per_cycle"],
-        width=cfg["scene"]["width"], height=cfg["scene"]["height"],
-        noise_density=cfg["scene"]["noise_density"], seed=cfg.seed,
-        window_ms=cfg["events"]["window_ms"], params=cfg.render_params())
-    return schedule, stream
 
 
 def _schedule_text(cfg: RunConfig, schedule: GaitSchedule) -> str:
@@ -78,25 +62,59 @@ def _ingest_events(cfg: RunConfig, path):
     return ev.accumulate_frames(evts, cfg["events"]["window_ms"], width, height)
 
 
-def cmd_synth(cfg: RunConfig, out: str) -> int:
-    schedule, stream = _synth_stream(cfg)
-    evts = ev.frames_to_events(stream)
-    ev.save_events(os.path.join(out, "events.txt"), evts,
-                   cfg["scene"]["width"], cfg["scene"]["height"])
-    write_atomic(os.path.join(out, "schedule.txt"),
-                 _schedule_text(cfg, schedule))
-    print(f"wrote {len(evts)} events over {len(stream)} frames to {out}/events.txt")
-    return 0
+def _synth(cfg: RunConfig, out: str):
+    """Render the expert video, write events.txt and schedule.txt, and
+    return (schedule, raw FrameStream)."""
+    schedule = GaitSchedule.sequential()
+    width, height = cfg["scene"]["width"], cfg["scene"]["height"]
+    stream = render_expert_sequence(
+        cfg.geometry(), schedule,
+        frames_per_cycle=cfg["scene"]["frames_per_cycle"], width=width,
+        height=height, noise_density=cfg["scene"]["noise_density"],
+        seed=cfg.seed, window_ms=cfg["events"]["window_ms"],
+        params=cfg.render_params())
+    ev.save_events(os.path.join(out, "events.txt"), ev.frames_to_events(stream),
+                   width, height)
+    write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
+    return schedule, stream
 
 
-def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
-    stream = _ingest_events(cfg, events_path)
+def _train(cfg: RunConfig, out: str, stream):
+    """Train on a raw FrameStream; write weights.txt and train_raster.txt."""
     priors = calibrate_priors(cfg.geometry(),
                               std=math.radians(cfg["training"]["prior_std_deg"]))
     result = train(stream, priors, cfg.train_schedule(), cfg.neuron_params(),
                    repeats=cfg["training"]["repeats"])
     save_weights(os.path.join(out, "weights.txt"), result.weights)
     save_raster(os.path.join(out, "train_raster.txt"), result.raster)
+    return result
+
+
+def _test(cfg: RunConfig, out: str, weights: WeightMap, stream, raster_name: str,
+          schedule: GaitSchedule = None):
+    """Frozen run over a raw FrameStream: pool to I10, replay, write the
+    raster. Returns (I10 stream, raster, label sequence, accuracy against
+    `schedule` or None)."""
+    i10, _ = pooled_streams(stream, body=False)
+    _, raster = run_network(i10, weights, cfg.neuron_params())
+    save_raster(os.path.join(out, raster_name), raster)
+    sequence = label_sequence(raster, cfg.group_gap_s())
+    accuracy = None
+    if schedule is not None:
+        expected = [set(legs) for _, legs in schedule.entries]
+        accuracy = sequence_accuracy(sequence, expected)
+    return i10, raster, sequence, accuracy
+
+
+def cmd_synth(cfg: RunConfig, out: str) -> int:
+    _, stream = _synth(cfg, out)  # one event per set pixel
+    print(f"wrote {len(stream.keys)} events over {len(stream)} frames "
+          f"to {out}/events.txt")
+    return 0
+
+
+def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
+    result = _train(cfg, out, _ingest_events(cfg, events_path))
     write_atomic(os.path.join(out, "train_log.txt"),
                  "# t_sec leg theta_rad p m popcount_i10\n"
                  + "\n".join(result.log) + "\n")
@@ -105,27 +123,18 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
     return 0
 
 
-def _run_frozen(cfg: RunConfig, weights: WeightMap, stream):
-    i10, _ = pooled_streams(stream, body=False)
-    _, raster = run_network(i10, weights, cfg.neuron_params())
-    return i10, raster
-
-
 def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
              schedule_path=None) -> int:
     weights = load_weights(weights_path)
     schedule = _load_schedule(schedule_path) if schedule_path else None
-    stream = _ingest_events(cfg, events_path)
-    _, raster = _run_frozen(cfg, weights, stream)
-    save_raster(os.path.join(out, "test_raster.txt"), raster)
-    trace = spikes_to_gait(raster, cfg.period_s())
-    write_atomic(os.path.join(out, "gait_trace.txt"), format_trace(trace))
-    sequence = label_sequence(raster, cfg.group_gap_s())
-    report = [format_sequence(sequence).rstrip()]
-    report.append(f"is_tripod={is_tripod(sequence)}")
-    if schedule is not None:
-        expected = [set(legs) for _, legs in schedule.entries]
-        report.append(f"sequence_accuracy={sequence_accuracy(sequence, expected):.6f}")
+    _, raster, sequence, accuracy = _test(
+        cfg, out, weights, _ingest_events(cfg, events_path), "test_raster.txt",
+        schedule)
+    write_atomic(os.path.join(out, "gait_trace.txt"),
+                 format_trace(spikes_to_gait(raster, cfg.period_s())))
+    report = [format_sequence(sequence).rstrip(), f"is_tripod={is_tripod(sequence)}"]
+    if accuracy is not None:
+        report.append(f"sequence_accuracy={accuracy:.6f}")
     write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))
     return 0
@@ -163,41 +172,21 @@ def _leg_event_counts(i10_frames):
 
 
 def cmd_repro(cfg: RunConfig, out: str) -> int:
-    """One-shot pipeline: synth -> train -> splice tripod -> frozen test."""
-    schedule, stream = _synth_stream(cfg)
-    evts = ev.frames_to_events(stream)
-    ev.save_events(os.path.join(out, "events.txt"), evts,
-                   cfg["scene"]["width"], cfg["scene"]["height"])
-    write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
-
-    priors = calibrate_priors(cfg.geometry(),
-                              std=math.radians(cfg["training"]["prior_std_deg"]))
-    result = train(stream, priors, cfg.train_schedule(), cfg.neuron_params(),
-                   repeats=cfg["training"]["repeats"])
-    save_weights(os.path.join(out, "weights.txt"), result.weights)
-    save_raster(os.path.join(out, "train_raster.txt"), result.raster)
-
-    gap_s = cfg.group_gap_s()
-    fpc = cfg["scene"]["frames_per_cycle"]
-
+    """One-shot pipeline: the synth, train and test stages, then a frozen
+    test on the training footage spliced into a tripod gait."""
+    schedule, stream = _synth(cfg, out)
+    result = _train(cfg, out, stream)
     # Frozen test on one further repetition of the training video.
-    _, seq_raster = _run_frozen(cfg, result.weights, stream)
-    save_raster(os.path.join(out, "seq_raster.txt"), seq_raster)
-    seq_observed = label_sequence(seq_raster, gap_s)
-    seq_expected = [set(legs) for _, legs in schedule.entries]
-    seq_acc = sequence_accuracy(seq_observed, seq_expected)
-
-    # Splice the training footage into a tripod gait and test, still frozen.
-    bounds = segment_boundaries(schedule, fpc, cfg.render_params())
-    tripod_schedule = GaitSchedule.tripod(cfg["test"]["tripod_repeats"])
-    tripod_stream = splice_segments(stream, bounds, tripod_schedule)
-    i10, tri_raster = _run_frozen(cfg, result.weights, tripod_stream)
-    save_raster(os.path.join(out, "tripod_raster.txt"), tri_raster)
-    trace = spikes_to_gait(tri_raster, cfg.period_s())
-    write_atomic(os.path.join(out, "tripod_trace.txt"), format_trace(trace))
-    tri_observed = label_sequence(tri_raster, gap_s)
-    tri_expected = [set(legs) for _, legs in tripod_schedule.entries]
-    tri_acc = sequence_accuracy(tri_observed, tri_expected)
+    _, _, _, seq_acc = _test(cfg, out, result.weights, stream, "seq_raster.txt",
+                             schedule)
+    bounds = segment_boundaries(schedule, cfg["scene"]["frames_per_cycle"],
+                                cfg.render_params())
+    tripod = GaitSchedule.tripod(cfg["test"]["tripod_repeats"])
+    i10, tri_raster, tri_observed, tri_acc = _test(
+        cfg, out, result.weights, splice_segments(stream, bounds, tripod),
+        "tripod_raster.txt", tripod)
+    write_atomic(os.path.join(out, "tripod_trace.txt"),
+                 format_trace(spikes_to_gait(tri_raster, cfg.period_s())))
     tripod_ok = is_tripod(tri_observed)
 
     n_spikes, n_events = _leg_event_counts(i10)
@@ -218,6 +207,16 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
         print("repro check FAILED", file=sys.stderr)
         return 4
     return 0
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="energy estimate for a raster")
     p.add_argument("raster", help="raster file (time_s neuron pairs)")
-    p.add_argument("--active-frames", type=int, default=0)
-    p.add_argument("--leg-events", type=int, default=0)
+    p.add_argument("--active-frames", type=_count, default=0)
+    p.add_argument("--leg-events", type=_count, default=0)
 
     sub.add_parser("repro", help="full synth/train/splice/test pipeline")
 
-    p = sub.add_parser("example-config", help="print the annotated default config")
+    sub.add_parser("example-config", help="print the annotated default config")
     return parser
 
 
@@ -257,10 +256,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg.values["run"]["seed"] = args.seed
+            validate(cfg)
         if args.command == "example-config":
             print(EXAMPLE_CONFIG, end="")
             return 0
-        out = _ensure_out(cfg, args.out)
+        out = args.out or cfg["run"]["out"]
+        os.makedirs(out, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(cfg, out)
         if args.command == "train":

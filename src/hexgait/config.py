@@ -1,41 +1,20 @@
 """Run configuration: one key=value file with a section per subsystem.
 
 Unknown sections or keys are rejected; every value is validated against
-the owning module's invariants at load time.
+the owning module's invariants at load time. A key's type is the type of
+its default.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy import EnergyModel
 from .errors import ConfigError
 from .neurons import NeuronParams
 from .scene import HexapodGeometry, RenderParams
 from .training import TrainSchedule
-
-_SCHEMA = {
-    "run": {"seed": int, "out": str},
-    "scene": {
-        "width": int, "height": int, "frames_per_cycle": int,
-        "noise_density": float, "gap_frames": int, "tip_blocks": int,
-        "shaft_clusters": int, "body_radius": float, "leg_length": float,
-        "sweep_angle_deg": float, "active_frames": int,
-    },
-    "events": {"window_ms": float},
-    "neuron": {
-        "tau_v": float, "tau_ge": float, "v_rest": float, "v_exc": float,
-        "v_thresh": float, "refractory": float, "dt": float,
-    },
-    "training": {
-        "alpha": float, "beta": float, "omega": float, "sigma_d": float,
-        "w_max": float, "repeats": int, "prior_std_deg": float,
-    },
-    "gait": {"period_s": float, "group_gap_s": float},
-    "energy": {"energy_per_spike_nj": float, "andpool_energy_per_frame_nj": float},
-    "test": {"tripod_repeats": int},
-}
 
 _DEFAULTS = {
     "run": {"seed": 0, "out": "out"},
@@ -54,7 +33,7 @@ _DEFAULTS = {
         "alpha": 0.01, "beta": 0.01, "omega": 0.05, "sigma_d": 0.0005,
         "w_max": 0.35, "repeats": 10, "prior_std_deg": 15.0,
     },
-    "gait": {"period_s": 0.0, "group_gap_s": 0.0},  # 0 = derive from scene
+    "gait": {"period_s": 0.0, "group_gap_s": 0.0},
     "energy": {"energy_per_spike_nj": 1.7, "andpool_energy_per_frame_nj": 2.5},
     "test": {"tripod_repeats": 4},
 }
@@ -89,10 +68,13 @@ class RunConfig:
 
     def render_params(self) -> RenderParams:
         s = self.values["scene"]
-        return RenderParams(tip_blocks=s["tip_blocks"],
-                            shaft_clusters=s["shaft_clusters"],
-                            gap_frames=s["gap_frames"],
-                            active_frames=s["active_frames"])
+        try:
+            return RenderParams(tip_blocks=s["tip_blocks"],
+                                shaft_clusters=s["shaft_clusters"],
+                                gap_frames=s["gap_frames"],
+                                active_frames=s["active_frames"])
+        except ValueError as exc:
+            raise ConfigError(f"[scene]: {exc}") from exc
 
     def train_schedule(self) -> TrainSchedule:
         t = self.values["training"]
@@ -131,23 +113,26 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
     values = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            caster = _SCHEMA[section][key]
+            caster = type(_DEFAULTS[section][key])
             try:
                 values[section][key] = caster(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"[{section}] {key}={raw!r}: expected {caster.__name__}") from exc
     cfg = RunConfig(values)
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate(cfg: RunConfig) -> None:
+    """Raise ConfigError unless every value meets its owner's invariants."""
+    if cfg.seed < 0:
+        raise ConfigError("[run]: seed must be >= 0")
     s = cfg.values["scene"]
     if s["width"] <= 0 or s["height"] <= 0:
         raise ConfigError("[scene]: width/height must be positive")
@@ -163,62 +148,37 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[training]: repeats must be >= 0")
     if cfg.values["training"]["prior_std_deg"] <= 0:
         raise ConfigError("[training]: prior_std_deg must be > 0")
+    if cfg.values["test"]["tripod_repeats"] < 1:
+        raise ConfigError("[test]: tripod_repeats must be >= 1")
     # Construct the derived objects so their own invariants run now.
     cfg.neuron_params()
     cfg.geometry()
+    cfg.render_params()
     cfg.train_schedule()
     cfg.energy_model()
 
 
-EXAMPLE_CONFIG = """\
-# hexgait run configuration (all defaults shown)
+# Comments of the annotated example config.
+_NOTES = {
+    ("scene", "frames_per_cycle"): "1 s leg cycle at 40 ms/frame",
+    ("scene", "gap_frames"): "still frames between cycles",
+    ("scene", "tip_blocks"): "foot-site blocks surviving the 10x10 AND pool",
+    ("scene", "active_frames"): "fast-sweep frames that light the foot site",
+    ("events", "window_ms"): "sensors larger than the scene are center-cropped",
+    ("gait", "period_s"): "0 = frames_per_cycle * dt",
+    ("gait", "group_gap_s"): "0 = period / 2",
+}
 
-[run]
-seed = 0
-out = out
 
-[scene]
-width = 600
-height = 600
-frames_per_cycle = 25      # 1 s leg cycle at 40 ms/frame
-noise_density = 0.001
-gap_frames = 11            # still frames between cycles
-tip_blocks = 3             # foot-site blocks surviving the 10x10 AND pool
-shaft_clusters = 5
-body_radius = 0.18
-leg_length = 0.17
-sweep_angle_deg = 30.0
-active_frames = 8          # fast-sweep frames that light the foot site
+def _example_config() -> str:
+    lines = ["# hexgait run configuration (all defaults shown)"]
+    for section, values in _DEFAULTS.items():
+        lines += ["", f"[{section}]"]
+        for key, value in values.items():
+            line = f"{key} = {value}"
+            note = _NOTES.get((section, key))
+            lines.append(f"{line:<26} # {note}" if note else line)
+    return "\n".join(lines) + "\n"
 
-[events]
-window_ms = 40.0           # sensors larger than the scene are center-cropped
 
-[neuron]
-tau_v = 4.0
-tau_ge = 1.2
-v_rest = -65.0
-v_exc = -30.0
-v_thresh = -52.0
-refractory = 2.0
-dt = 0.04
-
-[training]
-alpha = 0.01
-beta = 0.01
-omega = 0.05
-sigma_d = 0.0005
-w_max = 0.35
-repeats = 10
-prior_std_deg = 15.0
-
-[gait]
-period_s = 0.0             # 0 = frames_per_cycle * dt
-group_gap_s = 0.0          # 0 = period / 2
-
-[energy]
-energy_per_spike_nj = 1.7
-andpool_energy_per_frame_nj = 2.5
-
-[test]
-tripod_repeats = 4
-"""
+EXAMPLE_CONFIG = _example_config()

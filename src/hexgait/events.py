@@ -13,7 +13,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import DataError, EventBoundsError, EventFileError
-from .frames import FrameStream
+from .frames import FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -58,7 +58,7 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     if window_ms <= 0:
         raise ValueError(f"window_ms must be > 0, got {window_ms}")
     if not len(events):
-        return FrameStream.from_pixels([], [], [], 0, width, height, window_ms)
+        return FrameStream(np.empty(0, dtype=np.int64), 0, width, height, window_ms)
     x, y = events.x, events.y
     outside = np.flatnonzero((x >= width) | (y >= height))
     if outside.size:
@@ -66,8 +66,10 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
         raise EventBoundsError(
             i, f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
     frame = events.t // int(round(window_ms * 1000))
-    return FrameStream.from_pixels(frame, y, x, int(frame.max()) + 1, width,
-                                   height, window_ms)
+    n_frames = int(frame.max()) + 1
+    _check_frame_count(n_frames)  # before a wild frame index overflows a key
+    return FrameStream.from_keys((frame * height + y) * width + x, n_frames,
+                                 width, height, window_ms)
 
 
 def frames_to_events(stream: FrameStream) -> EventArray:

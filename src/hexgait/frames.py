@@ -133,18 +133,6 @@ class FrameStream:
         object.__setattr__(self, "keys", keys)
 
     @classmethod
-    def from_pixels(cls, frame, y, x, n_frames: int, width: int, height: int,
-                    window_ms: float, scale: int = 1) -> "FrameStream":
-        """Stream with pixel (x[i], y[i]) of frame frame[i] set, for every i.
-
-        Coordinates must lie inside the frames; repeated pixels OR together.
-        """
-        _check_frame_count(n_frames)  # before a wild frame index overflows a key
-        frame, y, x = (np.asarray(a, dtype=np.int64) for a in (frame, y, x))
-        keys = _sort_unique((frame * height + y) * width + x)
-        return cls(keys, n_frames, width, height, window_ms, scale)
-
-    @classmethod
     def from_keys(cls, keys, n_frames: int, width: int, height: int,
                   window_ms: float, scale: int = 1) -> "FrameStream":
         """Stream with the flat pixel keys `keys` set, in any order;
@@ -277,29 +265,6 @@ def pooled_streams(stream: FrameStream, body: bool = True):
                             stream.scale * 20)
 
 
-def tile_pool(stream: FrameStream, body: bool = True):
-    """`pooled_streams` as two lists of dense BinaryFrames (second None
-    unless `body`)."""
-    leg, body_map = pooled_streams(stream, body)
-    return list(leg.frames), None if body_map is None else list(body_map.frames)
-
-
-def _check_same_dims(a: BinaryFrame, b: BinaryFrame) -> None:
-    if a.bits.shape != b.bits.shape:
-        raise DimensionError(
-            f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
-
-
-def frame_and(a: BinaryFrame, b: BinaryFrame) -> BinaryFrame:
-    _check_same_dims(a, b)
-    return BinaryFrame(a.bits & b.bits, a.scale)
-
-
-def frame_or(a: BinaryFrame, b: BinaryFrame) -> BinaryFrame:
-    _check_same_dims(a, b)
-    return BinaryFrame(a.bits | b.bits, a.scale)
-
-
 def frame_not(a: BinaryFrame) -> BinaryFrame:
     return BinaryFrame(~a.bits, a.scale)
 
@@ -327,30 +292,3 @@ def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
     x = float(cols.mean()) / (width - 1) if width > 1 else 0.0
     y = float(rows.mean()) / (height - 1) if height > 1 else 0.0
     return Point(x, y)
-
-
-def write_pbm(frame: BinaryFrame, path) -> None:
-    """Dump a frame as plain-text portable bitmap (magic P1)."""
-    lines = ["P1", f"{frame.width} {frame.height}"]
-    for row in frame.bits:
-        lines.append(" ".join("1" if b else "0" for b in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_pbm(path, scale: int = 1) -> BinaryFrame:
-    """Read a plain-text portable bitmap written by write_pbm."""
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
-        raise ValueError(f"{path}: not a plain PBM (magic P1) file")
-    width, height = int(tokens[1]), int(tokens[2])
-    values = tokens[3:]
-    if len(values) != width * height:
-        raise ValueError(
-            f"{path}: expected {width * height} bits, found {len(values)}")
-    bits = np.array([v == "1" for v in values], dtype=bool).reshape(height, width)
-    return BinaryFrame(bits, scale)

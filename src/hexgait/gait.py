@@ -7,7 +7,7 @@ alignment, since the network may lock onto the looping video at any phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .neurons import N_LEGS, SpikeRaster
 

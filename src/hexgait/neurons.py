@@ -66,10 +66,6 @@ class NeuronState:
         return cls(v=params.v_rest)
 
 
-def fresh_states(params: NeuronParams, n: int = N_LEGS):
-    return tuple(NeuronState.resting(params) for _ in range(n))
-
-
 @dataclass(eq=False)
 class NetworkState:
     """The state of every neuron as n doubles, one array("d") per field of

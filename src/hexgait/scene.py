@@ -1,4 +1,4 @@
-"""Synthetic expert-hexapod scene: rendering, splicing, ground truth.
+"""Synthetic expert-hexapod scene: rendering and splicing.
 
 The scene is planar: a circular body at the frame center with six legs,
 three per side. A moving leg emits two kinds of clustered events per
@@ -15,13 +15,17 @@ Frames are built as flat pixel indices, never as dense grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError
 from .frames import FrameStream, Point
-from .neurons import SpikeRaster, N_LEGS
+from .neurons import N_LEGS
+
+# Side of a foot-site block: the I10 AND-pool kernel of
+# frames.pooled_streams, which the foot site must survive.
+BLOCK = 10
 
 # Anchor directions (degrees, image coords): legs 1-3 on the left side,
 # legs 4-6 on the right. Adjacent directions are 45 degrees apart.
@@ -109,10 +113,14 @@ class RenderParams:
     """Knobs for the synthetic renderer (all pixel units at raw scale)."""
 
     tip_blocks: int = 3          # full 10x10 blocks at the foot site
-    block: int = 10              # AND-pool kernel the foot site must survive
     shaft_clusters: int = 5      # 2x2 clusters along the moving shaft
     gap_frames: int = 11         # still frames after each cycle (>= estimator history)
     active_frames: int = 8       # cycle frames dense enough to light the foot site
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
@@ -124,17 +132,17 @@ def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
     leg_px = geom.leg_length * min(width, height)
     ux, uy = _unit(phi)
     blocks = []
-    r = leg_px - params.block * 0.5
+    r = leg_px - BLOCK * 0.5
     # March inward until tip_blocks distinct grid blocks are collected, so
     # every leg presents the same number of pooled pixels to the network.
     while len(blocks) < params.tip_blocks and r > 0:
         px, py = ax + r * ux, ay + r * uy
-        bx, by = int(px) // params.block, int(py) // params.block
-        bx = min(max(bx, 0), width // params.block - 1)
-        by = min(max(by, 0), height // params.block - 1)
+        bx, by = int(px) // BLOCK, int(py) // BLOCK
+        bx = min(max(bx, 0), width // BLOCK - 1)
+        by = min(max(by, 0), height // BLOCK - 1)
         if (bx, by) not in blocks:
             blocks.append((bx, by))
-        r -= params.block * 0.5
+        r -= BLOCK * 0.5
     return blocks
 
 
@@ -160,11 +168,10 @@ def _leg_pixels(geom: HexapodGeometry, leg: int, sweep_offset: float,
                 width: int, height: int, params: RenderParams,
                 foot_active: bool = True) -> np.ndarray:
     """Flat indices y * width + x of the pixels one leg sets (may repeat)."""
-    b = params.block
     parts = [np.empty(0, dtype=np.int64)]
     if foot_active:
-        block = (np.arange(b)[:, None] * width + np.arange(b)).ravel()
-        parts.extend(by * b * width + bx * b + block
+        block = (np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)).ravel()
+        parts.extend(by * BLOCK * width + bx * BLOCK + block
                      for bx, by in _foot_blocks(geom, leg, width, height, params))
     cluster = np.array([0, 1, width, width + 1])
     parts.extend(cy * width + cx + cluster
@@ -281,21 +288,3 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
         start += max(b - a for a, b in segs)
     return FrameStream.from_keys(np.concatenate(pieces), start, stream.width,
                                  stream.height, stream.window_ms, stream.scale)
-
-
-def ground_truth_raster(schedule: GaitSchedule, frames_per_cycle: int,
-                        dt: float = 0.04,
-                        params: RenderParams = RenderParams()) -> SpikeRaster:
-    """Reference raster: one spike per moving leg per cycle.
-
-    The canonical spike offset is the frame of peak leg displacement
-    (quarter period of the sweep oscillation). Used only for scoring.
-    """
-    seg_len = frames_per_cycle + params.gap_frames
-    peak = min(frames_per_cycle, params.active_frames) // 2
-    steps = []
-    for step_idx, (_, legs) in enumerate(schedule.entries):
-        t = (step_idx * seg_len + peak) * dt
-        steps.append((t, frozenset(legs)))
-    return SpikeRaster(dt=dt, steps=tuple(steps),
-                       n_steps=len(schedule) * seg_len)

@@ -34,29 +34,24 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianPriors:
-    """Per-leg angular Gaussians: mean direction, width, prior mass."""
+    """Per-leg angular Gaussians of equal prior mass: mean direction, width."""
 
     means: tuple
     stds: tuple
-    weights: tuple = tuple([1.0] * N_LEGS)
 
     def __post_init__(self):
         means = tuple(float(m) for m in self.means)
         stds = tuple(float(s) for s in self.stds)
-        weights = tuple(float(w) for w in self.weights)
-        if not (len(means) == len(stds) == len(weights) == N_LEGS):
+        if not (len(means) == len(stds) == N_LEGS):
             raise ValueError(f"priors need {N_LEGS} entries per field")
         if any(s <= 0 for s in stds):
             raise ValueError("prior stds must be positive")
-        if any(w <= 0 for w in weights):
-            raise ValueError("prior masses must be positive")
         for i in range(N_LEGS):
             for j in range(i + 1, N_LEGS):
                 if abs(wrap_angle(means[i] - means[j])) < 1e-9:
                     raise ValueError(f"prior means {i + 1} and {j + 1} coincide")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def classify_angle(theta: float, priors: GaussianPriors) -> int:
         mu = priors.means[leg - 1]
         sigma = priors.stds[leg - 1]
         d = wrap_angle(theta - mu)
-        score = (priors.weights[leg - 1] / sigma) * math.exp(-0.5 * (d / sigma) ** 2)
+        score = (1.0 / sigma) * math.exp(-0.5 * (d / sigma) ** 2)
         if score > best_score + 1e-15:
             best_leg, best_score = leg, score
     return best_leg

@@ -6,6 +6,7 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_criterion_9_repro_determinism(tmp_path):
              "seq_raster.txt", "tripod_raster.txt", "tripod_trace.txt",
              "report.txt")
     identical = all(
-        open(f"{outs[0]}/{f}", "rb").read() == open(f"{outs[1]}/{f}", "rb").read()
+        Path(outs[0], f).read_bytes() == Path(outs[1], f).read_bytes()
         for f in files)
     _report(9, "repeated full pipeline runs are byte-identical",
             identical, f"{len(files)} artifacts compared")

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,14 +61,26 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+# Config files with one bad value each: load_config rejects each one, so
+# the CLI exits 2 before it renders or writes anything.
+_BAD_VALUES = (
+    "[scene]\nwidth = many\n",
+    "[neuron]\nv_thresh = -70.0\n",  # below rest
+    "[run]\nseed = -1\n",
+    "[test]\ntripod_repeats = 0\n",
+    "[scene]\ngap_frames = -30\n",
+    "[scene]\nshaft_clusters = -1\n",
+    "[scene]\ntip_blocks = -1\n",
+    "[scene]\nactive_frames = -1\n",
+)
+
+
 def test_config_bad_value_rejected(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[scene]\nwidth = many\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
-    path.write_text("[neuron]\nv_thresh = -70.0\n")  # below rest
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text in _BAD_VALUES:
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
 
@@ -82,6 +95,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     bad.write_text("[nope]\nx = 1\n")
     assert main(["--config", str(bad), "example-config"]) == 2
     assert "config error" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for text in _BAD_VALUES:
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--out", str(out), "repro"]) == 2, text
+        assert "config error:" in capsys.readouterr().err
+    assert main(["--seed", "-1", "--out", str(out), "repro"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_data_error_exit_3(tmp_path, capsys):
@@ -225,7 +246,7 @@ _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _INSERT)
        _EDITS, st.one_of(st.none(), st.integers(0, 1 << 16)))
 def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, cut):
     root, p = fuzz_inputs
-    data = open(p[target.split("-")[0]], "rb").read()
+    data = Path(p[target.split("-")[0]]).read_bytes()
     for pos, n, insert in edits:
         pos %= len(data) + 1
         data = data[:pos] + insert + data[pos + n:]
@@ -264,20 +285,31 @@ def test_cli_artifacts_share_one_mode(fast_cfg_path, tmp_path):
 
 
 def test_cli_pipeline_synth_train_test(fast_cfg_path, tmp_path, capsys):
-    out = str(tmp_path / "run")
+    run = tmp_path / "run"
+    out = str(run)
     base = ["--config", fast_cfg_path, "--out", out]
     assert main(base + ["synth"]) == 0
     assert main(base + ["train", f"{out}/events.txt"]) == 0
-    weights_before = open(f"{out}/weights.txt").read()
+    weights_before = (run / "weights.txt").read_bytes()
     assert main(base + ["test", f"{out}/weights.txt", f"{out}/events.txt",
                         "--schedule", f"{out}/schedule.txt"]) == 0
-    report = open(f"{out}/report.txt").read()
-    assert "sequence_accuracy=1.000000" in report
+    assert "sequence_accuracy=1.000000" in (run / "report.txt").read_text()
     # the frozen run must not touch the weight file
-    assert open(f"{out}/weights.txt").read() == weights_before
+    assert (run / "weights.txt").read_bytes() == weights_before
     assert main(base + ["energy", f"{out}/test_raster.txt",
                         "--active-frames", "6", "--leg-events", "6"]) == 0
     assert "per_leg_event" in capsys.readouterr().out
+    for flag in ("--active-frames", "--leg-events"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["energy", f"{out}/test_raster.txt", flag, "-1"])
+        assert exc.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+    # repro runs the same stages, without reading events.txt back.
+    repro = tmp_path / "repro"
+    assert main(["--config", fast_cfg_path, "--out", str(repro), "repro"]) == 0
+    for name in ("events.txt", "schedule.txt", "weights.txt", "train_raster.txt"):
+        assert (repro / name).read_bytes() == (run / name).read_bytes(), name
+    assert (repro / "seq_raster.txt").read_bytes() == (run / "test_raster.txt").read_bytes()
 
 
 def test_cli_repro_deterministic(fast_cfg_path, tmp_path):
@@ -288,10 +320,10 @@ def test_cli_repro_deterministic(fast_cfg_path, tmp_path):
         outs.append(out)
     for fname in ("events.txt", "weights.txt", "train_raster.txt",
                   "seq_raster.txt", "tripod_raster.txt", "report.txt"):
-        a = open(f"{outs[0]}/{fname}", "rb").read()
-        b = open(f"{outs[1]}/{fname}", "rb").read()
+        a = Path(outs[0], fname).read_bytes()
+        b = Path(outs[1], fname).read_bytes()
         assert a == b, fname
-    report = open(f"{outs[0]}/report.txt").read()
+    report = Path(outs[0], "report.txt").read_text()
     assert "tripod_accuracy=1.000000" in report
     assert "is_tripod=True" in report
 
@@ -301,8 +333,8 @@ def test_cli_seed_override_changes_events(fast_cfg_path, tmp_path):
     assert main(["--config", fast_cfg_path, "--out", out1, "synth"]) == 0
     assert main(["--config", fast_cfg_path, "--out", out2, "--seed", "7",
                  "synth"]) == 0
-    a = open(f"{out1}/events.txt").read()
-    b = open(f"{out2}/events.txt").read()
+    a = Path(out1, "events.txt").read_bytes()
+    b = Path(out2, "events.txt").read_bytes()
     assert a != b
 
 

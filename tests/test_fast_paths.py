@@ -1,6 +1,6 @@
 """The fast paths against their references.
 
-Tile-count pooling (`tile_pool`) against the dense `andpool`/`orpool`,
+Tile-count pooling (`pooled_streams`) against the dense `andpool`/`orpool`,
 the bulk event-file parse against the line parser, the array-state
 network step (`step_state`) against the scalar `step_network`, the frozen
 replay of a pooled stream against that of its dense frames, and the
@@ -15,10 +15,9 @@ from hexgait import events
 from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import EventArray, accumulate_frames, load_events
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
-                            orpool, pooled_streams, tile_pool)
-from hexgait.neurons import (NetworkState, NeuronParams, WeightMap,
-                             fresh_states, run_network, save_weights,
-                             step_network, step_state)
+                            orpool, pooled_streams)
+from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
+                             run_network, save_weights, step_network, step_state)
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -35,18 +34,19 @@ def _frame(rng, w, h, p_tile, density):
 def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
     rng = np.random.default_rng(seed)
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
-    i10, body = tile_pool(FrameStream.from_frames(frames, 40.0))
-    assert i10 == [andpool(f, 10) for f in frames]
-    assert body == [orpool(andpool(f, 2), 10) for f in frames]
-    leg_only, none = tile_pool(FrameStream.from_frames(frames, 40.0), body=False)
-    assert leg_only == i10 and none is None
+    i10, body = pooled_streams(FrameStream.from_frames(frames, 40.0))
+    assert i10.frames == tuple(andpool(f, 10) for f in frames)
+    assert body.frames == tuple(orpool(andpool(f, 2), 10) for f in frames)
+    leg_only, none = pooled_streams(FrameStream.from_frames(frames, 40.0), body=False)
+    assert leg_only.frames == i10.frames and none is None
 
 
 def test_tile_pool_divisibility():
     stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)], 40.0)
-    assert tile_pool(stream, body=False)[0] == [BinaryFrame.zeros(3, 2, 10)]
+    i10, _ = pooled_streams(stream, body=False)
+    assert i10.frames == (BinaryFrame.zeros(3, 2, 10),)
     with pytest.raises(DimensionError, match="30x20.*20"):
-        tile_pool(stream)
+        pooled_streams(stream)
 
 
 def test_stream_length_is_capped():
@@ -165,7 +165,7 @@ def test_array_state_matches_scalar_reference(seed, n, h, w, steps, params, scal
     weights = WeightMap(rng.random((n, h, w)) * scale)
     densities = rng.choice([0.0, 0.0, 0.1, 0.5, 1.0], size=steps)
     frames = [BinaryFrame(rng.random((h, w)) < d) for d in densities]
-    states = fresh_states(params, n)
+    states = (NeuronState.resting(params),) * n
     state = NetworkState.resting(params, n)
     rows = weights.w.reshape(n, -1)
     spikes = []
@@ -194,8 +194,7 @@ def test_run_network_on_pooled_stream_matches_dense_frames(seed, tw, th, n, p_ti
     weights = WeightMap(rng.random((6, 2 * th, 2 * tw)) * scale)
     i10, _ = pooled_streams(stream, body=False)
     state, raster = run_network(i10, weights, params)
-    dense_state, dense_raster = run_network(tile_pool(stream, body=False)[0],
-                                            weights, params)
+    dense_state, dense_raster = run_network(list(i10.frames), weights, params)
     assert raster == dense_raster and raster.n_steps == n
     for field in ("v", "g_e", "refractory_until"):
         assert getattr(state, field).tobytes() == getattr(dense_state, field).tobytes()

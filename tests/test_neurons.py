@@ -6,7 +6,7 @@ import pytest
 from hexgait.errors import DimensionError
 from hexgait.frames import BinaryFrame
 from hexgait.neurons import (NeuronParams, NeuronState, SpikeRaster, WeightMap,
-                             fresh_states, inject, load_raster, load_weights,
+                             inject, load_raster, load_weights,
                              run_network, save_raster, save_weights,
                              step_network, step_neuron)
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from hexgait.frames import andpool, popcount
-from hexgait.gait import label_sequence
 from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
-                           ground_truth_raster, leg_region_mask,
-                           render_expert_sequence, segment_boundaries,
-                           splice_segments)
+                           leg_region_mask, render_expert_sequence,
+                           segment_boundaries, splice_segments)
 from hexgait.errors import DataError
 
 FPC = 25
@@ -108,26 +106,9 @@ def test_splice_bad_boundaries(train_stream):
         splice_segments(train_stream, [(0, 10)] * 6, GaitSchedule.sequential())
 
 
-def test_ground_truth_raster_roundtrip():
-    for sched in (GaitSchedule.sequential(), GaitSchedule.tripod(3)):
-        raster = ground_truth_raster(sched, FPC)
-        seq = label_sequence(raster, gap_s=0.5)
-        assert seq == [legs for _, legs in sched.entries]
-
-
-def test_ground_truth_sequential_ordered():
-    raster = ground_truth_raster(GaitSchedule.sequential(), FPC)
-    assert raster.total_spikes() == 6
-    order = [next(iter(s)) for _, s in raster.steps]
-    assert order == [1, 2, 3, 4, 5, 6]
-
-
 def test_ground_truth_empty_schedule_is_rejected():
     with pytest.raises(ValueError):
         GaitSchedule(())
-        # empty schedule carries no steps; ground truth is the empty raster
-    raster = ground_truth_raster(GaitSchedule(((0, {1}),)), FPC)
-    assert len(raster.steps) == 1
 
 
 def test_render_rejects_bad_args(geom):

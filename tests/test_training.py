@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hexgait.errors import EmptyFrameError
-from hexgait.frames import (BinaryFrame, andpool, centroid, frame_and,
-                            frame_not, orpool)
+from hexgait.frames import (BinaryFrame, andpool, centroid, frame_not,
+                            orpool)
 from hexgait.neurons import NeuronParams, WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
@@ -43,15 +43,6 @@ def test_classify_tie_breaks_low():
                             stds=(0.3,) * 6)
     assert classify_angle(0.0, priors) == 1
     assert classify_angle(2.0, priors) == 3
-
-
-def test_classify_scale_invariance(priors):
-    # Uniformly scaling all prior masses never changes the argmax.
-    scaled = GaussianPriors(means=priors.means, stds=priors.stds,
-                            weights=tuple(7.0 for _ in range(6)))
-    rng = np.random.default_rng(1)
-    for theta in rng.uniform(-math.pi, math.pi, 1000):
-        assert classify_angle(theta, priors) == classify_angle(theta, scaled)
 
 
 def test_classify_nearest_mean_with_equal_stds(priors):
@@ -249,7 +240,7 @@ def _dense_estimate(history, priors):
     """(leg, theta) of the last frame from dense pools: the labeller's reference."""
     i10 = andpool(history[-1], 10)
     union = np.logical_or.reduce([orpool(andpool(f, 2), 10).bits for f in history])
-    body = frame_and(frame_not(orpool(i10, 2)), BinaryFrame(union, 20))
+    body = BinaryFrame(frame_not(orpool(i10, 2)).bits & union, 20)
     c, l = centroid(body), centroid(i10)
     theta = math.atan2(c.y - l.y, c.x - l.x)
     return classify_angle(theta, priors), theta
