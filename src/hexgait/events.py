@@ -1,8 +1,9 @@
 """Event streams: file I/O, cropping, accumulation into binary frames.
 
-Events are held as one struct of arrays, `EventArray`, with int64 `x`,
-`y` and `t` columns. The on-disk format is plain text, one `x,y,t_us`
-triple per line, `#` comments, and a sidecar header line `!sensor WxH`.
+Events are held as one struct of arrays, `EventArray`: signed integer
+`x` and `y` columns, int32 when parsed from a file, and an int64 `t`
+column. The on-disk format is plain text, one `x,y,t_us` triple per
+line, `#` comments, and a sidecar header line `!sensor WxH`.
 """
 from __future__ import annotations
 
@@ -16,13 +17,17 @@ from .errors import DataError, EventBoundsError, EventFileError
 from .frames import FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
+# One parsed event file line: 16 bytes, where three int64 would take 24.
+_RECORD = np.dtype([("x", "<i4"), ("y", "<i4"), ("t", "<i8")])
 
 
 @dataclass(frozen=True, eq=False)
 class EventArray:
     """Asynchronous pixel events: column, row, timestamp in microseconds.
 
-    Three int64 arrays of one length, every value >= 0.
+    Three 1-D arrays of one length, every value >= 0. `x` and `y` keep
+    their signed integer dtype (int32 from a parsed file) and may be
+    strided views; `t` is int64. Other dtypes are converted to int64.
     """
 
     x: np.ndarray
@@ -30,7 +35,7 @@ class EventArray:
     t: np.ndarray
 
     def __post_init__(self):
-        cols = [np.asarray(c, dtype=np.int64) for c in (self.x, self.y, self.t)]
+        cols = [_column(self.x), _column(self.y), np.asarray(self.t, dtype=np.int64)]
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("x, y and t must be 1-D arrays of one length")
         if cols[0].size and min(int(c.min()) for c in cols) < 0:
@@ -46,6 +51,12 @@ class EventArray:
             return NotImplemented
         return all(np.array_equal(a, b) for a, b in
                    zip((self.x, self.y, self.t), (other.x, other.y, other.t)))
+
+
+def _column(values) -> np.ndarray:
+    """`values` as an array, converted to int64 unless of a signed integer dtype."""
+    col = np.asarray(values)
+    return col if col.dtype.kind == "i" else col.astype(np.int64)
 
 
 def accumulate_frames(events: EventArray, window_ms: float, width: int,
@@ -65,11 +76,14 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
         i = int(outside[0])
         raise EventBoundsError(
             i, f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
-    frame = events.t // int(round(window_ms * 1000))
-    n_frames = int(frame.max()) + 1
+    keys = events.t // int(round(window_ms * 1000))  # frame index
+    n_frames = int(keys.max()) + 1
     _check_frame_count(n_frames)  # before a wild frame index overflows a key
-    return FrameStream.from_keys((frame * height + y) * width + x, n_frames,
-                                 width, height, window_ms)
+    keys *= height
+    keys += y
+    keys *= width
+    keys += x
+    return FrameStream.from_keys(keys, n_frames, width, height, window_ms)
 
 
 def frames_to_events(stream: FrameStream) -> EventArray:
@@ -84,7 +98,13 @@ def crop_events(events: EventArray, left: int, top: int, width: int,
     """Keep events inside the crop region and rebase coordinates to it."""
     x, y = events.x, events.y
     keep = (x >= left) & (x < left + width) & (y >= top) & (y < top + height)
-    return EventArray(x[keep] - left, y[keep] - top, events.t[keep])
+    x, y = x[keep], y[keep]
+    # An int32 column refuses a Python int offset beyond int32 even when
+    # nothing is kept. An int64 one is cast unchecked, and it fits whenever
+    # an event is kept, as every kept coordinate is >= its offset.
+    x -= np.int64(left)
+    y -= np.int64(top)
+    return EventArray(x, y, events.t[keep])
 
 
 def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
@@ -113,18 +133,22 @@ def save_events(path, events: EventArray, sensor_w: int, sensor_h: int) -> None:
 
 
 def _sensor(line: str):
-    """(W, H) of a `!sensor WxH` line; IndexError or ValueError if malformed."""
+    """(W, H) of a `!sensor WxH` line; IndexError or ValueError if malformed
+    or beyond int64, where crop offsets no longer fit a column."""
     dims = line.split(None, 1)[1]
-    w, h = dims.lower().split("x")
-    return int(w), int(h)
+    w, h = (int(v) for v in dims.lower().split("x"))
+    if max(w, h) > _INT64_MAX:
+        raise ValueError(dims)
+    return w, h
 
 
 def _parse_bulk(path):
     """(rows, sensor) of an event file by np.loadtxt, or None.
 
-    Handles the usual layout: comments, blank lines and `!sensor` headers
-    before the first event, then only events and comments. None, or an
-    IndexError or ValueError, means the line parser has to decide.
+    `rows` is a `_RECORD` array, with fields x, y and t. Handles the
+    usual layout: comments, blank lines and `!sensor` headers before the
+    first event, then only events and comments. None, or an IndexError or
+    ValueError, means the line parser has to decide.
     """
     # np.loadtxt opens a str path through numpy.lib._datasource, which
     # decompresses by suffix and fetches URL-shaped names. So files so named
@@ -145,11 +169,12 @@ def _parse_bulk(path):
     if sensor is None:
         return None
     if skip is None:
-        return np.empty((0, 3), dtype=np.int64), sensor
+        return np.empty(0, dtype=_RECORD), sensor
     # Given a path, numpy reads the file in C chunks, not one str per line.
+    # A line without 3 fields, or an x or y beyond int32, is a ValueError.
     rows = np.loadtxt(os.path.abspath(path), delimiter=",", comments="#",
-                      dtype=np.int64, ndmin=2, skiprows=skip)
-    if rows.shape[1] != 3 or not rows.size or rows.min() < 0:
+                      dtype=_RECORD, ndmin=1, skiprows=skip)
+    if not rows.size or min(int(rows[f].min()) for f in "xyt") < 0:
         return None
     return rows, sensor
 
@@ -158,7 +183,8 @@ def _parse_lines(path):
     """(rows, sensor) of an event file, one line at a time.
 
     The reference parser: it accepts whatever `int()` does and raises
-    EventFileError naming the first bad line.
+    EventFileError naming the first bad line. `rows` is a record array
+    with int64 fields x, y and t.
     """
     rows = []
     sensor = None
@@ -182,10 +208,10 @@ def _parse_lines(path):
                     raise ValueError(row)
             except ValueError:
                 raise EventFileError(lineno, f"line {lineno}: bad event {line!r}")
-            rows.append(row)
+            rows.append(tuple(row))
     if sensor is None:
         raise EventFileError(0, "missing !sensor WxH header")
-    return np.array(rows, dtype=np.int64).reshape(-1, 3), sensor
+    return np.array(rows, dtype=[(f, "<i8") for f in "xyt"]), sensor
 
 
 def load_events(path):
@@ -205,6 +231,7 @@ def load_events(path):
         rows, (w, h) = parsed or _parse_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc
-    if (rows[1:, 2] < rows[:-1, 2]).any():
-        rows = rows[np.argsort(rows[:, 2], kind="stable")]
-    return EventArray(rows[:, 0], rows[:, 1], rows[:, 2]), w, h
+    t = rows["t"]
+    if (t[1:] < t[:-1]).any():
+        rows = rows[np.argsort(t, kind="stable")]
+    return EventArray(rows["x"], rows["y"], rows["t"]), w, h

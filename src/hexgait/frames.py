@@ -87,12 +87,13 @@ def _check_frame_count(n_frames: int) -> None:
 
 
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array.
+    """Sorted distinct values of an int64 array, which is sorted in place.
 
     Sort plus a neighbour compare: np.unique is several times slower on
-    the few hundred thousand keys of a recording.
+    the few hundred thousand keys of a recording. Sorting in place saves
+    a copy of every key; callers hand over an array they own.
     """
-    keys = np.sort(keys)
+    keys.sort()
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
@@ -136,7 +137,11 @@ class FrameStream:
     def from_keys(cls, keys, n_frames: int, width: int, height: int,
                   window_ms: float, scale: int = 1) -> "FrameStream":
         """Stream with the flat pixel keys `keys` set, in any order;
-        repeated keys OR together."""
+        repeated keys OR together.
+
+        Takes ownership of `keys`: an int64 array is sorted in place, so
+        pass one that nothing else reads.
+        """
         return cls(_sort_unique(np.asarray(keys, dtype=np.int64)), n_frames,
                    width, height, window_ms, scale)
 
@@ -221,10 +226,14 @@ def _tile_keys(keys: np.ndarray, width: int, k: int) -> np.ndarray:
 
     `keys` are flat pixel keys (row * width + x) of a stack whose height
     and width are multiples of k, so rows // k is frame * (height // k) +
-    y // k.
+    y // k. The tile keys are built in place, with one temporary.
     """
-    rows, x = np.divmod(keys, width)
-    return (rows // k) * (width // k) + x // k
+    tiles = keys // (width * k)  # rows // k
+    tiles *= width // k
+    x = keys % width
+    x //= k
+    tiles += x
+    return tiles
 
 
 def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
@@ -232,9 +241,9 @@ def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
 
     Pixel keys are distinct, so no tile is listed more than k * k times:
     after sorting, a run of that length starts exactly where an entry
-    equals the one k * k - 1 places further on.
+    equals the one k * k - 1 places further on. `tiles` is sorted in place.
     """
-    tiles = np.sort(tiles)
+    tiles.sort()
     m = k * k - 1
     if m == 0:
         return tiles

@@ -9,18 +9,17 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import random_frame
 from hexgait.cli import _leg_event_counts, main
 from hexgait.energy import energy_report
-from hexgait.frames import BinaryFrame, andpool, frame_not, orpool, popcount
+from hexgait.frames import andpool, frame_not, orpool, popcount
 from hexgait.gait import is_tripod, label_sequence, sequence_accuracy
-from hexgait.neurons import (NeuronParams, NeuronState, WeightMap,
-                             run_network, save_weights, step_neuron)
+from hexgait.neurons import (NeuronParams, NeuronState, run_network,
+                             save_weights, step_neuron)
 from hexgait.scene import (GaitSchedule, leg_region_mask, render_expert_sequence,
                            segment_boundaries, splice_segments)
-from hexgait.training import TrainSchedule, calibrate_priors, estimate_leg, train
+from hexgait.training import TrainSchedule, estimate_leg, train
 
 
 def _report(num: int, desc: str, ok: bool, extra: str = ""):

@@ -1,4 +1,3 @@
-import math
 import os
 import stat
 import subprocess
@@ -111,6 +110,9 @@ def test_cli_data_error_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "train", str(bad)]) == 3
     assert "line 2" in capsys.readouterr().err
+    bad.write_text(f"!sensor {2**70}x600\n1,2,3\n")
+    assert main(["--out", str(out), "train", str(bad)]) == 3
+    assert "line 1: bad sensor header" in capsys.readouterr().err
     assert main(["--out", str(out), "train", str(tmp_path / "absent")]) == 3
 
 
@@ -127,7 +129,9 @@ def test_cli_train_on_no_events_exit_3(tmp_path, capsys):
     header_only.write_text("!sensor 600x600\n# nothing recorded\n")
     border_only = tmp_path / "border.events"  # every event outside the crop
     border_only.write_text("!sensor 800x800\n5,5,0\n790,400,40000\n")
-    for path in (header_only, border_only):
+    wide = tmp_path / "wide.events"  # a crop offset beyond the int32 columns
+    wide.write_text("!sensor 5000000000x600\n5,5,0\n")
+    for path in (header_only, border_only, wide):
         assert main(["--out", str(tmp_path / "out"), "train", str(path)]) == 3
         assert "data error: cannot train on an empty stream" in capsys.readouterr().err
 
@@ -310,6 +314,46 @@ def test_cli_pipeline_synth_train_test(fast_cfg_path, tmp_path, capsys):
     for name in ("events.txt", "schedule.txt", "weights.txt", "train_raster.txt"):
         assert (repro / name).read_bytes() == (run / name).read_bytes(), name
     assert (repro / "seq_raster.txt").read_bytes() == (run / "test_raster.txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fast_run(fast_cfg_path, tmp_path_factory):
+    """synth and train under the fast config: the run directory."""
+    run = tmp_path_factory.mktemp("fast_run")
+    base = ["--config", fast_cfg_path, "--out", str(run)]
+    assert main(base + ["synth"]) == 0
+    assert main(base + ["train", str(run / "events.txt")]) == 0
+    return run
+
+
+@pytest.mark.parametrize("sensor_w,sensor_h", [(801, 700), (2**32 + 601, 700)])
+def test_cli_test_is_unchanged_by_a_larger_sensor(fast_cfg_path, fast_run, tmp_path,
+                                                 sensor_w, sensor_h):
+    """The scene centred in a larger sensor, with events outside the crop,
+    gives the artifacts of the uncropped recording. Columns wider than
+    int32 take the line parser."""
+    rows = np.loadtxt(fast_run / "events.txt", delimiter=",", dtype=np.int64,
+                      skiprows=1, ndmin=2)
+    left, top = (sensor_w - 600) // 2, (sensor_h - 600) // 2
+    rng = np.random.default_rng(0)
+    extra = np.column_stack([rng.integers(0, sensor_w, 4000),
+                             rng.integers(0, sensor_h, 4000),
+                             rng.integers(0, rows[-1, 2] + 1, 4000)])
+    inside = ((extra[:, 0] >= left) & (extra[:, 0] < left + 600)
+              & (extra[:, 1] >= top) & (extra[:, 1] < top + 600))
+    moved = np.vstack([rows + [left, top, 0], extra[~inside]])
+    big = tmp_path / "big.txt"
+    big.write_text(f"!sensor {sensor_w}x{sensor_h}\n"
+                   + "".join(f"{x},{y},{t}\n" for x, y, t in moved.tolist()))
+    outs = {}
+    for name, events in (("plain", fast_run / "events.txt"), ("big", big)):
+        outs[name] = tmp_path / name
+        assert main(["--config", fast_cfg_path, "--out", str(outs[name]), "test",
+                     str(fast_run / "weights.txt"), str(events), "--schedule",
+                     str(fast_run / "schedule.txt")]) == 0
+    for fname in ("test_raster.txt", "report.txt", "gait_trace.txt"):
+        assert (outs["big"] / fname).read_bytes() == (outs["plain"] / fname).read_bytes()
+    assert "sequence_accuracy=1.000000" in (outs["plain"] / "report.txt").read_text()
 
 
 def test_cli_repro_deterministic(fast_cfg_path, tmp_path):

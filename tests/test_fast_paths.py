@@ -34,11 +34,21 @@ def _frame(rng, w, h, p_tile, density):
 def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
     rng = np.random.default_rng(seed)
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
-    i10, body = pooled_streams(FrameStream.from_frames(frames, 40.0))
+    stream = FrameStream.from_frames(frames, 40.0)
+    keys = stream.keys.copy()
+    i10, body = pooled_streams(stream)
     assert i10.frames == tuple(andpool(f, 10) for f in frames)
     assert body.frames == tuple(orpool(andpool(f, 2), 10) for f in frames)
-    leg_only, none = pooled_streams(FrameStream.from_frames(frames, 40.0), body=False)
+    leg_only, none = pooled_streams(stream, body=False)
     assert leg_only.frames == i10.frames and none is None
+    assert np.array_equal(stream.keys, keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 * 3 * 4 - 1), max_size=60))
+def test_from_keys_equals_np_unique(keys):
+    stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), 2, 4, 3, 40.0)
+    assert np.array_equal(stream.keys, np.unique(np.array(keys, dtype=np.int64)))
 
 
 def test_tile_pool_divisibility():
@@ -91,8 +101,8 @@ _HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", "",
 def _reference(path):
     """load_events as the line parser alone would return it."""
     rows, (w, h) = events._parse_lines(path)
-    rows = rows[np.argsort(rows[:, 2], kind="stable")]
-    return EventArray(rows[:, 0], rows[:, 1], rows[:, 2]), w, h
+    rows = rows[np.argsort(rows["t"], kind="stable")]
+    return EventArray(rows["x"], rows["y"], rows["t"]), w, h
 
 
 def _outcome(fn, path):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from hexgait.gait import (GaitTrace, format_sequence, format_trace, is_tripod,

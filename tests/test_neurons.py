@@ -8,7 +8,7 @@ from hexgait.frames import BinaryFrame
 from hexgait.neurons import (NeuronParams, NeuronState, SpikeRaster, WeightMap,
                              inject, load_raster, load_weights,
                              run_network, save_raster, save_weights,
-                             step_network, step_neuron)
+                             step_neuron)
 
 PARAMS = NeuronParams()
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hexgait.frames import andpool, popcount
-from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
-                           leg_region_mask, render_expert_sequence,
-                           segment_boundaries, splice_segments)
+from hexgait.scene import (GaitSchedule, HexapodGeometry, leg_region_mask,
+                           render_expert_sequence, segment_boundaries,
+                           splice_segments)
 from hexgait.errors import DataError
 
 FPC = 25

@@ -6,7 +6,7 @@ import pytest
 from hexgait.errors import EmptyFrameError
 from hexgait.frames import (BinaryFrame, andpool, centroid, frame_not,
                             orpool)
-from hexgait.neurons import NeuronParams, WeightMap
+from hexgait.neurons import WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
                               classify_angle, estimate_leg, train, wrap_angle)
