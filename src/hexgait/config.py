@@ -8,33 +8,36 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .energy import EnergyModel
 from .errors import ConfigError
-from .neurons import NeuronParams
+from .frames import MAX_FRAMES
+from .neurons import N_LEGS, NeuronParams
 from .scene import HexapodGeometry, RenderParams
 from .training import TrainSchedule
 
+# A key owned by a dataclass takes its default from there. The two angles
+# are written in degrees here, as radians do not convert back exactly.
 _DEFAULTS = {
     "run": {"seed": 0, "out": "out"},
     "scene": {
         "width": 600, "height": 600, "frames_per_cycle": 25,
-        "noise_density": 0.001, "gap_frames": 11, "tip_blocks": 3,
-        "shaft_clusters": 5, "body_radius": 0.18, "leg_length": 0.17,
-        "sweep_angle_deg": 30.0, "active_frames": 8,
+        "noise_density": 0.001, "gap_frames": RenderParams.gap_frames,
+        "tip_blocks": RenderParams.tip_blocks,
+        "shaft_clusters": RenderParams.shaft_clusters,
+        "body_radius": HexapodGeometry.body_radius,
+        "leg_length": HexapodGeometry.leg_length,
+        "sweep_angle_deg": 30.0, "active_frames": RenderParams.active_frames,
     },
     "events": {"window_ms": 40.0},
-    "neuron": {
-        "tau_v": 4.0, "tau_ge": 1.2, "v_rest": -65.0, "v_exc": -30.0,
-        "v_thresh": -52.0, "refractory": 2.0, "dt": 0.04,
-    },
-    "training": {
-        "alpha": 0.01, "beta": 0.01, "omega": 0.05, "sigma_d": 0.0005,
-        "w_max": 0.35, "repeats": 10, "prior_std_deg": 15.0,
-    },
+    "neuron": asdict(NeuronParams()),
+    "training": {**asdict(TrainSchedule()), "repeats": 10, "prior_std_deg": 15.0},
     "gait": {"period_s": 0.0, "group_gap_s": 0.0},
-    "energy": {"energy_per_spike_nj": 1.7, "andpool_energy_per_frame_nj": 2.5},
+    "energy": {
+        "energy_per_spike_nj": EnergyModel.energy_per_spike * 1e9,
+        "andpool_energy_per_frame_nj": EnergyModel.andpool_energy_per_frame * 1e9,
+    },
     "test": {"tripod_repeats": 4},
 }
 
@@ -50,45 +53,34 @@ class RunConfig:
     def seed(self) -> int:
         return self.values["run"]["seed"]
 
-    def neuron_params(self) -> NeuronParams:
-        n = self.values["neuron"]
+    def _build(self, owner, section: str, **converted):
+        """`owner` from the keys of [section] named after its fields, plus
+        `converted`; its ValueError becomes a ConfigError."""
+        values = self.values[section]
+        named = {f.name: values[f.name] for f in fields(owner) if f.name in values}
         try:
-            return NeuronParams(**n)
+            return owner(**named, **converted)
         except ValueError as exc:
-            raise ConfigError(f"[neuron]: {exc}") from exc
+            raise ConfigError(f"[{section}]: {exc}") from exc
+
+    def neuron_params(self) -> NeuronParams:
+        return self._build(NeuronParams, "neuron")
 
     def geometry(self) -> HexapodGeometry:
-        s = self.values["scene"]
-        try:
-            return HexapodGeometry(
-                body_radius=s["body_radius"], leg_length=s["leg_length"],
-                sweep_angle=math.radians(s["sweep_angle_deg"]))
-        except ValueError as exc:
-            raise ConfigError(f"[scene]: {exc}") from exc
+        return self._build(HexapodGeometry, "scene", sweep_angle=math.radians(
+            self.values["scene"]["sweep_angle_deg"]))
 
     def render_params(self) -> RenderParams:
-        s = self.values["scene"]
-        try:
-            return RenderParams(tip_blocks=s["tip_blocks"],
-                                shaft_clusters=s["shaft_clusters"],
-                                gap_frames=s["gap_frames"],
-                                active_frames=s["active_frames"])
-        except ValueError as exc:
-            raise ConfigError(f"[scene]: {exc}") from exc
+        return self._build(RenderParams, "scene")
 
     def train_schedule(self) -> TrainSchedule:
-        t = self.values["training"]
-        try:
-            return TrainSchedule(alpha=t["alpha"], beta=t["beta"],
-                                 omega=t["omega"], sigma_d=t["sigma_d"],
-                                 w_max=t["w_max"])
-        except ValueError as exc:
-            raise ConfigError(f"[training]: {exc}") from exc
+        return self._build(TrainSchedule, "training")
 
     def energy_model(self) -> EnergyModel:
         e = self.values["energy"]
-        return EnergyModel(energy_per_spike=e["energy_per_spike_nj"] * 1e-9,
-                           andpool_energy_per_frame=e["andpool_energy_per_frame_nj"] * 1e-9)
+        return self._build(EnergyModel, "energy",
+                           energy_per_spike=e["energy_per_spike_nj"] / 1e9,
+                           andpool_energy_per_frame=e["andpool_energy_per_frame_nj"] / 1e9)
 
     def period_s(self) -> float:
         p = self.values["gait"]["period_s"]
@@ -131,6 +123,10 @@ def load_config(path) -> RunConfig:
 
 def validate(cfg: RunConfig) -> None:
     """Raise ConfigError unless every value meets its owner's invariants."""
+    for section, values in cfg.values.items():
+        for key, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key}={value}: must be finite")
     if cfg.seed < 0:
         raise ConfigError("[run]: seed must be >= 0")
     s = cfg.values["scene"]
@@ -142,8 +138,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("[scene]: frames_per_cycle must be >= 2")
     if not (0.0 <= s["noise_density"] < 1.0):
         raise ConfigError("[scene]: noise_density must be in [0, 1)")
-    if cfg.values["events"]["window_ms"] <= 0:
-        raise ConfigError("[events]: window_ms must be > 0")
+    if round(cfg.values["events"]["window_ms"] * 1000) < 1:
+        raise ConfigError("[events]: window_ms must be at least 1 us, the event time unit")
     if cfg.values["training"]["repeats"] < 0:
         raise ConfigError("[training]: repeats must be >= 0")
     if cfg.values["training"]["prior_std_deg"] <= 0:
@@ -156,6 +152,11 @@ def validate(cfg: RunConfig) -> None:
     cfg.render_params()
     cfg.train_schedule()
     cfg.energy_model()
+    segment = s["frames_per_cycle"] + s["gap_frames"]
+    n_frames = max(N_LEGS, 2 * cfg.values["test"]["tripod_repeats"]) * segment
+    if n_frames > MAX_FRAMES:
+        raise ConfigError(f"[scene]/[test]: the training or tripod stream spans "
+                          f"{n_frames} frames, more than the limit of {MAX_FRAMES}")
 
 
 # Comments of the annotated example config.

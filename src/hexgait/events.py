@@ -66,8 +66,9 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
     empty input. Any event in window k sets its pixel's bit in frame k.
     """
-    if window_ms <= 0:
-        raise ValueError(f"window_ms must be > 0, got {window_ms}")
+    window_us = int(round(window_ms * 1000))
+    if window_us < 1:
+        raise ValueError(f"window_ms must be at least 1 us, got {window_ms}")
     if not len(events):
         return FrameStream(np.empty(0, dtype=np.int64), 0, width, height, window_ms)
     x, y = events.x, events.y
@@ -76,7 +77,7 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
         i = int(outside[0])
         raise EventBoundsError(
             i, f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
-    keys = events.t // int(round(window_ms * 1000))  # frame index
+    keys = events.t // window_us  # frame index
     n_frames = int(keys.max()) + 1
     _check_frame_count(n_frames)  # before a wild frame index overflows a key
     keys *= height

@@ -31,21 +31,14 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class BinaryFrame:
-    """Immutable boolean grid.
-
-    `scale` is the pooling factor relative to the raw sensor frame
-    (1 for raw, 2 after a 2x2 pool, 10 after a 10x10 pool, ...).
-    """
+    """Immutable boolean grid."""
 
     bits: np.ndarray
-    scale: int = 1
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=bool)
         if bits.ndim != 2:
             raise DimensionError(f"frame must be 2-D, got shape {bits.shape}")
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
         bits = np.ascontiguousarray(bits)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
@@ -59,8 +52,8 @@ class BinaryFrame:
         return self.bits.shape[0]
 
     @classmethod
-    def zeros(cls, width: int, height: int, scale: int = 1) -> "BinaryFrame":
-        return cls(np.zeros((height, width), dtype=bool), scale)
+    def zeros(cls, width: int, height: int) -> "BinaryFrame":
+        return cls(np.zeros((height, width), dtype=bool))
 
     def any(self) -> bool:
         return bool(self.bits.any())
@@ -68,10 +61,7 @@ class BinaryFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryFrame):
             return NotImplemented
-        return self.scale == other.scale and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash((self.scale, self.bits.shape, self.bits.tobytes()))
+        return np.array_equal(self.bits, other.bits)
 
 
 # Longest stream accepted: one hour of 40 ms frames. Its I10 stack alone
@@ -101,7 +91,7 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FrameStream:
-    """Ordered binary frames sharing one size, window and pooling scale.
+    """Ordered binary frames sharing one size and window.
 
     Only the set pixels are stored: `keys` holds their sorted, distinct
     flat indices (frame * height + y) * width + x. Frame k covers real
@@ -114,13 +104,10 @@ class FrameStream:
     width: int
     height: int
     window_ms: float
-    scale: int = 1
 
     def __post_init__(self):
         if self.window_ms <= 0:
             raise ValueError(f"window_ms must be > 0, got {self.window_ms}")
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
         if min(self.n_frames, self.width, self.height) < 0:
             raise ValueError("frame count and dimensions must be >= 0")
         _check_frame_count(self.n_frames)
@@ -135,7 +122,7 @@ class FrameStream:
 
     @classmethod
     def from_keys(cls, keys, n_frames: int, width: int, height: int,
-                  window_ms: float, scale: int = 1) -> "FrameStream":
+                  window_ms: float) -> "FrameStream":
         """Stream with the flat pixel keys `keys` set, in any order;
         repeated keys OR together.
 
@@ -143,22 +130,20 @@ class FrameStream:
         pass one that nothing else reads.
         """
         return cls(_sort_unique(np.asarray(keys, dtype=np.int64)), n_frames,
-                   width, height, window_ms, scale)
+                   width, height, window_ms)
 
     @classmethod
-    def from_frames(cls, frames, window_ms: float, scale: int = 1) -> "FrameStream":
-        """Stream of dense BinaryFrames of one size and scale."""
+    def from_frames(cls, frames, window_ms: float) -> "FrameStream":
+        """Stream of dense BinaryFrames of one size."""
         frames = tuple(frames)
         for f in frames:
-            if f.scale != scale:
-                raise DimensionError(f"frame scale {f.scale} != stream scale {scale}")
             if f.bits.shape != frames[0].bits.shape:
                 raise DimensionError("frames in a stream must share dimensions")
         if not frames:
-            return cls(np.empty(0, dtype=np.int64), 0, 0, 0, window_ms, scale)
+            return cls(np.empty(0, dtype=np.int64), 0, 0, 0, window_ms)
         bits = np.stack([f.bits for f in frames])
         return cls(np.flatnonzero(bits), len(frames), frames[0].width,
-                   frames[0].height, window_ms, scale)
+                   frames[0].height, window_ms)
 
     def pixels(self):
         """(frame, y, x) arrays of every set pixel, ordered by frame, y, x."""
@@ -178,7 +163,7 @@ class FrameStream:
         """Dense BinaryFrames, built on first request."""
         bits = np.zeros(len(self) * self.height * self.width, dtype=bool)
         bits[self.keys] = True
-        return tuple(BinaryFrame(b, self.scale)
+        return tuple(BinaryFrame(b)
                      for b in bits.reshape(len(self), self.height, self.width))
 
     def __len__(self) -> int:
@@ -190,11 +175,10 @@ class FrameStream:
 
 def as_stream(frames) -> FrameStream:
     """`frames` if it is a FrameStream, else the stream of that sequence of
-    dense BinaryFrames (one size and scale; the window is nominal)."""
+    dense BinaryFrames (one size; the window is nominal)."""
     if isinstance(frames, FrameStream):
         return frames
-    frames = tuple(frames)
-    return FrameStream.from_frames(frames, 1.0, frames[0].scale if frames else 1)
+    return FrameStream.from_frames(frames, 1.0)
 
 
 def _check_divisible(frame: BinaryFrame, k: int) -> None:
@@ -210,7 +194,7 @@ def andpool(frame: BinaryFrame, k: int) -> BinaryFrame:
     _check_divisible(frame, k)
     h, w = frame.height // k, frame.width // k
     tiled = frame.bits.reshape(h, k, w, k)
-    return BinaryFrame(tiled.all(axis=(1, 3)), frame.scale * k)
+    return BinaryFrame(tiled.all(axis=(1, 3)))
 
 
 def orpool(frame: BinaryFrame, k: int) -> BinaryFrame:
@@ -218,7 +202,7 @@ def orpool(frame: BinaryFrame, k: int) -> BinaryFrame:
     _check_divisible(frame, k)
     h, w = frame.height // k, frame.width // k
     tiled = frame.bits.reshape(h, k, w, k)
-    return BinaryFrame(tiled.any(axis=(1, 3)), frame.scale * k)
+    return BinaryFrame(tiled.any(axis=(1, 3)))
 
 
 def _tile_keys(keys: np.ndarray, width: int, k: int) -> np.ndarray:
@@ -265,17 +249,16 @@ def pooled_streams(stream: FrameStream, body: bool = True):
     if h % k or w % k:
         raise DimensionError(f"frame {w}x{h} not divisible by kernel {k}")
     i10 = _full_tiles(_tile_keys(stream.keys, w, 10), 10)
-    leg = FrameStream(i10, n, w // 10, h // 10, stream.window_ms, stream.scale * 10)
+    leg = FrameStream(i10, n, w // 10, h // 10, stream.window_ms)
     if not body:
         return leg, None
     i2 = _full_tiles(_tile_keys(stream.keys, w, 2), 2)
     i20 = _sort_unique(_tile_keys(i2, w // 2, 10))
-    return leg, FrameStream(i20, n, w // 20, h // 20, stream.window_ms,
-                            stream.scale * 20)
+    return leg, FrameStream(i20, n, w // 20, h // 20, stream.window_ms)
 
 
 def frame_not(a: BinaryFrame) -> BinaryFrame:
-    return BinaryFrame(~a.bits, a.scale)
+    return BinaryFrame(~a.bits)
 
 
 def popcount(frame: BinaryFrame) -> int:

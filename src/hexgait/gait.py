@@ -16,7 +16,6 @@ from .neurons import N_LEGS, SpikeRaster
 class GaitTrace:
     """Per-leg oscillation intervals (cycle_start, cycle_end), seconds."""
 
-    period: float
     cycles: tuple  # cycles[leg-1] = tuple of (start, end)
 
     def leg(self, leg: int):
@@ -34,7 +33,7 @@ def spikes_to_gait(raster: SpikeRaster, period: float) -> GaitTrace:
             if t >= busy_until[leg - 1]:
                 cycles[leg - 1].append((t, t + period))
                 busy_until[leg - 1] = t + period
-    return GaitTrace(period=period, cycles=tuple(tuple(c) for c in cycles))
+    return GaitTrace(cycles=tuple(tuple(c) for c in cycles))
 
 
 def label_sequence(raster: SpikeRaster, gap_s: float = 0.5):

@@ -93,8 +93,8 @@ class WeightMap:
         self.w = w
 
     @classmethod
-    def zeros(cls, width: int, height: int, n_neurons: int = N_LEGS) -> "WeightMap":
-        return cls(np.zeros((n_neurons, height, width)))
+    def zeros(cls, width: int, height: int) -> "WeightMap":
+        return cls(np.zeros((N_LEGS, height, width)))
 
     @property
     def n_neurons(self) -> int:
@@ -176,7 +176,7 @@ def save_raster(path, raster: SpikeRaster) -> None:
 
 
 def load_raster(path) -> SpikeRaster:
-    dt, n_steps = 0.04, 0
+    dt, n_steps = NeuronParams.dt, 0
     by_time = {}
     try:
         with open(path) as fh:
@@ -280,24 +280,21 @@ def step_state(state: NetworkState, weights: np.ndarray, cells: np.ndarray,
     return frozenset(spiked)
 
 
-def run_network(frames, weights: WeightMap, params: NeuronParams,
-                state: NetworkState = None, t0: float = 0.0):
-    """Drive the network over a FrameStream, or a sequence of BinaryFrames,
-    with frozen weights.
+def run_network(frames, weights: WeightMap, params: NeuronParams):
+    """Drive the network from rest over a FrameStream, or a sequence of
+    BinaryFrames, with frozen weights.
 
-    Returns (final state, SpikeRaster). One frame per dt step; a given
-    `state` is advanced in place.
+    Returns (final state, SpikeRaster). One frame per dt step.
     """
     stream = as_stream(frames)
     if len(stream) and (stream.height, stream.width) != weights.w.shape[1:]:
         raise DimensionError(f"weight grid {weights.w.shape[1:]} != frame "
                              f"{(stream.height, stream.width)}")
-    if state is None:
-        state = NetworkState.resting(params, weights.n_neurons)
+    state = NetworkState.resting(params, weights.n_neurons)
     rows = weights.w.reshape(weights.n_neurons, -1)
     steps = []
     for k, cells in enumerate(stream.per_frame()):
-        now = t0 + k * params.dt
+        now = k * params.dt
         spiked = step_state(state, rows, cells, params, now)
         if spiked:
             steps.append((now, spiked))

@@ -104,9 +104,6 @@ class GaitSchedule:
             steps.append((2 * r + 1, {2, 4, 6}))
         return cls(tuple(steps))
 
-    def __len__(self):
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class RenderParams:
@@ -287,4 +284,4 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
             pieces.append(stream.keys[lo:hi] + (start - a) * area)
         start += max(b - a for a, b in segs)
     return FrameStream.from_keys(np.concatenate(pieces), start, stream.width,
-                                 stream.height, stream.window_ms, stream.scale)
+                                 stream.height, stream.window_ms)

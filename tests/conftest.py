@@ -37,5 +37,5 @@ def trained(cfg, train_stream, priors):
                  cfg.neuron_params(), repeats=3)
 
 
-def random_frame(rng, width, height, density=0.5, scale=1):
-    return BinaryFrame(rng.random((height, width)) < density, scale)
+def random_frame(rng, width, height, density=0.5):
+    return BinaryFrame(rng.random((height, width)) < density)

@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 import hexgait
 from hexgait.cli import main
 from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
+from hexgait.energy import EnergyModel
 from hexgait.errors import ConfigError
-from hexgait.neurons import WeightMap, save_weights
+from hexgait.frames import MAX_FRAMES
+from hexgait.neurons import NeuronParams, WeightMap, save_weights
+from hexgait.scene import HexapodGeometry, RenderParams
+from hexgait.training import TrainSchedule
 
 FAST_CFG = """\
 [scene]
@@ -71,6 +75,14 @@ _BAD_VALUES = (
     "[scene]\nshaft_clusters = -1\n",
     "[scene]\ntip_blocks = -1\n",
     "[scene]\nactive_frames = -1\n",
+    "[events]\nwindow_ms = inf\n",
+    "[scene]\nsweep_angle_deg = nan\n",
+    "[scene]\nleg_length = inf\n",
+    "[neuron]\ntau_v = nan\n",
+    "[energy]\nenergy_per_spike_nj = -1.0\n",
+    "[events]\nwindow_ms = 0.0001\n",  # rounds to 0 us
+    "[scene]\nframes_per_cycle = 15000\n",  # over MAX_FRAMES when rendered
+    "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n",  # when spliced
 )
 
 
@@ -82,6 +94,25 @@ def test_config_bad_value_rejected(tmp_path):
             load_config(path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+
+
+def test_config_frame_cap_boundary(tmp_path):
+    # The tripod stream spans 2 * tripod_repeats segments of 25 + 11 frames.
+    path = tmp_path / "cap.ini"
+    path.write_text(f"[test]\ntripod_repeats = {MAX_FRAMES // 72}\n")
+    load_config(path)
+    path.write_text(f"[test]\ntripod_repeats = {MAX_FRAMES // 72 + 1}\n")
+    with pytest.raises(ConfigError, match="spans 90072 frames"):
+        load_config(path)
+
+
+def test_config_builders_give_owner_defaults():
+    cfg = default_config()
+    assert cfg.neuron_params() == NeuronParams()
+    assert cfg.train_schedule() == TrainSchedule()
+    assert cfg.render_params() == RenderParams()
+    assert cfg.geometry() == HexapodGeometry()
+    assert cfg.energy_model() == EnergyModel()
 
 
 def test_cli_example_config(capsys):

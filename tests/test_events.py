@@ -40,6 +40,14 @@ def test_single_event():
     assert stream[0].bits.sum() == 1
 
 
+def test_window_under_one_microsecond_rejected():
+    # Timestamps are whole microseconds: such a window would divide by 0.
+    for window_ms in (0.0, 0.0001, 0.0005):
+        with pytest.raises(ValueError, match="at least 1 us"):
+            accumulate_frames(events_of([(1, 1, 5)]), window_ms, 4, 4)
+    assert len(accumulate_frames(events_of([(1, 1, 5)]), 0.001, 4, 4)) == 6
+
+
 def test_window_boundary():
     events = events_of([(3, 3, 0), (3, 3, 39_999), (3, 3, 40_000)])
     stream = accumulate_frames(events, 40, 8, 8)

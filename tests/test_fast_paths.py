@@ -54,7 +54,7 @@ def test_from_keys_equals_np_unique(keys):
 def test_tile_pool_divisibility():
     stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)], 40.0)
     i10, _ = pooled_streams(stream, body=False)
-    assert i10.frames == (BinaryFrame.zeros(3, 2, 10),)
+    assert i10.frames == (BinaryFrame.zeros(3, 2),)
     with pytest.raises(DimensionError, match="30x20.*20"):
         pooled_streams(stream)
 

@@ -35,7 +35,6 @@ def test_andpool_all_ones():
     f = BinaryFrame(np.ones((20, 20), dtype=bool))
     out = andpool(f, 10)
     assert out.bits.shape == (2, 2) and out.bits.all()
-    assert out.scale == 10
 
 
 def test_andpool_single_zero_annihilates_tile():
@@ -50,7 +49,7 @@ def test_andpool_600_to_60():
     rng = np.random.default_rng(0)
     f = random_frame(rng, 600, 600, density=0.3)
     out = andpool(f, 10)
-    assert (out.width, out.height, out.scale) == (60, 60, 10)
+    assert (out.width, out.height) == (60, 60)
 
 
 def test_andpool_kills_isolated_noise():

@@ -112,7 +112,7 @@ def test_is_tripod():
 
 
 def test_format_outputs():
-    trace = GaitTrace(period=1.0, cycles=(((0.0, 1.0),),) + ((),) * 5)
+    trace = GaitTrace(cycles=(((0.0, 1.0),),) + ((),) * 5)
     text = format_trace(trace)
     assert "1 0.000000 1.000000" in text
     seq_text = format_sequence([frozenset({3, 1}), frozenset({2})])

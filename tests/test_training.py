@@ -240,7 +240,7 @@ def _dense_estimate(history, priors):
     """(leg, theta) of the last frame from dense pools: the labeller's reference."""
     i10 = andpool(history[-1], 10)
     union = np.logical_or.reduce([orpool(andpool(f, 2), 10).bits for f in history])
-    body = BinaryFrame(frame_not(orpool(i10, 2)).bits & union, 20)
+    body = BinaryFrame(frame_not(orpool(i10, 2)).bits & union)
     c, l = centroid(body), centroid(i10)
     theta = math.atan2(c.y - l.y, c.x - l.x)
     return classify_angle(theta, priors), theta
