@@ -71,9 +71,9 @@ def _synth(cfg: RunConfig, out: str):
         cfg.geometry(), schedule,
         frames_per_cycle=cfg["scene"]["frames_per_cycle"], width=width,
         height=height, noise_density=cfg["scene"]["noise_density"],
-        seed=cfg.seed, window_ms=cfg["events"]["window_ms"],
-        params=cfg.render_params())
-    ev.save_events(os.path.join(out, "events.txt"), ev.frames_to_events(stream),
+        seed=cfg.seed, params=cfg.render_params())
+    ev.save_events(os.path.join(out, "events.txt"),
+                   ev.frames_to_events(stream, cfg["events"]["window_ms"]),
                    width, height)
     write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
     return schedule, stream
@@ -118,7 +118,7 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
     write_atomic(os.path.join(out, "train_log.txt"),
                  "# t_sec leg theta_rad p m popcount_i10\n"
                  + "\n".join(result.log) + "\n")
-    print(f"trained for {result.duration_s:.1f} simulated s "
+    print(f"trained for {result.raster.n_steps * result.raster.dt:.1f} simulated s "
           f"({result.skipped} frames skipped); weights in {out}/weights.txt")
     return 0
 
@@ -193,7 +193,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     erep = energy_report(n_spikes, n_events, n_events, cfg.energy_model())
 
     report = [
-        f"train_duration_s={result.duration_s:.2f}",
+        f"train_duration_s={result.raster.n_steps * result.raster.dt:.2f}",
         f"train_repeats={cfg['training']['repeats']}",
         f"train_skipped_frames={result.skipped}",
         f"sequence_accuracy={seq_acc:.6f}",

@@ -12,13 +12,15 @@ from dataclasses import asdict, dataclass, fields
 
 from .energy import EnergyModel
 from .errors import ConfigError
+from .events import _window_us
 from .frames import MAX_FRAMES
 from .neurons import N_LEGS, NeuronParams
 from .scene import HexapodGeometry, RenderParams
 from .training import TrainSchedule
 
 # A key owned by a dataclass takes its default from there. The two angles
-# are written in degrees here, as radians do not convert back exactly.
+# are written in degrees here, as radians do not convert back exactly. The
+# frame window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
 _DEFAULTS = {
     "run": {"seed": 0, "out": "out"},
     "scene": {
@@ -30,10 +32,9 @@ _DEFAULTS = {
         "leg_length": HexapodGeometry.leg_length,
         "sweep_angle_deg": 30.0, "active_frames": RenderParams.active_frames,
     },
-    "events": {"window_ms": 40.0},
-    "neuron": asdict(NeuronParams()),
+    "events": {"window_ms": NeuronParams.dt * 1000},
+    "neuron": {k: v for k, v in asdict(NeuronParams()).items() if k != "dt"},
     "training": {**asdict(TrainSchedule()), "repeats": 10, "prior_std_deg": 15.0},
-    "gait": {"period_s": 0.0, "group_gap_s": 0.0},
     "energy": {
         "energy_per_spike_nj": EnergyModel.energy_per_spike * 1e9,
         "andpool_energy_per_frame_nj": EnergyModel.andpool_energy_per_frame * 1e9,
@@ -64,7 +65,8 @@ class RunConfig:
             raise ConfigError(f"[{section}]: {exc}") from exc
 
     def neuron_params(self) -> NeuronParams:
-        return self._build(NeuronParams, "neuron")
+        return self._build(NeuronParams, "neuron",
+                           dt=self.values["events"]["window_ms"] / 1000)
 
     def geometry(self) -> HexapodGeometry:
         return self._build(HexapodGeometry, "scene", sweep_angle=math.radians(
@@ -83,14 +85,10 @@ class RunConfig:
                            andpool_energy_per_frame=e["andpool_energy_per_frame_nj"] / 1e9)
 
     def period_s(self) -> float:
-        p = self.values["gait"]["period_s"]
-        if p > 0:
-            return p
-        return self.values["scene"]["frames_per_cycle"] * self.values["neuron"]["dt"]
+        return self.values["scene"]["frames_per_cycle"] * self.neuron_params().dt
 
     def group_gap_s(self) -> float:
-        g = self.values["gait"]["group_gap_s"]
-        return g if g > 0 else self.period_s() / 2.0
+        return self.period_s() / 2.0
 
 
 def default_config() -> RunConfig:
@@ -138,8 +136,10 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("[scene]: frames_per_cycle must be >= 2")
     if not (0.0 <= s["noise_density"] < 1.0):
         raise ConfigError("[scene]: noise_density must be in [0, 1)")
-    if round(cfg.values["events"]["window_ms"] * 1000) < 1:
-        raise ConfigError("[events]: window_ms must be at least 1 us, the event time unit")
+    try:
+        _window_us(cfg.values["events"]["window_ms"])
+    except ValueError as exc:
+        raise ConfigError(f"[events]: {exc}") from exc
     if cfg.values["training"]["repeats"] < 0:
         raise ConfigError("[training]: repeats must be >= 0")
     if cfg.values["training"]["prior_std_deg"] <= 0:
@@ -166,8 +166,6 @@ _NOTES = {
     ("scene", "tip_blocks"): "foot-site blocks surviving the 10x10 AND pool",
     ("scene", "active_frames"): "fast-sweep frames that light the foot site",
     ("events", "window_ms"): "sensors larger than the scene are center-cropped",
-    ("gait", "period_s"): "0 = frames_per_cycle * dt",
-    ("gait", "group_gap_s"): "0 = period / 2",
 }
 
 

@@ -7,6 +7,7 @@ line, `#` comments, and a sidecar header line `!sensor WxH`.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -59,6 +60,13 @@ def _column(values) -> np.ndarray:
     return col if col.dtype.kind == "i" else col.astype(np.int64)
 
 
+def _window_us(window_ms: float) -> int:
+    """`window_ms` in whole us; ValueError unless finite and >= 1 us."""
+    if not (math.isfinite(window_ms) and round(window_ms * 1000) >= 1):
+        raise ValueError(f"window_ms must be finite and at least 1 us, got {window_ms}")
+    return int(round(window_ms * 1000))
+
+
 def accumulate_frames(events: EventArray, window_ms: float, width: int,
                       height: int) -> FrameStream:
     """OR-accumulate events into binary frames of `window_ms` each.
@@ -66,11 +74,9 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
     empty input. Any event in window k sets its pixel's bit in frame k.
     """
-    window_us = int(round(window_ms * 1000))
-    if window_us < 1:
-        raise ValueError(f"window_ms must be at least 1 us, got {window_ms}")
+    window_us = _window_us(window_ms)
     if not len(events):
-        return FrameStream(np.empty(0, dtype=np.int64), 0, width, height, window_ms)
+        return FrameStream(np.empty(0, dtype=np.int64), 0, width, height)
     x, y = events.x, events.y
     outside = np.flatnonzero((x >= width) | (y >= height))
     if outside.size:
@@ -84,12 +90,12 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     keys += y
     keys *= width
     keys += x
-    return FrameStream.from_keys(keys, n_frames, width, height, window_ms)
+    return FrameStream.from_keys(keys, n_frames, width, height)
 
 
-def frames_to_events(stream: FrameStream) -> EventArray:
+def frames_to_events(stream: FrameStream, window_ms: float) -> EventArray:
     """Invert accumulation: one event per set pixel, mid-window timestamp."""
-    window_us = int(round(stream.window_ms * 1000))
+    window_us = _window_us(window_ms)
     frame, y, x = stream.pixels()
     return EventArray(x, y, frame * window_us + window_us // 2)
 

@@ -91,23 +91,20 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FrameStream:
-    """Ordered binary frames sharing one size and window.
+    """Ordered binary frames of one size.
 
     Only the set pixels are stored: `keys` holds their sorted, distinct
-    flat indices (frame * height + y) * width + x. Frame k covers real
-    time [k * window_ms, (k+1) * window_ms). Dense frames are built on
-    request (`frames`, indexing).
+    flat indices (frame * height + y) * width + x. Dense frames are built
+    on request (`frames`, indexing). A stream carries no time: the event
+    converters in `events` take the window that maps frames to time.
     """
 
     keys: np.ndarray
     n_frames: int
     width: int
     height: int
-    window_ms: float
 
     def __post_init__(self):
-        if self.window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0, got {self.window_ms}")
         if min(self.n_frames, self.width, self.height) < 0:
             raise ValueError("frame count and dimensions must be >= 0")
         _check_frame_count(self.n_frames)
@@ -121,8 +118,7 @@ class FrameStream:
         object.__setattr__(self, "keys", keys)
 
     @classmethod
-    def from_keys(cls, keys, n_frames: int, width: int, height: int,
-                  window_ms: float) -> "FrameStream":
+    def from_keys(cls, keys, n_frames: int, width: int, height: int) -> "FrameStream":
         """Stream with the flat pixel keys `keys` set, in any order;
         repeated keys OR together.
 
@@ -130,20 +126,20 @@ class FrameStream:
         pass one that nothing else reads.
         """
         return cls(_sort_unique(np.asarray(keys, dtype=np.int64)), n_frames,
-                   width, height, window_ms)
+                   width, height)
 
     @classmethod
-    def from_frames(cls, frames, window_ms: float) -> "FrameStream":
+    def from_frames(cls, frames) -> "FrameStream":
         """Stream of dense BinaryFrames of one size."""
         frames = tuple(frames)
         for f in frames:
             if f.bits.shape != frames[0].bits.shape:
                 raise DimensionError("frames in a stream must share dimensions")
         if not frames:
-            return cls(np.empty(0, dtype=np.int64), 0, 0, 0, window_ms)
+            return cls(np.empty(0, dtype=np.int64), 0, 0, 0)
         bits = np.stack([f.bits for f in frames])
         return cls(np.flatnonzero(bits), len(frames), frames[0].width,
-                   frames[0].height, window_ms)
+                   frames[0].height)
 
     def pixels(self):
         """(frame, y, x) arrays of every set pixel, ordered by frame, y, x."""
@@ -175,10 +171,10 @@ class FrameStream:
 
 def as_stream(frames) -> FrameStream:
     """`frames` if it is a FrameStream, else the stream of that sequence of
-    dense BinaryFrames (one size; the window is nominal)."""
+    dense BinaryFrames of one size."""
     if isinstance(frames, FrameStream):
         return frames
-    return FrameStream.from_frames(frames, 1.0)
+    return FrameStream.from_frames(frames)
 
 
 def _check_divisible(frame: BinaryFrame, k: int) -> None:
@@ -249,12 +245,12 @@ def pooled_streams(stream: FrameStream, body: bool = True):
     if h % k or w % k:
         raise DimensionError(f"frame {w}x{h} not divisible by kernel {k}")
     i10 = _full_tiles(_tile_keys(stream.keys, w, 10), 10)
-    leg = FrameStream(i10, n, w // 10, h // 10, stream.window_ms)
+    leg = FrameStream(i10, n, w // 10, h // 10)
     if not body:
         return leg, None
     i2 = _full_tiles(_tile_keys(stream.keys, w, 2), 2)
     i20 = _sort_unique(_tile_keys(i2, w // 2, 10))
-    return leg, FrameStream(i20, n, w // 20, h // 20, stream.window_ms)
+    return leg, FrameStream(i20, n, w // 20, h // 20)
 
 
 def frame_not(a: BinaryFrame) -> BinaryFrame:

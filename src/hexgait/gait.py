@@ -36,7 +36,7 @@ def spikes_to_gait(raster: SpikeRaster, period: float) -> GaitTrace:
     return GaitTrace(cycles=tuple(tuple(c) for c in cycles))
 
 
-def label_sequence(raster: SpikeRaster, gap_s: float = 0.5):
+def label_sequence(raster: SpikeRaster, gap_s: float):
     """Collapse the raster into an ordered list of spike-event label sets.
 
     Steps whose spikes fall within `gap_s` of the previous spike merge into

@@ -142,6 +142,8 @@ def load_weights(path) -> WeightMap:
     if values.shape != (n * h, w):
         raise DataError(f"bad weight file {path}: header {n} {h} {w} wants "
                         f"{n * h} rows of {w}, got {values.shape}")
+    if n != N_LEGS:
+        raise DataError(f"bad weight file {path}: {n} neurons, need {N_LEGS}")
     return WeightMap(values.reshape(n, h, w))
 
 

@@ -53,6 +53,8 @@ class HexapodGeometry:
                 Point(self.body_center.x + self.body_radius * math.cos(math.radians(a)),
                       self.body_center.y + self.body_radius * math.sin(math.radians(a)))
                 for a in DEFAULT_ANCHOR_DEG)
+        if self.body_radius <= 0 or self.leg_length <= 0:
+            raise ValueError("body_radius and leg_length must be > 0")
         if len(anchors) != N_LEGS:
             raise ValueError(f"need exactly {N_LEGS} leg anchors, got {len(anchors)}")
         min_sep = self.body_radius / 2
@@ -185,7 +187,6 @@ def sweep_offset(geom: HexapodGeometry, j: int, frames_per_cycle: int) -> float:
 def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
                            frames_per_cycle: int, width: int, height: int,
                            noise_density: float = 0.0, seed: int = 0,
-                           window_ms: float = 40.0,
                            params: RenderParams = RenderParams()) -> FrameStream:
     """Render the expert's gait as a raw binary frame stream.
 
@@ -221,8 +222,7 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
                 parts.append(rng.choice(area, rng.binomial(area, noise_density),
                                         replace=False, shuffle=False))
             keys.append(np.concatenate(parts) + k * area)
-    return FrameStream.from_keys(np.concatenate(keys), len(keys), width, height,
-                                 window_ms)
+    return FrameStream.from_keys(np.concatenate(keys), len(keys), width, height)
 
 
 def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
@@ -283,5 +283,4 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
             lo, hi = np.searchsorted(stream.keys, (a * area, b * area))
             pieces.append(stream.keys[lo:hi] + (start - a) * area)
         start += max(b - a for a, b in segs)
-    return FrameStream.from_keys(np.concatenate(pieces), start, stream.width,
-                                 stream.height, stream.window_ms)
+    return FrameStream.from_keys(np.concatenate(pieces), start, stream.width, stream.height)

@@ -21,8 +21,6 @@ from .scene import HexapodGeometry
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_PRIOR_STD = math.radians(15.0)
-
 
 def wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
@@ -126,7 +124,7 @@ def estimate_leg(history, priors: GaussianPriors) -> int:
                      leg.per_frame()[-1], leg.width, leg.height, priors)[0]
 
 
-def calibrate_priors(geom: HexapodGeometry, std: float = DEFAULT_PRIOR_STD) -> GaussianPriors:
+def calibrate_priors(geom: HexapodGeometry, std: float) -> GaussianPriors:
     """Prior means from geometry: direction from each leg tip to the body center."""
     means = []
     for leg in range(1, N_LEGS + 1):
@@ -145,7 +143,6 @@ class TrainResult:
     raster: SpikeRaster
     log: list = field(default_factory=list)
     skipped: int = 0
-    duration_s: float = 0.0
 
 
 def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
@@ -211,5 +208,4 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
         log.append(f"{now:.3f} {label} {theta:.6f} {p:.9g} {m:.9g} {cells.size}")
     gt = repeats * n
     raster = SpikeRaster(dt=params.dt, steps=tuple(raster_steps), n_steps=gt)
-    return TrainResult(weights=weights, raster=raster, log=log,
-                       skipped=skipped, duration_s=gt * params.dt)
+    return TrainResult(weights=weights, raster=raster, log=log, skipped=skipped)

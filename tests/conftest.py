@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hexgait.config import default_config
@@ -17,8 +19,8 @@ def geom(cfg):
 
 
 @pytest.fixture(scope="session")
-def priors(geom):
-    return calibrate_priors(geom)
+def priors(cfg, geom):
+    return calibrate_priors(geom, math.radians(cfg["training"]["prior_std_deg"]))
 
 
 @pytest.fixture(scope="session")

@@ -81,6 +81,8 @@ _BAD_VALUES = (
     "[neuron]\ntau_v = nan\n",
     "[energy]\nenergy_per_spike_nj = -1.0\n",
     "[events]\nwindow_ms = 0.0001\n",  # rounds to 0 us
+    "[scene]\nbody_radius = 0.0\n",  # all six anchors coincide
+    "[scene]\nleg_length = 0.0\n",
     "[scene]\nframes_per_cycle = 15000\n",  # over MAX_FRAMES when rendered
     "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n",  # when spliced
 )
@@ -106,6 +108,14 @@ def test_config_frame_cap_boundary(tmp_path):
         load_config(path)
 
 
+def test_config_window_is_the_network_step(tmp_path):
+    path = tmp_path / "fast.ini"
+    path.write_text("[events]\nwindow_ms = 20\n")
+    cfg = load_config(path)
+    assert cfg.neuron_params().dt == 0.02
+    assert cfg.period_s() == 0.5
+
+
 def test_config_builders_give_owner_defaults():
     cfg = default_config()
     assert cfg.neuron_params() == NeuronParams()
@@ -125,6 +135,9 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     bad.write_text("[nope]\nx = 1\n")
     assert main(["--config", str(bad), "example-config"]) == 2
     assert "config error" in capsys.readouterr().err
+    bad.write_text("[gait]\nperiod_s = 1.0\n")
+    assert main(["--config", str(bad), "example-config"]) == 2
+    assert "unknown config section [gait]" in capsys.readouterr().err
     out = tmp_path / "out"
     for text in _BAD_VALUES:
         bad.write_text(text)
@@ -205,6 +218,18 @@ def test_cli_test_weight_body_mismatch_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error:" in err and "Warning" not in err
     assert not (out / "test_raster.txt").exists()
+
+
+def test_cli_test_weight_neuron_count_exit_3(tmp_path, capsys):
+    evts = tmp_path / "events.txt"
+    evts.write_text("!sensor 600x600\n1,1,0\n")
+    weights = tmp_path / "weights.txt"
+    out = tmp_path / "out"
+    for n in (5, 7):
+        save_weights(weights, WeightMap(np.zeros((n, 60, 60))))
+        assert main(["--out", str(out), "test", str(weights), str(evts)]) == 3, n
+        assert "data error:" in capsys.readouterr().err
+        assert not (out / "test_raster.txt").exists()
 
 
 def test_cli_train_non_text_events_exit_3(tmp_path, capsys):
@@ -298,7 +323,8 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
 
 @pytest.mark.parametrize("section,key", [("events", "sensor_width"),
                                          ("events", "sensor_height"),
-                                         ("energy", "gates")])
+                                         ("energy", "gates"),
+                                         ("neuron", "dt")])
 def test_cli_removed_keys_exit_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "old.ini"
     cfg.write_text(f"[{section}]\n{key} = 600\n")

@@ -41,11 +41,16 @@ def test_single_event():
 
 
 def test_window_under_one_microsecond_rejected():
-    # Timestamps are whole microseconds: such a window would divide by 0.
-    for window_ms in (0.0, 0.0001, 0.0005):
+    # Timestamps are whole microseconds: such a window would divide by 0,
+    # or stamp every event t = 0.
+    stream = accumulate_frames(events_of([(1, 1, 5)]), 0.001, 4, 4)
+    for window_ms in (0.0, 0.0001, 0.0005, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="at least 1 us"):
             accumulate_frames(events_of([(1, 1, 5)]), window_ms, 4, 4)
-    assert len(accumulate_frames(events_of([(1, 1, 5)]), 0.001, 4, 4)) == 6
+        with pytest.raises(ValueError, match="at least 1 us"):
+            frames_to_events(stream, window_ms)
+    assert len(stream) == 6
+    assert frames_to_events(stream, 0.001) == events_of([(1, 1, 5)])
 
 
 def test_window_boundary():
@@ -121,7 +126,7 @@ def test_frames_to_events_roundtrip():
     events = EventArray(rng.integers(0, 16, 30), rng.integers(0, 16, 30),
                         rng.integers(0, 200_000, 30))
     stream = accumulate_frames(events, 40, 16, 16)
-    rebuilt = accumulate_frames(frames_to_events(stream), 40, 16, 16)
+    rebuilt = accumulate_frames(frames_to_events(stream, 40.0), 40, 16, 16)
     assert stream.frames == rebuilt.frames
 
 

@@ -34,7 +34,7 @@ def _frame(rng, w, h, p_tile, density):
 def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
     rng = np.random.default_rng(seed)
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
-    stream = FrameStream.from_frames(frames, 40.0)
+    stream = FrameStream.from_frames(frames)
     keys = stream.keys.copy()
     i10, body = pooled_streams(stream)
     assert i10.frames == tuple(andpool(f, 10) for f in frames)
@@ -47,12 +47,12 @@ def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2 * 3 * 4 - 1), max_size=60))
 def test_from_keys_equals_np_unique(keys):
-    stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), 2, 4, 3, 40.0)
+    stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), 2, 4, 3)
     assert np.array_equal(stream.keys, np.unique(np.array(keys, dtype=np.int64)))
 
 
 def test_tile_pool_divisibility():
-    stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)], 40.0)
+    stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)])
     i10, _ = pooled_streams(stream, body=False)
     assert i10.frames == (BinaryFrame.zeros(3, 2),)
     with pytest.raises(DimensionError, match="30x20.*20"):
@@ -64,7 +64,7 @@ def test_stream_length_is_capped():
     with pytest.raises(DataError, match="limit"):
         accumulate_frames(one_line, 40, 600, 600)
     with pytest.raises(DataError, match="limit"):
-        FrameStream(np.empty(0, dtype=np.int64), MAX_FRAMES + 1, 600, 600, 40.0)
+        FrameStream(np.empty(0, dtype=np.int64), MAX_FRAMES + 1, 600, 600)
 
 
 # Field tokens: mostly plain digits, plus what int() and np.loadtxt disagree
@@ -200,7 +200,7 @@ def test_run_network_on_pooled_stream_matches_dense_frames(seed, tw, th, n, p_ti
                                                            params, scale):
     rng = np.random.default_rng(seed)
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, 0.05) for _ in range(n)]
-    stream = FrameStream.from_frames(frames, 40.0)
+    stream = FrameStream.from_frames(frames)
     weights = WeightMap(rng.random((6, 2 * th, 2 * tw)) * scale)
     i10, _ = pooled_streams(stream, body=False)
     state, raster = run_network(i10, weights, params)

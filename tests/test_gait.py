@@ -45,7 +45,7 @@ def test_label_sequence_gap_splits():
 
 
 def test_label_sequence_empty():
-    assert label_sequence(raster()) == []
+    assert label_sequence(raster(), gap_s=0.5) == []
     with pytest.raises(ValueError):
         label_sequence(raster(), gap_s=0.0)
 

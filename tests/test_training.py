@@ -84,9 +84,10 @@ def test_estimate_leg_errors(priors):
         estimate_leg([solid], priors)
 
 
-def test_calibrate_priors_idempotent_and_sided(geom):
-    a = calibrate_priors(geom)
-    b = calibrate_priors(geom)
+def test_calibrate_priors_idempotent_and_sided(geom, cfg):
+    std = math.radians(cfg["training"]["prior_std_deg"])
+    a = calibrate_priors(geom, std)
+    b = calibrate_priors(geom, std)
     assert a.means == b.means and a.stds == b.stds
     # Tips point outward, so every mean points back toward the center:
     # left-side legs (1..3) look right-ish, right-side legs look left-ish.
@@ -135,14 +136,14 @@ def test_train_bounds(trained, cfg):
 def test_train_empty_stream_rejected(priors, cfg):
     from hexgait.frames import FrameStream
     with pytest.raises(ValueError):
-        train(FrameStream.from_frames((), 40.0), priors, cfg.train_schedule(),
+        train(FrameStream.from_frames(()), priors, cfg.train_schedule(),
               cfg.neuron_params())
 
 
 def test_train_blank_stream_is_noop(priors, cfg):
     from hexgait.frames import FrameStream
     blank = FrameStream.from_frames(
-        tuple(BinaryFrame.zeros(600, 600) for _ in range(20)), 40.0)
+        tuple(BinaryFrame.zeros(600, 600) for _ in range(20)))
     result = train(blank, priors, cfg.train_schedule(), cfg.neuron_params())
     assert not result.weights.w.any()
     assert result.log == []
@@ -171,7 +172,8 @@ def test_train_time_runs_across_repeats(train_stream, priors, cfg):
     result = train(train_stream, priors, cfg.train_schedule(),
                    cfg.neuron_params(), repeats=2)
     n = len(train_stream)
-    assert result.duration_s == pytest.approx(2 * n * cfg.neuron_params().dt)
+    assert result.raster.n_steps * result.raster.dt == pytest.approx(
+        2 * n * cfg.neuron_params().dt)
     times = [float(line.split()[0]) for line in result.log]
     assert any(t >= n * cfg.neuron_params().dt for t in times)
 
@@ -226,9 +228,9 @@ def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
     else:
         frames = train_stream.frames[:n]
     sched = TrainSchedule(omega=0.5)
-    looped = train(FrameStream.from_frames(frames, 40.0), priors, sched,
+    looped = train(FrameStream.from_frames(frames), priors, sched,
                    cfg.neuron_params(), repeats=3)
-    unrolled = train(FrameStream.from_frames(frames * 3, 40.0), priors, sched,
+    unrolled = train(FrameStream.from_frames(frames * 3), priors, sched,
                      cfg.neuron_params())
     assert looped.log and looped.log == unrolled.log
     assert np.array_equal(looped.weights.w, unrolled.weights.w)
@@ -255,7 +257,7 @@ def test_train_labels_match_dense_reference(train_stream, priors, cfg, n, repeat
     from hexgait.frames import FrameStream
     frames = train_stream.frames[:n]
     params = cfg.neuron_params()
-    result = train(FrameStream.from_frames(frames, 40.0), priors,
+    result = train(FrameStream.from_frames(frames), priors,
                    cfg.train_schedule(), params, repeats=repeats)
     assert len(result.log) == repeats * (48 if n == 216 else 8)
     for line in result.log:
