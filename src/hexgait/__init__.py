@@ -16,21 +16,4 @@ import os
 # call. Set before any submodule imports numpy; a user's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import (ConfigError, DataError, DimensionError, EmptyFrameError,
-                     EmptyStreamError, EventBoundsError, EventFileError,
-                     HexgaitError)
-from .events import (EventArray, accumulate_frames, crop_events, load_events,
-                     save_events)
-from .frames import (BinaryFrame, FrameStream, Point, andpool, centroid,
-                     frame_not, orpool, pooled_streams, popcount)
-from .gait import GaitTrace, is_tripod, label_sequence, sequence_accuracy, spikes_to_gait
-from .neurons import (N_LEGS, NetworkState, NeuronParams, NeuronState, SpikeRaster,
-                      WeightMap, inject, run_network, step_network, step_neuron,
-                      step_state)
-from .scene import (GaitSchedule, HexapodGeometry, render_expert_sequence,
-                    splice_segments)
-from .training import (GaussianPriors, TrainSchedule, calibrate_priors,
-                       classify_angle, estimate_leg, train)
-from .energy import EnergyModel, energy_report
-
 __version__ = "0.1.0"

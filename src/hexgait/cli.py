@@ -126,6 +126,10 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
 def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
              schedule_path=None) -> int:
     weights = load_weights(weights_path)
+    grid = (cfg["scene"]["height"] // 10, cfg["scene"]["width"] // 10)
+    if weights.w.shape[1:] != grid:
+        raise DataError(f"weight file {weights_path}: grid {weights.w.shape[1:]} "
+                        f"!= the I10 grid {grid} of the configured frame")
     schedule = _load_schedule(schedule_path) if schedule_path else None
     _, raster, sequence, accuracy = _test(
         cfg, out, weights, _ingest_events(cfg, events_path), "test_raster.txt",

@@ -28,14 +28,6 @@ class EmptyStreamError(DataError, ValueError):
 class EventBoundsError(DataError):
     """An event fell outside the sensor bounds."""
 
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
 
 class EventFileError(DataError):
     """Unparsable event file line."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(message)
-        self.line_number = line_number

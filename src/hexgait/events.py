@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import DataError, EventBoundsError, EventFileError
-from .frames import FrameStream, _check_frame_count
+from .frames import MAX_FRAMES, FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
 # One parsed event file line: 16 bytes, where three int64 would take 24.
@@ -60,10 +60,15 @@ def _column(values) -> np.ndarray:
     return col if col.dtype.kind == "i" else col.astype(np.int64)
 
 
+# Longest frame window, in us, that keeps MAX_FRAMES frames' stamps in int64.
+_MAX_WINDOW_US = _INT64_MAX // MAX_FRAMES
+
+
 def _window_us(window_ms: float) -> int:
-    """`window_ms` in whole us; ValueError unless finite and >= 1 us."""
-    if not (math.isfinite(window_ms) and round(window_ms * 1000) >= 1):
-        raise ValueError(f"window_ms must be finite and at least 1 us, got {window_ms}")
+    """`window_ms` in whole us; ValueError unless finite and 1.._MAX_WINDOW_US."""
+    if not (math.isfinite(window_ms) and 1 <= round(window_ms * 1000) <= _MAX_WINDOW_US):
+        raise ValueError(f"window_ms must be finite, at least 1 us and at most "
+                         f"{_MAX_WINDOW_US} us, got {window_ms}")
     return int(round(window_ms * 1000))
 
 
@@ -82,7 +87,7 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     if outside.size:
         i = int(outside[0])
         raise EventBoundsError(
-            i, f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+            f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
     keys = events.t // window_us  # frame index
     n_frames = int(keys.max()) + 1
     _check_frame_count(n_frames)  # before a wild frame index overflows a key
@@ -204,20 +209,20 @@ def _parse_lines(path):
                 try:
                     sensor = _sensor(line)
                 except (IndexError, ValueError):
-                    raise EventFileError(lineno, f"line {lineno}: bad sensor header {line!r}")
+                    raise EventFileError(f"line {lineno}: bad sensor header {line!r}")
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise EventFileError(lineno, f"line {lineno}: expected x,y,t_us, got {line!r}")
+                raise EventFileError(f"line {lineno}: expected x,y,t_us, got {line!r}")
             try:
                 row = [int(p) for p in parts]
                 if not all(0 <= v <= _INT64_MAX for v in row):
                     raise ValueError(row)
             except ValueError:
-                raise EventFileError(lineno, f"line {lineno}: bad event {line!r}")
+                raise EventFileError(f"line {lineno}: bad event {line!r}")
             rows.append(tuple(row))
     if sensor is None:
-        raise EventFileError(0, "missing !sensor WxH header")
+        raise EventFileError("missing !sensor WxH header")
     return np.array(rows, dtype=[(f, "<i8") for f in "xyt"]), sensor
 
 

@@ -94,8 +94,8 @@ class FrameStream:
     """Ordered binary frames of one size.
 
     Only the set pixels are stored: `keys` holds their sorted, distinct
-    flat indices (frame * height + y) * width + x. Dense frames are built
-    on request (`frames`, indexing). A stream carries no time: the event
+    flat indices (frame * height + y) * width + x. `frames` builds the
+    dense frames on request. A stream carries no time: the event
     converters in `events` take the window that maps frames to time.
     """
 
@@ -164,9 +164,6 @@ class FrameStream:
 
     def __len__(self) -> int:
         return self.n_frames
-
-    def __getitem__(self, i):
-        return self.frames[i]
 
 
 def as_stream(frames) -> FrameStream:
@@ -262,18 +259,13 @@ def popcount(frame: BinaryFrame) -> int:
     return int(frame.bits.sum())
 
 
-def centroid(frame: BinaryFrame) -> Point:
-    """Mean of set-bit coordinates, normalized to [0,1] per axis.
+def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
+    """Mean coordinate of the set bits of a width x height frame, given by
+    their flat indices `cells` (y * width + x), normalized to [0,1] per axis.
 
     Each axis is divided by (dimension - 1) so a single-bit frame maps the
     bit's pixel coordinates exactly; resolution-independent by design.
     """
-    return cell_centroid(np.flatnonzero(frame.bits), frame.width, frame.height)
-
-
-def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
-    """`centroid` of the width x height frame whose set bits have the flat
-    indices `cells` (y * width + x)."""
     if cells.size == 0:
         raise EmptyFrameError("centroid of an empty frame is undefined")
     rows, cols = np.divmod(cells, width)

@@ -10,8 +10,8 @@ integrated with a fixed step dt; crossing v_thresh emits a spike, resets
 v to v_rest and starts the refractory hold.
 
 The network runs on `NetworkState`, n doubles per state variable,
-stepped by `step_state`. The scalar `NeuronState`, `inject`,
-`step_neuron` and `step_network` are its per-neuron reference.
+stepped by `step_state`. The scalar `NeuronState` and `step_neuron` are
+its per-neuron reference.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import DataError, DimensionError
-from .frames import BinaryFrame, as_stream
+from .frames import as_stream
 
 N_LEGS = 6
 
@@ -144,6 +144,8 @@ def load_weights(path) -> WeightMap:
                         f"{n * h} rows of {w}, got {values.shape}")
     if n != N_LEGS:
         raise DataError(f"bad weight file {path}: {n} neurons, need {N_LEGS}")
+    if not np.isfinite(values).all():
+        raise DataError(f"bad weight file {path}: non-finite weight")
     return WeightMap(values.reshape(n, h, w))
 
 
@@ -196,21 +198,17 @@ def load_raster(path) -> SpikeRaster:
                 fields = line.split()
                 if len(fields) != 2:
                     raise ValueError(f"line {lineno}: expected `time_s neuron`, got {line!r}")
-                by_time.setdefault(float(fields[0]), set()).add(int(fields[1]))
+                t, label = float(fields[0]), int(fields[1])
+                if not (math.isfinite(t) and 1 <= label <= N_LEGS):
+                    raise ValueError(f"line {lineno}: need a finite time and a "
+                                     f"neuron in 1..{N_LEGS}, got {line!r}")
+                by_time.setdefault(t, set()).add(label)
     except ValueError as exc:
         raise DataError(f"bad raster file {path}: {exc}") from exc
+    if n_steps < 0:
+        raise DataError(f"bad raster file {path}: n_steps={n_steps} is negative")
     steps = tuple((t, frozenset(s)) for t, s in sorted(by_time.items()))
     return SpikeRaster(dt=dt, steps=steps, n_steps=n_steps)
-
-
-def inject(state: NeuronState, weights: np.ndarray, frame: BinaryFrame) -> NeuronState:
-    """Add the weight/frame dot product to g_e; refractory neurons discard it."""
-    if weights.shape != frame.bits.shape:
-        raise DimensionError(
-            f"weight grid {weights.shape} != frame {frame.bits.shape}")
-    if not frame.bits.any():
-        return state
-    return replace(state, g_e=state.g_e + float(weights[frame.bits].sum()))
 
 
 def step_neuron(state: NeuronState, params: NeuronParams, now: float):
@@ -229,29 +227,15 @@ def step_neuron(state: NeuronState, params: NeuronParams, now: float):
     return NeuronState(v=v, g_e=g_e, refractory_until=state.refractory_until), False
 
 
-def step_network(states, weights: WeightMap, frame: BinaryFrame,
-                 params: NeuronParams, now: float):
-    """Inject then step every neuron. Returns (states, set of spiked labels)."""
-    new_states = []
-    spiked = set()
-    for i, state in enumerate(states):
-        if now >= state.refractory_until:
-            state = inject(state, weights.w[i], frame)
-        state, fired = step_neuron(state, params, now)
-        if fired:
-            spiked.add(i + 1)
-        new_states.append(state)
-    return tuple(new_states), spiked
-
-
 def step_state(state: NetworkState, weights: np.ndarray, cells: np.ndarray,
                params: NeuronParams, now: float) -> frozenset:
-    """Inject then step every neuron, in place: step_network on floats.
+    """Inject then step every neuron, in place.
 
     `weights` holds one flat weight row per neuron and `cells` the sorted
-    flat indices of the set input pixels. Each neuron takes step_neuron's
-    operations in step_neuron's order, so the doubles are the same.
-    Returns the spiked labels.
+    flat indices of the set input pixels. A neuron that is not refractory
+    adds its weights at `cells` to g_e, then takes step_neuron's operations
+    in step_neuron's order, so the doubles are the same. Returns the
+    spiked labels.
     """
     # np.take keeps the gathered block C-ordered, so each row sums in the
     # same order as float(w[i][bits].sum()); w[:, cells] is F-ordered and

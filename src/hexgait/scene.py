@@ -28,8 +28,9 @@ from .neurons import N_LEGS
 BLOCK = 10
 
 # Anchor directions (degrees, image coords): legs 1-3 on the left side,
-# legs 4-6 on the right. Adjacent directions are 45 degrees apart.
-DEFAULT_ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
+# legs 4-6 on the right. Adjacent directions are 45 degrees apart, so
+# neighbouring anchors are 2 r sin(22.5 deg) ~ 0.77 r apart.
+ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
 
 
 def _unit(angle: float):
@@ -38,33 +39,21 @@ def _unit(angle: float):
 
 @dataclass(frozen=True)
 class HexapodGeometry:
-    """Planar hexapod layout in normalized [0,1]^2 coordinates."""
+    """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
+    anchors sit on the body's rim in the ANCHOR_DEG directions."""
 
-    body_center: Point = Point(0.5, 0.5)
+    body_center = Point(0.5, 0.5)
     body_radius: float = 0.18
-    leg_anchors: tuple = ()
     leg_length: float = 0.17
     sweep_angle: float = math.radians(30.0)
 
     def __post_init__(self):
-        anchors = tuple(self.leg_anchors)
-        if not anchors:
-            anchors = tuple(
-                Point(self.body_center.x + self.body_radius * math.cos(math.radians(a)),
-                      self.body_center.y + self.body_radius * math.sin(math.radians(a)))
-                for a in DEFAULT_ANCHOR_DEG)
+        anchors = tuple(
+            Point(self.body_center.x + self.body_radius * math.cos(math.radians(a)),
+                  self.body_center.y + self.body_radius * math.sin(math.radians(a)))
+            for a in ANCHOR_DEG)
         if self.body_radius <= 0 or self.leg_length <= 0:
             raise ValueError("body_radius and leg_length must be > 0")
-        if len(anchors) != N_LEGS:
-            raise ValueError(f"need exactly {N_LEGS} leg anchors, got {len(anchors)}")
-        min_sep = self.body_radius / 2
-        for i in range(N_LEGS):
-            for j in range(i + 1, N_LEGS):
-                d = math.hypot(anchors[i].x - anchors[j].x,
-                               anchors[i].y - anchors[j].y)
-                if d < min_sep:
-                    raise ValueError(
-                        f"anchors {i + 1} and {j + 1} too close ({d:.4f} < {min_sep:.4f})")
         object.__setattr__(self, "leg_anchors", anchors)
 
     def anchor_angle(self, leg: int) -> float:

@@ -32,24 +32,24 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianPriors:
-    """Per-leg angular Gaussians of equal prior mass: mean direction, width."""
+    """Per-leg angular Gaussians of equal prior mass: mean directions, one width."""
 
     means: tuple
-    stds: tuple
+    std: float
 
     def __post_init__(self):
         means = tuple(float(m) for m in self.means)
-        stds = tuple(float(s) for s in self.stds)
-        if not (len(means) == len(stds) == N_LEGS):
-            raise ValueError(f"priors need {N_LEGS} entries per field")
-        if any(s <= 0 for s in stds):
-            raise ValueError("prior stds must be positive")
+        std = float(self.std)
+        if len(means) != N_LEGS:
+            raise ValueError(f"priors need {N_LEGS} means, got {len(means)}")
+        if std <= 0:
+            raise ValueError("prior std must be positive")
         for i in range(N_LEGS):
             for j in range(i + 1, N_LEGS):
                 if abs(wrap_angle(means[i] - means[j])) < 1e-9:
                     raise ValueError(f"prior means {i + 1} and {j + 1} coincide")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
+        object.__setattr__(self, "std", std)
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ class TrainSchedule:
 def classify_angle(theta: float, priors: GaussianPriors) -> int:
     """Most probable leg for direction theta; ties break to the lowest label."""
     best_leg, best_score = 1, -math.inf
+    sigma = priors.std
     for leg in range(1, N_LEGS + 1):
-        mu = priors.means[leg - 1]
-        sigma = priors.stds[leg - 1]
-        d = wrap_angle(theta - mu)
+        d = wrap_angle(theta - priors.means[leg - 1])
         score = (1.0 / sigma) * math.exp(-0.5 * (d / sigma) ** 2)
         if score > best_score + 1e-15:
             best_leg, best_score = leg, score
@@ -134,7 +133,7 @@ def calibrate_priors(geom: HexapodGeometry, std: float) -> GaussianPriors:
         tip_y = anchor.y + geom.leg_length * math.sin(phi)
         means.append(math.atan2(geom.body_center.y - tip_y,
                                 geom.body_center.x - tip_x))
-    return GaussianPriors(means=tuple(means), stds=(std,) * N_LEGS)
+    return GaussianPriors(means=tuple(means), std=std)
 
 
 @dataclass

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hexgait.config import default_config
-from hexgait.frames import BinaryFrame
+from hexgait.errors import DimensionError
+from hexgait.frames import BinaryFrame, Point, cell_centroid
+from hexgait.neurons import NeuronParams, NeuronState, WeightMap, step_neuron
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import calibrate_priors, train
 
@@ -41,3 +45,34 @@ def trained(cfg, train_stream, priors):
 
 def random_frame(rng, width, height, density=0.5):
     return BinaryFrame(rng.random((height, width)) < density)
+
+
+def centroid(frame: BinaryFrame) -> Point:
+    """cell_centroid of a dense frame."""
+    return cell_centroid(np.flatnonzero(frame.bits), frame.width, frame.height)
+
+
+# The scalar network reference that neurons.step_state is checked against.
+def inject(state: NeuronState, weights: np.ndarray, frame: BinaryFrame) -> NeuronState:
+    """Add the weight/frame dot product to g_e; refractory neurons discard it."""
+    if weights.shape != frame.bits.shape:
+        raise DimensionError(
+            f"weight grid {weights.shape} != frame {frame.bits.shape}")
+    if not frame.bits.any():
+        return state
+    return replace(state, g_e=state.g_e + float(weights[frame.bits].sum()))
+
+
+def step_network(states, weights: WeightMap, frame: BinaryFrame,
+                 params: NeuronParams, now: float):
+    """Inject then step every neuron. Returns (states, set of spiked labels)."""
+    new_states = []
+    spiked = set()
+    for i, state in enumerate(states):
+        if now >= state.refractory_until:
+            state = inject(state, weights.w[i], frame)
+        state, fired = step_neuron(state, params, now)
+        if fired:
+            spiked.add(i + 1)
+        new_states.append(state)
+    return tuple(new_states), spiked

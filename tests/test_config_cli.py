@@ -81,7 +81,10 @@ _BAD_VALUES = (
     "[neuron]\ntau_v = nan\n",
     "[energy]\nenergy_per_spike_nj = -1.0\n",
     "[events]\nwindow_ms = 0.0001\n",  # rounds to 0 us
+    "[events]\nwindow_ms = 5e13\n",  # timestamps beyond int64
+    "[events]\nwindow_ms = 1e16\n",
     "[scene]\nbody_radius = 0.0\n",  # all six anchors coincide
+    "[scene]\nbody_radius = 0.6\n",  # anchors outside [0,1]^2
     "[scene]\nleg_length = 0.0\n",
     "[scene]\nframes_per_cycle = 15000\n",  # over MAX_FRAMES when rendered
     "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n",  # when spliced
@@ -194,6 +197,14 @@ def test_cli_energy_bad_raster_exit_3(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
     err = capsys.readouterr().err
     assert "data error:" in err and "line 3" in err
+    for body in ("0.080000 99\n", "0.080000 -2\n", "nan 1\n", "inf 1\n"):
+        raster.write_text("# dt=0.04 n_steps=10\n0.040000 1\n" + body)
+        assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3, body
+        err = capsys.readouterr().err
+        assert "data error:" in err and "line 3" in err
+    raster.write_text("# dt=0.04 n_steps=-3\n0.040000 1\n")
+    assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
+    assert "n_steps=-3" in capsys.readouterr().err
 
 
 def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
@@ -205,6 +216,14 @@ def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
                  str(evts)]) == 3
     err = capsys.readouterr().err
     assert "data error:" in err and "abc" in err
+    for value in (np.nan, np.inf, -np.inf):
+        w = np.zeros((6, 60, 60))
+        w[2, 30, 40] = value
+        save_weights(weights, WeightMap(w))
+        assert main(["--out", str(tmp_path / "out"), "test", str(weights),
+                     str(evts)]) == 3, value
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "test_raster.txt").exists()
 
 
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
@@ -230,6 +249,19 @@ def test_cli_test_weight_neuron_count_exit_3(tmp_path, capsys):
         assert main(["--out", str(out), "test", str(weights), str(evts)]) == 3, n
         assert "data error:" in capsys.readouterr().err
         assert not (out / "test_raster.txt").exists()
+
+
+def test_cli_test_weight_grid_mismatch_exit_3(tmp_path, capsys):
+    # A 100x100 scene's weights against the default 600x600 frame: rejected
+    # from the weight file alone, before the events are read.
+    weights = tmp_path / "weights.txt"
+    save_weights(weights, WeightMap.zeros(10, 10))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "test", str(weights),
+                 str(tmp_path / "absent.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "grid (10, 10)" in err
+    assert not (out / "test_raster.txt").exists()
 
 
 def test_cli_train_non_text_events_exit_3(tmp_path, capsys):

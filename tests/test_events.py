@@ -36,15 +36,16 @@ def test_empty_stream():
 def test_single_event():
     stream = accumulate_frames(events_of([(5, 7, 10_000)]), 40, 16, 16)
     assert len(stream) == 1
-    assert stream[0].bits[7, 5]
-    assert stream[0].bits.sum() == 1
+    assert stream.frames[0].bits[7, 5]
+    assert stream.frames[0].bits.sum() == 1
 
 
 def test_window_under_one_microsecond_rejected():
     # Timestamps are whole microseconds: such a window would divide by 0,
-    # or stamp every event t = 0.
+    # or stamp every event t = 0. Past INT64_MAX // MAX_FRAMES us, the
+    # timestamps of a long stream would overflow int64.
     stream = accumulate_frames(events_of([(1, 1, 5)]), 0.001, 4, 4)
-    for window_ms in (0.0, 0.0001, 0.0005, float("inf"), float("nan")):
+    for window_ms in (0.0, 0.0001, 0.0005, float("inf"), float("nan"), 5e13, 1e16):
         with pytest.raises(ValueError, match="at least 1 us"):
             accumulate_frames(events_of([(1, 1, 5)]), window_ms, 4, 4)
         with pytest.raises(ValueError, match="at least 1 us"):
@@ -81,9 +82,8 @@ def test_accumulate_matches_oracle_and_order_invariance(triples, rnd):
 
 def test_out_of_bounds_reports_index():
     events = events_of([(0, 0, 0), (20, 0, 10)])
-    with pytest.raises(EventBoundsError) as exc:
+    with pytest.raises(EventBoundsError, match="event 1 at"):
         accumulate_frames(events, 40, 16, 16)
-    assert exc.value.index == 1
 
 
 def test_event_file_roundtrip(tmp_path):
@@ -98,9 +98,8 @@ def test_event_file_roundtrip(tmp_path):
 def test_event_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("!sensor 10x10\n1,2\n")
-    with pytest.raises(EventFileError) as exc:
+    with pytest.raises(EventFileError, match="line 2:"):
         load_events(path)
-    assert exc.value.line_number == 2
     path.write_text("1,2,3\n")
     with pytest.raises(EventFileError):
         load_events(path)  # missing header

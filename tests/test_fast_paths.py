@@ -2,22 +2,23 @@
 
 Tile-count pooling (`pooled_streams`) against the dense `andpool`/`orpool`,
 the bulk event-file parse against the line parser, the array-state
-network step (`step_state`) against the scalar `step_network`, the frozen
-replay of a pooled stream against that of its dense frames, and the
-one-template weight writer against per-value formatting.
+network step (`step_state`) against the scalar `step_network` of
+conftest, the frozen replay of a pooled stream against that of its dense
+frames, and the one-template weight writer against per-value formatting.
 """
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import step_network
 from hexgait import events
 from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import EventArray, accumulate_frames, load_events
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             orpool, pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
-                             run_network, save_weights, step_network, step_state)
+                             run_network, save_weights, step_state)
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -109,7 +110,7 @@ def _outcome(fn, path):
     try:
         return fn(path)
     except EventFileError as exc:
-        return ("error", exc.line_number, str(exc))
+        return ("error", str(exc))
     except (DataError, UnicodeDecodeError) as exc:
         return ("undecodable", str(exc.__cause__ or exc))
 

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_frame
+from conftest import centroid, random_frame
 from hexgait.errors import DimensionError, EmptyFrameError
-from hexgait.frames import (BinaryFrame, andpool, centroid, frame_not, orpool,
-                            popcount)
+from hexgait.frames import BinaryFrame, andpool, frame_not, orpool, popcount
 
 
 def brute_pool(bits, k, op):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import inject
 from hexgait.errors import DimensionError
 from hexgait.frames import BinaryFrame
 from hexgait.neurons import (NeuronParams, NeuronState, SpikeRaster, WeightMap,
-                             inject, load_raster, load_weights,
+                             load_raster, load_weights,
                              run_network, save_raster, save_weights,
                              step_neuron)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hexgait.frames import andpool, popcount
-from hexgait.scene import (GaitSchedule, HexapodGeometry, leg_region_mask,
-                           render_expert_sequence, segment_boundaries,
-                           splice_segments)
+from hexgait.scene import (GaitSchedule, leg_region_mask, render_expert_sequence,
+                           segment_boundaries, splice_segments)
 from hexgait.errors import DataError
 
 FPC = 25
@@ -17,12 +16,6 @@ def test_schedule_validation():
         GaitSchedule(((0, {7}),))
     with pytest.raises(ValueError):
         GaitSchedule(((1, {1}), (0, {2})))
-
-
-def test_geometry_rejects_coincident_anchors():
-    from hexgait.frames import Point
-    with pytest.raises(ValueError, match="too close"):
-        HexapodGeometry(leg_anchors=tuple([Point(0.5, 0.3)] * 6))
 
 
 def test_render_determinism(geom, cfg):

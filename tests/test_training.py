@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import centroid
 from hexgait.errors import EmptyFrameError
-from hexgait.frames import (BinaryFrame, andpool, centroid, frame_not,
-                            orpool)
+from hexgait.frames import BinaryFrame, andpool, frame_not, orpool
 from hexgait.neurons import WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
@@ -25,11 +25,11 @@ def test_wrap_angle():
 
 def test_priors_validation():
     with pytest.raises(ValueError):
-        GaussianPriors(means=(0, 1, 2), stds=(1, 1, 1))
+        GaussianPriors(means=(0, 1, 2), std=1)
     with pytest.raises(ValueError):
-        GaussianPriors(means=(0, 1, 2, 3, 0, 5), stds=(1,) * 6)
+        GaussianPriors(means=(0, 1, 2, 3, 0, 5), std=1)
     with pytest.raises(ValueError):
-        GaussianPriors(means=tuple(range(6)), stds=(1, 1, 1, -1, 1, 1))
+        GaussianPriors(means=tuple(range(6)), std=-1)
 
 
 def test_classify_exact_means(priors):
@@ -39,8 +39,7 @@ def test_classify_exact_means(priors):
 
 def test_classify_tie_breaks_low():
     # Two legs symmetric about theta=0 score identically; lowest label wins.
-    priors = GaussianPriors(means=(0.5, -0.5, 1.5, -1.5, 2.5, -2.5),
-                            stds=(0.3,) * 6)
+    priors = GaussianPriors(means=(0.5, -0.5, 1.5, -1.5, 2.5, -2.5), std=0.3)
     assert classify_angle(0.0, priors) == 1
     assert classify_angle(2.0, priors) == 3
 
@@ -88,7 +87,7 @@ def test_calibrate_priors_idempotent_and_sided(geom, cfg):
     std = math.radians(cfg["training"]["prior_std_deg"])
     a = calibrate_priors(geom, std)
     b = calibrate_priors(geom, std)
-    assert a.means == b.means and a.stds == b.stds
+    assert a.means == b.means and a.std == b.std
     # Tips point outward, so every mean points back toward the center:
     # left-side legs (1..3) look right-ish, right-side legs look left-ish.
     for leg in (1, 2, 3):
