@@ -53,13 +53,9 @@ def _load_schedule(path) -> GaitSchedule:
 
 
 def _ingest_events(cfg: RunConfig, path):
-    """Load an event file and accumulate it at the configured frame size."""
-    evts, sw, sh = ev.load_events(path)
-    width, height = cfg["scene"]["width"], cfg["scene"]["height"]
-    if (sw, sh) != (width, height):
-        left, top = ev.centered_crop(sw, sh, width, height)
-        evts = ev.crop_events(evts, left, top, width, height)
-    return ev.accumulate_frames(evts, cfg["events"]["window_ms"], width, height)
+    """Load an event file into frames of the configured size."""
+    return ev.load_frames(path, cfg["events"]["window_ms"], cfg["scene"]["width"],
+                          cfg["scene"]["height"])
 
 
 def _synth(cfg: RunConfig, out: str):

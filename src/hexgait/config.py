@@ -147,7 +147,10 @@ def validate(cfg: RunConfig) -> None:
     if cfg.values["test"]["tripod_repeats"] < 1:
         raise ConfigError("[test]: tripod_repeats must be >= 1")
     # Construct the derived objects so their own invariants run now.
-    cfg.neuron_params()
+    p = cfg.neuron_params()
+    if p.dt >= min(p.tau_ge, p.tau_v):  # an Euler decay factor 1 - dt/tau <= 0
+        raise ConfigError(f"[events]/[neuron]: window_ms / 1000 = {p.dt} s must be "
+                          "below tau_ge and tau_v")
     cfg.geometry()
     cfg.render_params()
     cfg.train_schedule()

@@ -72,6 +72,26 @@ def _window_us(window_ms: float) -> int:
     return int(round(window_ms * 1000))
 
 
+def _frame_keys(events, window_us: int, width: int, height: int, first=0):
+    """(keys, n_frames) of `accumulate_frames`, keys None if n_frames is
+    over the cap. An event out of bounds is numbered from `first`."""
+    x, y = events.x, events.y
+    outside = np.flatnonzero((x >= width) | (y >= height))
+    if outside.size:
+        i = int(outside[0])
+        raise EventBoundsError(
+            f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+    keys = events.t // window_us  # frame index
+    n_frames = int(keys.max()) + 1 if len(events) else 0
+    if n_frames > MAX_FRAMES:  # before a wild frame index overflows a key
+        return None, n_frames
+    keys *= height
+    keys += y
+    keys *= width
+    keys += x
+    return keys, n_frames
+
+
 def accumulate_frames(events: EventArray, window_ms: float, width: int,
                       height: int) -> FrameStream:
     """OR-accumulate events into binary frames of `window_ms` each.
@@ -79,22 +99,8 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
     empty input. Any event in window k sets its pixel's bit in frame k.
     """
-    window_us = _window_us(window_ms)
-    if not len(events):
-        return FrameStream(np.empty(0, dtype=np.int64), 0, width, height)
-    x, y = events.x, events.y
-    outside = np.flatnonzero((x >= width) | (y >= height))
-    if outside.size:
-        i = int(outside[0])
-        raise EventBoundsError(
-            f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
-    keys = events.t // window_us  # frame index
-    n_frames = int(keys.max()) + 1
-    _check_frame_count(n_frames)  # before a wild frame index overflows a key
-    keys *= height
-    keys += y
-    keys *= width
-    keys += x
+    keys, n_frames = _frame_keys(events, _window_us(window_ms), width, height)
+    _check_frame_count(n_frames)
     return FrameStream.from_keys(keys, n_frames, width, height)
 
 
@@ -226,6 +232,19 @@ def _parse_lines(path):
     return np.array(rows, dtype=[(f, "<i8") for f in "xyt"]), sensor
 
 
+def _parse(path):
+    """(rows, sensor_w, sensor_h) of an event file, rows in file order."""
+    try:
+        try:
+            parsed = _parse_bulk(path)
+        except (IndexError, ValueError):
+            parsed = None
+        rows, (w, h) = parsed or _parse_lines(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"bad event file {path}: {exc}") from exc
+    return rows, w, h
+
+
 def load_events(path):
     """Read an event file. Returns (events, sensor_w, sensor_h).
 
@@ -235,15 +254,40 @@ def load_events(path):
     in the locale's encoding is a DataError. Events are sorted by
     timestamp on ingest; the format permits non-strict ordering.
     """
-    try:
-        try:
-            parsed = _parse_bulk(path)
-        except (IndexError, ValueError):
-            parsed = None
-        rows, (w, h) = parsed or _parse_lines(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"bad event file {path}: {exc}") from exc
+    rows, w, h = _parse(path)
     t = rows["t"]
     if (t[1:] < t[:-1]).any():
         rows = rows[np.argsort(t, kind="stable")]
     return EventArray(rows["x"], rows["y"], rows["t"]), w, h
+
+
+_SLICE = 16384  # parsed records per slice of the key build in load_frames
+
+
+def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
+    """`accumulate_frames` of an event file, centre-cropped to the frame.
+
+    Past the parse, memory follows the kept events: their keys are built a
+    slice of records at a time, written over records already read, and the
+    buffer shrinks to them. Events are not sorted, so in an unsorted file
+    an EventBoundsError may name another event index.
+    """
+    window_us = _window_us(window_ms)
+    rows, sw, sh = _parse(path)
+    crop = (sw, sh) != (width, height) and centered_crop(sw, sh, width, height)
+    nk = n_frames = 0
+    for lo in range(0, rows.size, _SLICE):
+        events = EventArray(*(rows[f][lo:lo + _SLICE] for f in "xyt"))
+        if crop:
+            events = crop_events(events, *crop, width, height)
+        keys, n = _frame_keys(events, window_us, width, height, first=lo)
+        del events  # may view `rows`: no view may outlive the resize below
+        n_frames = max(n_frames, n)
+        if n_frames <= MAX_FRAMES:  # slot j is in record j // 2 (or // 3): a read one
+            rows.view(np.int64)[nk:nk + keys.size] = keys
+            nk += keys.size
+    _check_frame_count(n_frames)  # after every bounds check, as accumulate_frames
+    # A realloc, which frees the tail. No view of `rows` is alive; refcheck
+    # would also count the reference that a debugger's f_locals holds.
+    rows.resize(-(-nk // (rows.itemsize // 8)), refcheck=False)
+    return FrameStream.from_keys(rows.view(np.int64)[:nk], n_frames, width, height)

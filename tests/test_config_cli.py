@@ -88,6 +88,9 @@ _BAD_VALUES = (
     "[scene]\nleg_length = 0.0\n",
     "[scene]\nframes_per_cycle = 15000\n",  # over MAX_FRAMES when rendered
     "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n",  # when spliced
+    "[events]\nwindow_ms = 1200\n",  # dt = tau_ge: Euler's g_e decay factor is 0
+    "[events]\nwindow_ms = 1300\n",  # dt > tau_ge: the factor is negative
+    "[neuron]\ntau_ge = 0.04\n",  # tau_ge = dt
 )
 
 
@@ -117,6 +120,8 @@ def test_config_window_is_the_network_step(tmp_path):
     cfg = load_config(path)
     assert cfg.neuron_params().dt == 0.02
     assert cfg.period_s() == 0.5
+    path.write_text("[events]\nwindow_ms = 1000\n")  # dt below tau_ge = 1.2 s
+    assert load_config(path).neuron_params().dt == 1.0
 
 
 def test_config_builders_give_owner_defaults():
@@ -443,6 +448,52 @@ def test_cli_test_is_unchanged_by_a_larger_sensor(fast_cfg_path, fast_run, tmp_p
     for fname in ("test_raster.txt", "report.txt", "gait_trace.txt"):
         assert (outs["big"] / fname).read_bytes() == (outs["plain"] / fname).read_bytes()
     assert "sequence_accuracy=1.000000" in (outs["plain"] / "report.txt").read_text()
+
+
+def _move_in_window(body, rng):
+    """Each event's timestamp moved to a random point of its 40 ms window."""
+    rows = np.array([line.split(",") for line in body], dtype=np.int64)
+    rows[:, 2] += rng.integers(0, 40_000, len(rows)) - rows[:, 2] % 40_000
+    return [f"{x},{y},{t}" for x, y, t in rows.tolist()]
+
+
+_RELATIONS = {
+    "shuffled": lambda body, rng: [body[i] for i in rng.permutation(len(body))],
+    "duplicated": lambda body, rng: body + body,
+    "moved_in_window": _move_in_window,
+}
+
+
+@pytest.fixture(scope="module")
+def fast_test_run(fast_cfg_path, fast_run, tmp_path_factory):
+    """`test --schedule` of the fast run's weights on its own events."""
+    out = tmp_path_factory.mktemp("fast_test")
+    assert main(["--config", fast_cfg_path, "--out", str(out), "test",
+                 str(fast_run / "weights.txt"), str(fast_run / "events.txt"),
+                 "--schedule", str(fast_run / "schedule.txt")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("relation", sorted(_RELATIONS))
+def test_cli_ignores_event_order_repeats_and_times_within_a_window(
+        fast_cfg_path, fast_run, fast_test_run, tmp_path, relation):
+    """A frame is the OR of its window's events: reordering the event lines,
+    repeating every event, or moving a timestamp within its window leaves
+    the `train` and `test` artifacts byte-identical."""
+    header, *body = (fast_run / "events.txt").read_text().splitlines()
+    events = tmp_path / "events.txt"
+    events.write_text("\n".join(
+        [header] + _RELATIONS[relation](body, np.random.default_rng(0))) + "\n")
+    out = tmp_path / "out"
+    base = ["--config", fast_cfg_path, "--out", str(out)]
+    assert main(base + ["train", str(events)]) == 0
+    assert main(base + ["test", str(fast_run / "weights.txt"), str(events),
+                        "--schedule", str(fast_run / "schedule.txt")]) == 0
+    for name in ("weights.txt", "train_raster.txt", "train_log.txt"):
+        assert (out / name).read_bytes() == (fast_run / name).read_bytes(), name
+    for name in ("test_raster.txt", "report.txt", "gait_trace.txt"):
+        assert (out / name).read_bytes() == (fast_test_run / name).read_bytes(), name
+    assert "sequence_accuracy=1.000000" in (out / "report.txt").read_text()
 
 
 def test_cli_repro_deterministic(fast_cfg_path, tmp_path):

@@ -1,20 +1,22 @@
 """The fast paths against their references.
 
 Tile-count pooling (`pooled_streams`) against the dense `andpool`/`orpool`,
-the bulk event-file parse against the line parser, the array-state
+the bulk event-file parse against the line parser, the slice-wise ingest
+(`load_frames`) against load, crop and accumulate of whole arrays, the array-state
 network step (`step_state`) against the scalar `step_network` of
 conftest, the frozen replay of a pooled stream against that of its dense
 frames, and the one-template weight writer against per-value formatting.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import step_network
 from hexgait import events
 from hexgait.errors import DataError, DimensionError, EventFileError
-from hexgait.events import EventArray, accumulate_frames, load_events
+from hexgait.events import (EventArray, accumulate_frames, centered_crop,
+                            crop_events, load_events, load_frames)
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             orpool, pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
@@ -157,6 +159,70 @@ def test_plain_files_never_reach_the_line_parser(tmp_path, triples):
         loaded, w, h = load_events(path)
     assert (w, h) == (800, 800)
     assert loaded == _reference(path)[0]
+
+
+def _whole_array_chain(path, window_ms, width, height):
+    """load_frames as load, crop and accumulate of whole arrays compute it."""
+    evts, sw, sh = load_events(path)
+    if (sw, sh) != (width, height):
+        evts = crop_events(evts, *centered_crop(sw, sh, width, height), width, height)
+    return accumulate_frames(evts, window_ms, width, height)
+
+
+def _frames_or_error(fn, *args):
+    try:
+        stream = fn(*args)
+    except DataError as exc:  # the CLI's exit code follows from the class
+        return type(exc), str(exc)
+    return stream.keys.tolist(), stream.n_frames
+
+
+# 10 us windows: t = 899_999 is in the last frame MAX_FRAMES allow, 900_000
+# in the first beyond.
+_WINDOW_MS = 0.01
+_TIMES = st.one_of(st.integers(0, 120), st.sampled_from([899_999, 900_000, 10**7]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(width=st.integers(1, 5), height=st.integers(1, 5),
+       extra_w=st.sampled_from([0, 0, -1, 1, 4, 2**32]),
+       extra_h=st.sampled_from([0, 0, 1, 3]),
+       triples=st.lists(st.tuples(st.integers(-3, 7), st.integers(-3, 7), _TIMES),
+                        max_size=30),
+       duplicate=st.booleans(), ordered=st.booleans(), line_parser=st.booleans(),
+       slice_size=st.integers(1, 5))
+@example(width=2, height=2, extra_w=0, extra_h=0, triples=[], duplicate=False,
+         ordered=True, line_parser=False, slice_size=1)  # header only
+@example(width=2, height=2, extra_w=4, extra_h=3, triples=[(-1, 0, 5), (2, 1, 7)],
+         duplicate=True, ordered=False, line_parser=True, slice_size=1)  # all cropped
+def test_load_frames_equals_the_whole_array_chain(
+        tmp_path, monkeypatch, width, height, extra_w, extra_h, triples, duplicate,
+        ordered, line_parser, slice_size):
+    """Equal keys and frame count, or the same error class. The message is
+    the same too unless the file is out of time order, where an
+    EventBoundsError may name another event index. Events are placed
+    relative to the crop region; slices of a few records hit their edges."""
+    sensor_w, sensor_h = width + extra_w, height + extra_h
+    left, top = max(extra_w, 0) // 2, extra_h // 2
+    rows = [(max(left + x, 0), max(top + y, 0), t) for x, y, t in triples]
+    rows += rows if duplicate else []
+    if ordered:
+        rows.sort(key=lambda r: r[2])
+    # int() takes "+5" and "0_5"; the bulk parse rejects the underscore.
+    line = "+{},{},{}\n" if line_parser else "{},{},{}\n"
+    stamp = (lambda t: "_".join(f"{t:02d}")) if line_parser else str
+    body = "".join(line.format(x, y, stamp(t)) for x, y, t in rows)
+    path = tmp_path / "events.txt"
+    path.write_text(f"!sensor {sensor_w}x{sensor_h}\n{body}")
+    monkeypatch.setattr(events, "_SLICE", slice_size)
+    args = (path, _WINDOW_MS, width, height)
+    fast = _frames_or_error(load_frames, *args)
+    reference = _frames_or_error(_whole_array_chain, *args)
+    if ordered or isinstance(reference[0], list):
+        assert fast == reference
+    else:
+        assert fast[0] is reference[0]
 
 
 _PARAMS = st.builds(
