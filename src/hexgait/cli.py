@@ -86,12 +86,10 @@ def _train(cfg: RunConfig, out: str, stream):
     return result
 
 
-def _test(cfg: RunConfig, out: str, weights: WeightMap, stream, raster_name: str,
+def _test(cfg: RunConfig, out: str, weights: WeightMap, i10, raster_name: str,
           schedule: GaitSchedule = None):
-    """Frozen run over a raw FrameStream: pool to I10, replay, write the
-    raster. Returns (I10 stream, raster, label sequence, accuracy against
-    `schedule` or None)."""
-    i10, _ = pooled_streams(stream, body=False)
+    """Frozen run over an I10 FrameStream: replay, write the raster.
+    Returns (raster, label sequence, accuracy against `schedule` or None)."""
     _, raster = run_network(i10, weights, cfg.neuron_params())
     save_raster(os.path.join(out, raster_name), raster)
     sequence = label_sequence(raster, cfg.group_gap_s())
@@ -99,7 +97,7 @@ def _test(cfg: RunConfig, out: str, weights: WeightMap, stream, raster_name: str
     if schedule is not None:
         expected = [set(legs) for _, legs in schedule.entries]
         accuracy = sequence_accuracy(sequence, expected)
-    return i10, raster, sequence, accuracy
+    return raster, sequence, accuracy
 
 
 def cmd_synth(cfg: RunConfig, out: str) -> int:
@@ -127,9 +125,9 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
         raise DataError(f"weight file {weights_path}: grid {weights.w.shape[1:]} "
                         f"!= the I10 grid {grid} of the configured frame")
     schedule = _load_schedule(schedule_path) if schedule_path else None
-    _, raster, sequence, accuracy = _test(
-        cfg, out, weights, _ingest_events(cfg, events_path), "test_raster.txt",
-        schedule)
+    i10, _ = pooled_streams(_ingest_events(cfg, events_path), body=False)
+    raster, sequence, accuracy = _test(cfg, out, weights, i10, "test_raster.txt",
+                                       schedule)
     write_atomic(os.path.join(out, "gait_trace.txt"),
                  format_trace(spikes_to_gait(raster, cfg.period_s())))
     report = [format_sequence(sequence).rstrip(), f"is_tripod={is_tripod(sequence)}"]
@@ -177,14 +175,21 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     schedule, stream = _synth(cfg, out)
     result = _train(cfg, out, stream)
     # Frozen test on one further repetition of the training video.
-    _, _, _, seq_acc = _test(cfg, out, result.weights, stream, "seq_raster.txt",
-                             schedule)
+    _, _, seq_acc = _test(cfg, out, result.weights,
+                          pooled_streams(stream, body=False)[0], "seq_raster.txt",
+                          schedule)
     bounds = segment_boundaries(schedule, cfg["scene"]["frames_per_cycle"],
                                 cfg.render_params())
-    tripod = GaitSchedule.tripod(cfg["test"]["tripod_repeats"])
-    i10, tri_raster, tri_observed, tri_acc = _test(
-        cfg, out, result.weights, splice_segments(stream, bounds, tripod),
-        "tripod_raster.txt", tripod)
+    # Repeat k of the tripod splice is repeat 0 shifted by k periods, and
+    # pooling is per frame: so one period is spliced and pooled, and its
+    # I10 stream repeated.
+    repeats = cfg["test"]["tripod_repeats"]
+    period, _ = pooled_streams(
+        splice_segments(stream, bounds, GaitSchedule.tripod(1)), body=False)
+    i10 = period.repeated(repeats)
+    tripod = GaitSchedule.tripod(repeats)
+    tri_raster, tri_observed, tri_acc = _test(cfg, out, result.weights, i10,
+                                              "tripod_raster.txt", tripod)
     write_atomic(os.path.join(out, "tripod_trace.txt"),
                  format_trace(spikes_to_gait(tri_raster, cfg.period_s())))
     tripod_ok = is_tripod(tri_observed)
@@ -260,6 +265,8 @@ def main(argv=None) -> int:
         if args.command == "example-config":
             print(EXAMPLE_CONFIG, end="")
             return 0
+        if args.command == "energy":  # writes no artifact, so makes no --out
+            return cmd_energy(cfg, args.raster, args.active_frames, args.leg_events)
         out = args.out or cfg["run"]["out"]
         os.makedirs(out, exist_ok=True)
         if args.command == "synth":
@@ -268,8 +275,6 @@ def main(argv=None) -> int:
             return cmd_train(cfg, out, args.events)
         if args.command == "test":
             return cmd_test(cfg, out, args.weights, args.events, args.schedule)
-        if args.command == "energy":
-            return cmd_energy(cfg, args.raster, args.active_frames, args.leg_events)
         if args.command == "repro":
             return cmd_repro(cfg, out)
         raise ConfigError(f"unknown command {args.command}")

@@ -138,13 +138,13 @@ _SAVE_BLOCK = 8192  # events formatted per chunk of an event file
 
 def save_events(path, events: EventArray, sensor_w: int, sensor_h: int) -> None:
     """Write an event file a block of events at a time, so that the Python
-    ints and text of one block only are alive at once."""
-    rows = np.column_stack((events.x, events.y, events.t))
-
+    ints and text of one block only are alive at once, and no copy of the
+    columns."""
     def chunks():
         yield f"!sensor {sensor_w}x{sensor_h}\n"
-        for lo in range(0, len(rows), _SAVE_BLOCK):
-            block = rows[lo:lo + _SAVE_BLOCK]
+        for lo in range(0, len(events), _SAVE_BLOCK):
+            block = np.column_stack([c[lo:lo + _SAVE_BLOCK]
+                                     for c in (events.x, events.y, events.t)])
             yield ("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
     write_atomic(path, chunks())

@@ -154,6 +154,13 @@ class FrameStream:
         frame, flat = np.divmod(self.keys, self.height * self.width)
         return np.split(flat, np.searchsorted(frame, np.arange(1, len(self))))
 
+    def repeated(self, times: int) -> "FrameStream":
+        """The stream played `times` times in a row: play k is this one's
+        keys shifted by k streams' worth of pixels."""
+        period = len(self) * self.height * self.width
+        keys = (self.keys + period * np.arange(times)[:, None]).ravel()
+        return FrameStream(keys, len(self) * times, self.width, self.height)
+
     @cached_property
     def frames(self) -> tuple:
         """Dense BinaryFrames, built on first request."""

@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,16 @@ def test_cli_energy_bad_raster_exit_3(tmp_path, capsys):
     raster.write_text("# dt=0.04 n_steps=-3\n0.040000 1\n")
     assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
     assert "n_steps=-3" in capsys.readouterr().err
+
+
+def test_cli_energy_makes_no_out_directory(tmp_path, capsys):
+    raster = tmp_path / "raster.txt"
+    raster.write_text("# dt=0.04 n_steps=10\n0.040000 1\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "energy", str(raster)]) == 0
+    assert main(["--out", str(out), "energy", str(tmp_path / "missing.txt")]) == 3
+    assert "data error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
@@ -510,6 +521,31 @@ def test_cli_repro_deterministic(fast_cfg_path, tmp_path):
     report = Path(outs[0], "report.txt").read_text()
     assert "tripod_accuracy=1.000000" in report
     assert "is_tripod=True" in report
+
+
+def test_repro_memory_does_not_grow_with_tripod_repeats(fast_cfg_path, tmp_path,
+                                                       capsys):
+    """Allocation peak of `repro` on the fast scene at 2 and 40 tripod
+    repeats. One tripod period is spliced and pooled, and its I10 stream
+    repeated: 3.00 and 3.01 MB here. Splicing the raw footage of every
+    repeat measured 4.07 and 54.39 MB, about 1.3 MB per repeat."""
+    def peak(repeats):
+        cfg = tmp_path / f"{repeats}.ini"
+        cfg.write_text(FAST_CFG.replace("tripod_repeats = 2",
+                                        f"tripod_repeats = {repeats}"))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / str(repeats)), "repro"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Warm up numpy's lazy imports and caches, untraced.
+    assert main(["--config", fast_cfg_path, "--out", str(tmp_path / "warm"),
+                 "repro"]) == 0
+    small, large = peak(2), peak(40)
+    assert abs(large - small) < 2**20, (small / 2**20, large / 2**20)
 
 
 def test_cli_seed_override_changes_events(fast_cfg_path, tmp_path):

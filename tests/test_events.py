@@ -178,6 +178,30 @@ def test_ingest_memory_per_event(tmp_path, cfg):
     assert peak <= 24 * n, f"{peak / n:.1f} B per event"
 
 
+def test_save_events_memory_per_event(tmp_path):
+    """Allocation peak of writing an event file, per event written.
+
+    100k events. The peak is one block's: its Python ints, their tuple
+    and its text, about 1.2 MB whatever the event count. It measured
+    12.3 B per event here (6.2 at 200k events). A full (n, 3) int64
+    `column_stack` of the columns before the blocks measured 34.4 (29.2).
+    """
+    rng = np.random.default_rng(0)
+    n = 100_000
+    events = EventArray(rng.integers(0, 600, n), rng.integers(0, 600, n),
+                        np.sort(rng.integers(0, 432 * 40_000, n)))
+    path = tmp_path / "events.txt"
+    save_events(path, events, 600, 600)  # warm up numpy's lazy imports and caches
+    tracemalloc.start()
+    try:
+        save_events(path, events, 600, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_events(path)[0] == events
+    assert peak <= 20 * n, f"{peak / n:.1f} B per event"
+
+
 def test_load_frames_under_a_trace_function(tmp_path):
     """A Python trace function (a debugger, a coverage or line tracer) holds
     every local of a traced frame; the record buffer still shrinks."""

@@ -2,7 +2,8 @@
 
 Tile-count pooling (`pooled_streams`) against the dense `andpool`/`orpool`,
 the bulk event-file parse against the line parser, the slice-wise ingest
-(`load_frames`) against load, crop and accumulate of whole arrays, the array-state
+(`load_frames`) against load, crop and accumulate of whole arrays, the
+repeated I10 of one tripod period against the I10 of the whole splice, the array-state
 network step (`step_state`) against the scalar `step_network` of
 conftest, the frozen replay of a pooled stream against that of its dense
 frames, and the one-template weight writer against per-value formatting.
@@ -21,6 +22,9 @@ from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             orpool, pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
                              run_network, save_weights, step_state)
+from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
+                           render_expert_sequence, segment_boundaries,
+                           splice_segments)
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -223,6 +227,27 @@ def test_load_frames_equals_the_whole_array_chain(
         assert fast == reference
     else:
         assert fast[0] is reference[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 20), st.integers(10, 20),
+       st.floats(0, 0.1), st.integers(2, 8), st.integers(0, 3), st.integers(1, 4))
+def test_repeated_tripod_period_equals_the_whole_splice(seed, tw, th, noise, fpc,
+                                                       gap, repeats):
+    """`repro` pools one tripod period and repeats its I10 stream; that is
+    the I10 stream of the splice over all repeats, key for key."""
+    params = RenderParams(gap_frames=gap)
+    sched = GaitSchedule.sequential()
+    stream = render_expert_sequence(HexapodGeometry(), sched, fpc, 10 * tw, 10 * th,
+                                    noise, seed, params)
+    bounds = segment_boundaries(sched, fpc, params)
+    period, _ = pooled_streams(splice_segments(stream, bounds, GaitSchedule.tripod(1)),
+                               body=False)
+    whole, _ = pooled_streams(
+        splice_segments(stream, bounds, GaitSchedule.tripod(repeats)), body=False)
+    repeated = period.repeated(repeats)
+    assert len(repeated) == len(whole)
+    assert np.array_equal(repeated.keys, whole.keys)
 
 
 _PARAMS = st.builds(
