@@ -112,8 +112,8 @@ def cmd_train(cfg: RunConfig, out: str, events_path) -> int:
     write_atomic(os.path.join(out, "train_log.txt"),
                  "# t_sec leg theta_rad p m popcount_i10\n"
                  + "\n".join(result.log) + "\n")
-    print(f"trained for {result.raster.n_steps * result.raster.dt:.1f} simulated s "
-          f"({result.skipped} frames skipped); weights in {out}/weights.txt")
+    print(f"trained for {result.raster.n_steps * result.raster.dt:.1f} simulated s; "
+          f"weights in {out}/weights.txt")
     return 0
 
 
@@ -125,7 +125,7 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
         raise DataError(f"weight file {weights_path}: grid {weights.w.shape[1:]} "
                         f"!= the I10 grid {grid} of the configured frame")
     schedule = _load_schedule(schedule_path) if schedule_path else None
-    i10, _ = pooled_streams(_ingest_events(cfg, events_path), body=False)
+    i10 = pooled_streams(_ingest_events(cfg, events_path))
     raster, sequence, accuracy = _test(cfg, out, weights, i10, "test_raster.txt",
                                        schedule)
     write_atomic(os.path.join(out, "gait_trace.txt"),
@@ -176,7 +176,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     result = _train(cfg, out, stream)
     # Frozen test on one further repetition of the training video.
     _, _, seq_acc = _test(cfg, out, result.weights,
-                          pooled_streams(stream, body=False)[0], "seq_raster.txt",
+                          pooled_streams(stream), "seq_raster.txt",
                           schedule)
     bounds = segment_boundaries(schedule, cfg["scene"]["frames_per_cycle"],
                                 cfg.render_params())
@@ -184,9 +184,8 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     # pooling is per frame: so one period is spliced and pooled, and its
     # I10 stream repeated.
     repeats = cfg["test"]["tripod_repeats"]
-    period, _ = pooled_streams(
-        splice_segments(stream, bounds, GaitSchedule.tripod(1)), body=False)
-    i10 = period.repeated(repeats)
+    i10 = pooled_streams(
+        splice_segments(stream, bounds, GaitSchedule.tripod(1))).repeated(repeats)
     tripod = GaitSchedule.tripod(repeats)
     tri_raster, tri_observed, tri_acc = _test(cfg, out, result.weights, i10,
                                               "tripod_raster.txt", tripod)

@@ -130,8 +130,8 @@ def validate(cfg: RunConfig) -> None:
     s = cfg.values["scene"]
     if s["width"] <= 0 or s["height"] <= 0:
         raise ConfigError("[scene]: width/height must be positive")
-    if s["width"] % 20 or s["height"] % 20:
-        raise ConfigError("[scene]: width/height must divide the 2x2 and 10x10 pools")
+    if s["width"] % 10 or s["height"] % 10:
+        raise ConfigError("[scene]: width/height must divide the 10x10 pool")
     if s["frames_per_cycle"] < 2:
         raise ConfigError("[scene]: frames_per_cycle must be >= 2")
     if not (0.0 <= s["noise_density"] < 1.0):

@@ -3,9 +3,9 @@
 A BinaryFrame is an immutable 2-D bit grid; pooling reduces it with
 non-overlapping k x k AND/OR tiles (binary min/max pooling). A
 FrameStream stores a whole recording sparsely, as the keys of its set
-pixels, and `pooled_streams` derives both pooled views of every frame
-from those keys by counting set pixels per tile. The dense `andpool` and
-`orpool` are its reference.
+pixels, and `pooled_streams` derives the 10 x 10 AND pool of every frame
+from those keys by counting set pixels per tile. The dense `andpool` is
+its reference.
 """
 from __future__ import annotations
 
@@ -229,32 +229,21 @@ def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
     """
     tiles.sort()
     m = k * k - 1
-    if m == 0:
-        return tiles
     head = tiles[:max(tiles.size - m, 0)]
     return head[head == tiles[m:]]
 
 
-def pooled_streams(stream: FrameStream, body: bool = True):
-    """(I10, body map) of every frame of `stream`, as FrameStreams.
-
-    I10 is andpool(frame, 10): the 10 x 10 tiles with all 100 pixels set.
-    The body map is orpool(andpool(frame, 2), 10): a tile is set when any
-    of its 2 x 2 sub-tiles has all 4 pixels set. Both come from sorting
+def pooled_streams(stream: FrameStream) -> FrameStream:
+    """I10 = andpool(frame, 10) of every frame of `stream`, as a FrameStream:
+    the 10 x 10 tiles with all 100 pixels set. It comes from sorting the
     tile keys of the set pixels, so the cost follows the events, not the
-    frame area. The body map is None unless `body`.
+    frame area.
     """
     n, h, w = len(stream), stream.height, stream.width
-    k = 20 if body else 10
-    if h % k or w % k:
-        raise DimensionError(f"frame {w}x{h} not divisible by kernel {k}")
-    i10 = _full_tiles(_tile_keys(stream.keys, w, 10), 10)
-    leg = FrameStream(i10, n, w // 10, h // 10)
-    if not body:
-        return leg, None
-    i2 = _full_tiles(_tile_keys(stream.keys, w, 2), 2)
-    i20 = _sort_unique(_tile_keys(i2, w // 2, 10))
-    return leg, FrameStream(i20, n, w // 20, h // 20)
+    if h % 10 or w % 10:
+        raise DimensionError(f"frame {w}x{h} not divisible by kernel 10")
+    return FrameStream(_full_tiles(_tile_keys(stream.keys, w, 10), 10), n,
+                       w // 10, h // 10)
 
 
 def frame_not(a: BinaryFrame) -> BinaryFrame:

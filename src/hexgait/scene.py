@@ -6,10 +6,10 @@ active frame:
 
 * a fixed "foot site" of full 10x10 pixel blocks at the leg tip, which
   is what survives the 10x10 AND pool and feeds the network, and
-* sparse 2x2 clusters along the swinging leg shaft, which survive the
-  2x2 AND pool and give the leg estimator a body-side anchor.
+* sparse 2x2 clusters along the swinging leg shaft, which show in the
+  events but are too sparse to fill a 10x10 AND pool tile.
 
-Salt noise is added as isolated single pixels; a 2x2 AND pool removes it.
+Salt noise is added as isolated single pixels; the 10x10 AND pool removes it.
 Frames are built as flat pixel indices, never as dense grids.
 """
 from __future__ import annotations
@@ -102,7 +102,7 @@ class RenderParams:
 
     tip_blocks: int = 3          # full 10x10 blocks at the foot site
     shaft_clusters: int = 5      # 2x2 clusters along the moving shaft
-    gap_frames: int = 11         # still frames after each cycle (>= estimator history)
+    gap_frames: int = 11         # still frames after each cycle
     active_frames: int = 8       # cycle frames dense enough to light the foot site
 
     def __post_init__(self):

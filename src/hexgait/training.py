@@ -1,10 +1,10 @@
 """Geometry-supervised training: Gaussian leg estimator + weight adjusting.
 
 During training only, each movement frame is labeled by where the moving
-pixels sit relative to the body, and the labeled neuron's input weights
-are potentiated at the active pixels and depressed elsewhere. Both the
-potentiation and depression magnitudes decay exponentially with simulated
-time, so training freezes on its own.
+pixels sit relative to the fixed body centre, and the labeled neuron's
+input weights are potentiated at the active pixels and depressed
+elsewhere. Both the potentiation and depression magnitudes decay
+exponentially with simulated time, so training freezes on its own.
 """
 from __future__ import annotations
 
@@ -86,41 +86,29 @@ def classify_angle(theta: float, priors: GaussianPriors) -> int:
     return best_leg
 
 
-HISTORY = 11  # frames feeding the body map, current included
+def _estimate(leg_cells: np.ndarray, width: int, height: int,
+              priors: GaussianPriors):
+    """Label + direction of a leg frame against the fixed body centre.
 
-
-def _estimate(body_count: np.ndarray, leg_cells: np.ndarray, width: int,
-              height: int, priors: GaussianPriors):
-    """Label + direction of the current leg frame against the body map.
-
-    `leg_cells` are the set cells of the current andpool(I0, 10) on its
-    width x height grid. `body_count` counts, per cell of the grid of half
-    that size, the frames of the history window whose
-    orpool(andpool(I0, 2), 10) sets it. Returns (leg, theta).
+    `leg_cells` are the set cells of andpool(I0, 10) on its width x height
+    grid. The camera is fixed and centred on the body, so theta runs from
+    their centroid to `HexapodGeometry.body_center`, the point the priors
+    aim at. Returns (leg, theta).
     """
     if not leg_cells.size:
         raise EmptyFrameError("no movement: current pooled leg frame is empty")
-    rows, cols = np.divmod(leg_cells, width)
-    body = body_count > 0
-    body[(rows // 2) * (width // 2) + cols // 2] = False  # minus orpool(leg, 2)
-    body_cells = np.flatnonzero(body)
-    if not body_cells.size:
-        raise EmptyFrameError("degenerate scene: body map empty after leg masking")
-    c = cell_centroid(body_cells, width // 2, height // 2)
+    c = HexapodGeometry.body_center
     l = cell_centroid(leg_cells, width, height)
     theta = math.atan2(c.y - l.y, c.x - l.x)
     return classify_angle(theta, priors), theta
 
 
 def estimate_leg(history, priors: GaussianPriors) -> int:
-    """Label the leg moving in the last frame of `history` (<= 11 raw frames)."""
-    stream = as_stream(history)
-    if not len(stream):
+    """Label the leg moving in the last frame of `history` (raw frames)."""
+    leg = pooled_streams(as_stream(history))
+    if not len(leg):
         raise ValueError("history must contain at least the current frame")
-    leg, body = pooled_streams(stream)
-    size = body.width * body.height
-    return _estimate(np.bincount(body.keys % size, minlength=size),
-                     leg.per_frame()[-1], leg.width, leg.height, priors)[0]
+    return _estimate(leg.per_frame()[-1], leg.width, leg.height, priors)[0]
 
 
 def calibrate_priors(geom: HexapodGeometry, std: float) -> GaussianPriors:
@@ -141,7 +129,7 @@ class TrainResult:
     weights: WeightMap
     raster: SpikeRaster
     log: list = field(default_factory=list)
-    skipped: int = 0
+    skipped: int = 0  # always 0; read by perfbench and report.txt's skip line
 
 
 def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
@@ -156,7 +144,7 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
     n = len(stream)
     if n == 0:
         raise EmptyStreamError("cannot train on an empty stream")
-    leg, body = pooled_streams(stream)
+    leg = pooled_streams(stream)
     if weights is None:
         weights = WeightMap.zeros(leg.width, leg.height)
     elif weights.w.shape[1:] != (leg.height, leg.width):
@@ -165,13 +153,11 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
     else:
         weights = weights.copy()
     rows = weights.w.reshape(weights.n_neurons, -1)  # a view: updates land in weights
-    leg_cells, body_cells = leg.per_frame(), body.per_frame()
+    leg_cells = leg.per_frame()
     state = NetworkState.resting(params, weights.n_neurons)
-    body_count = np.zeros(body.width * body.height, dtype=np.int64)
     raster_steps = []
     log = []
-    skipped = 0
-    labels = {}  # frame index -> (label, theta), or None for a skipped update
+    labels = {}  # frame index -> (label, theta): a label depends on its frame alone
     for gt in range(repeats * n):
         k = gt % n
         cells = leg_cells[k]
@@ -179,24 +165,11 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
         spiked = step_state(state, rows, cells, params, now)
         if spiked:
             raster_steps.append((now, spiked))
-        body_count[body_cells[k]] += 1  # the window is frames gt-10..gt, mod n
-        if gt >= HISTORY:
-            body_count[body_cells[(gt - HISTORY) % n]] -= 1
         if not cells.size:
             continue
-        if k in labels:
-            labelled = labels[k]
-        else:
-            try:
-                labelled = _estimate(body_count, cells, leg.width, leg.height, priors)
-            except EmptyFrameError:
-                labelled = None
-            if gt >= HISTORY:  # the window, frames gt-10..gt mod n, is k's alone now
-                labels[k] = labelled
-        if labelled is None:
-            skipped += 1
-            continue
-        label, theta = labelled
+        if k not in labels:
+            labels[k] = _estimate(cells, leg.width, leg.height, priors)
+        label, theta = labels[k]
         p = sched.potentiation(now)
         m = sched.depression(now)
         w = rows[label - 1]
@@ -205,6 +178,5 @@ def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
         w[cells] = potentiated
         np.clip(w, 0.0, sched.w_max, out=w)
         log.append(f"{now:.3f} {label} {theta:.6f} {p:.9g} {m:.9g} {cells.size}")
-    gt = repeats * n
-    raster = SpikeRaster(dt=params.dt, steps=tuple(raster_steps), n_steps=gt)
-    return TrainResult(weights=weights, raster=raster, log=log, skipped=skipped)
+    raster = SpikeRaster(dt=params.dt, steps=tuple(raster_steps), n_steps=repeats * n)
+    return TrainResult(weights=weights, raster=raster, log=log)

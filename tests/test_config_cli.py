@@ -69,6 +69,7 @@ def test_config_unknown_key_rejected(tmp_path):
 # the CLI exits 2 before it renders or writes anything.
 _BAD_VALUES = (
     "[scene]\nwidth = many\n",
+    "[scene]\nwidth = 605\n",  # not a whole number of 10x10 tiles
     "[neuron]\nv_thresh = -70.0\n",  # below rest
     "[run]\nseed = -1\n",
     "[test]\ntripod_repeats = 0\n",
@@ -103,6 +104,13 @@ def test_config_bad_value_rejected(tmp_path):
             load_config(path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+
+
+def test_repro_runs_on_a_frame_of_whole_10x10_tiles(tmp_path):
+    # Only the 10x10 pool constrains the frame size.
+    path = tmp_path / "small.ini"
+    path.write_text("[scene]\nwidth = 110\nheight = 130\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "repro"]) == 0
 
 
 def test_config_frame_cap_boundary(tmp_path):

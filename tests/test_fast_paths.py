@@ -1,6 +1,6 @@
 """The fast paths against their references.
 
-Tile-count pooling (`pooled_streams`) against the dense `andpool`/`orpool`,
+Tile-count pooling (`pooled_streams`) against the dense `andpool`,
 the bulk event-file parse against the line parser, the slice-wise ingest
 (`load_frames`) against load, crop and accumulate of whole arrays, the
 repeated I10 of one tripod period against the I10 of the whole splice, the array-state
@@ -19,7 +19,7 @@ from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import (EventArray, accumulate_frames, centered_crop,
                             crop_events, load_events, load_frames)
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
-                            orpool, pooled_streams)
+                            pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
                              run_network, save_weights, step_state)
 from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
@@ -43,11 +43,8 @@ def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
     stream = FrameStream.from_frames(frames)
     keys = stream.keys.copy()
-    i10, body = pooled_streams(stream)
+    i10 = pooled_streams(stream)
     assert i10.frames == tuple(andpool(f, 10) for f in frames)
-    assert body.frames == tuple(orpool(andpool(f, 2), 10) for f in frames)
-    leg_only, none = pooled_streams(stream, body=False)
-    assert leg_only.frames == i10.frames and none is None
     assert np.array_equal(stream.keys, keys)
 
 
@@ -60,10 +57,9 @@ def test_from_keys_equals_np_unique(keys):
 
 def test_tile_pool_divisibility():
     stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)])
-    i10, _ = pooled_streams(stream, body=False)
-    assert i10.frames == (BinaryFrame.zeros(3, 2),)
-    with pytest.raises(DimensionError, match="30x20.*20"):
-        pooled_streams(stream)
+    assert pooled_streams(stream).frames == (BinaryFrame.zeros(3, 2),)
+    with pytest.raises(DimensionError, match="35x20.*10"):
+        pooled_streams(FrameStream.from_frames([BinaryFrame.zeros(35, 20)]))
 
 
 def test_stream_length_is_capped():
@@ -241,10 +237,8 @@ def test_repeated_tripod_period_equals_the_whole_splice(seed, tw, th, noise, fpc
     stream = render_expert_sequence(HexapodGeometry(), sched, fpc, 10 * tw, 10 * th,
                                     noise, seed, params)
     bounds = segment_boundaries(sched, fpc, params)
-    period, _ = pooled_streams(splice_segments(stream, bounds, GaitSchedule.tripod(1)),
-                               body=False)
-    whole, _ = pooled_streams(
-        splice_segments(stream, bounds, GaitSchedule.tripod(repeats)), body=False)
+    period = pooled_streams(splice_segments(stream, bounds, GaitSchedule.tripod(1)))
+    whole = pooled_streams(splice_segments(stream, bounds, GaitSchedule.tripod(repeats)))
     repeated = period.repeated(repeats)
     assert len(repeated) == len(whole)
     assert np.array_equal(repeated.keys, whole.keys)
@@ -294,7 +288,7 @@ def test_run_network_on_pooled_stream_matches_dense_frames(seed, tw, th, n, p_ti
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, 0.05) for _ in range(n)]
     stream = FrameStream.from_frames(frames)
     weights = WeightMap(rng.random((6, 2 * th, 2 * tw)) * scale)
-    i10, _ = pooled_streams(stream, body=False)
+    i10 = pooled_streams(stream)
     state, raster = run_network(i10, weights, params)
     dense_state, dense_raster = run_network(list(i10.frames), weights, params)
     assert raster == dense_raster and raster.n_steps == n

@@ -2,10 +2,11 @@
 
 The sha256 of every file `hexgait --seed 0 repro` writes, and of what
 `hexgait train` writes from that run's `events.txt`, both with the default
-config. A change that alters an artifact on purpose updates these hashes
-and says so in CHANGES.md. The doubles behind the files depend on numpy's
-summation and formatting, so the test runs only on the numpy the hashes
-were recorded with.
+config and again with `noise_density = 0.02`, where noise is dense enough
+to fill 2x2 tiles but never a 10x10 one. A change that alters an artifact
+on purpose updates these hashes and says so in CHANGES.md. The doubles
+behind the files depend on numpy's summation and formatting, so the test
+runs only on the numpy the hashes were recorded with.
 """
 import hashlib
 
@@ -28,10 +29,18 @@ REPRO = {
 }
 
 TRAIN = {
-    "train_log.txt": "2064635dab8cd5abbf1b526a24e17b72a1da8503fa6dda9e2258a5cc006c0fd6",
+    "train_log.txt": "6c44665b9018e4c06fcf295c84ec95822da67cd4ce669144cbc40655750f6058",
     "train_raster.txt": "0df93184045bfff34a6ee09e4fe2d5c575332c8f6b51a1c0d5dcec6ca6cf4861",
     "weights.txt": "3c5592b29068e4ff11d554f2add27cb0463389b3282f086d53d72015e3c6cce9",
 }
+
+# The noise reaches no I10 frame, so every artifact but the events is the
+# default config's.
+NOISY_CONFIG = "[scene]\nnoise_density = 0.02\n"
+NOISY_REPRO = dict(
+    REPRO,
+    **{"events.txt": "6063dd20240faae63ab8fbd080581ed90f9b8b0f3dce0276745bb2b2da16df4e"})
+NOISY_TRAIN = TRAIN
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
@@ -43,9 +52,20 @@ def _hashes(directory):
             for p in sorted(directory.iterdir())}
 
 
+def _check(directory, config, repro_hashes, train_hashes):
+    repro, trained = directory / "repro", directory / "train"
+    assert main(config + ["--seed", "0", "--out", str(repro), "repro"]) == 0
+    assert _hashes(repro) == repro_hashes
+    assert main(config + ["--out", str(trained), "train",
+                          str(repro / "events.txt")]) == 0
+    assert _hashes(trained) == train_hashes
+
+
 def test_repro_and_train_artifacts_match_golden_hashes(tmp_path):
-    repro, trained = tmp_path / "repro", tmp_path / "train"
-    assert main(["--seed", "0", "--out", str(repro), "repro"]) == 0
-    assert _hashes(repro) == REPRO
-    assert main(["--out", str(trained), "train", str(repro / "events.txt")]) == 0
-    assert _hashes(trained) == TRAIN
+    _check(tmp_path, [], REPRO, TRAIN)
+
+
+def test_noisy_repro_and_train_artifacts_match_golden_hashes(tmp_path):
+    config = tmp_path / "noisy.cfg"
+    config.write_text(NOISY_CONFIG)
+    _check(tmp_path, ["--config", str(config)], NOISY_REPRO, NOISY_TRAIN)

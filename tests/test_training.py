@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import centroid
+from hexgait.cli import main
 from hexgait.errors import EmptyFrameError
-from hexgait.frames import BinaryFrame, andpool, frame_not, orpool
+from hexgait.frames import BinaryFrame, FrameStream, andpool
 from hexgait.neurons import WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
@@ -55,7 +58,7 @@ def test_classify_nearest_mean_with_equal_stds(priors):
 
 def test_estimate_leg_geometric_sweep(geom, priors, cfg):
     # Each leg's noise-free segment is labeled as that leg on every
-    # active frame, using an 11-frame rolling history.
+    # active frame.
     params = cfg.render_params()
     stream = render_expert_sequence(geom, GaitSchedule.sequential(), FPC,
                                     600, 600, noise_density=0.0, seed=0,
@@ -67,8 +70,7 @@ def test_estimate_leg_geometric_sweep(geom, priors, cfg):
             frame = stream.frames[j]
             if not andpool(frame, 10).any():
                 continue
-            history = stream.frames[max(0, j - 10):j + 1]
-            assert estimate_leg(history, priors) == leg
+            assert estimate_leg([frame], priors) == leg
             checked += 1
     assert checked >= 6 * 8
 
@@ -78,9 +80,10 @@ def test_estimate_leg_errors(priors):
         estimate_leg([], priors)
     with pytest.raises(EmptyFrameError):
         estimate_leg([BinaryFrame.zeros(600, 600)], priors)
+    # A solid frame's leg centroid is the body centre itself: theta is
+    # atan2(0, 0) = 0, and it is labelled like any other frame.
     solid = BinaryFrame(np.ones((600, 600), dtype=bool))
-    with pytest.raises(EmptyFrameError, match="body"):
-        estimate_leg([solid], priors)
+    assert estimate_leg([solid], priors) == classify_angle(0.0, priors)
 
 
 def test_calibrate_priors_idempotent_and_sided(geom, cfg):
@@ -133,14 +136,12 @@ def test_train_bounds(trained, cfg):
 
 
 def test_train_empty_stream_rejected(priors, cfg):
-    from hexgait.frames import FrameStream
     with pytest.raises(ValueError):
         train(FrameStream.from_frames(()), priors, cfg.train_schedule(),
               cfg.neuron_params())
 
 
 def test_train_blank_stream_is_noop(priors, cfg):
-    from hexgait.frames import FrameStream
     blank = FrameStream.from_frames(
         tuple(BinaryFrame.zeros(600, 600) for _ in range(20)))
     result = train(blank, priors, cfg.train_schedule(), cfg.neuron_params())
@@ -187,7 +188,7 @@ def test_train_starts_from_given_weights(train_stream, priors, cfg):
 
 
 def test_train_ignores_salt_noise(geom, priors, cfg):
-    # Salt noise never fills a 2x2 or 10x10 tile, so training on the noisy
+    # Salt noise never fills a 10x10 tile, so training on the noisy
     # default streams learns exactly what it learns on the clean one.
     def run(density, seed):
         stream = render_expert_sequence(
@@ -204,9 +205,21 @@ def test_train_ignores_salt_noise(geom, priors, cfg):
         assert noisy.log == clean.log
 
 
+def test_repro_passes_under_salt_noise_that_fills_2x2_tiles(tmp_path):
+    # At p = 0.05 noise fills about one 2x2 tile per frame; the labeller
+    # must not be swayed by it.
+    config = tmp_path / "noisy.cfg"
+    config.write_text("[scene]\nnoise_density = 0.05\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--seed", "0", "--out", str(out),
+                 "repro"]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "sequence_accuracy=1.000000" in report
+    assert "tripod_accuracy=1.000000" in report
+
+
 def _lone_tile_frame(y, x):
-    """One full 10x10 tile and nothing else: its body map is its own leg
-    cell, so labelling it after blank frames raises EmptyFrameError."""
+    """One full 10x10 tile and nothing else."""
     bits = np.zeros((600, 600), dtype=bool)
     bits[y:y + 10, x:x + 10] = True
     return BinaryFrame(bits)
@@ -215,11 +228,9 @@ def _lone_tile_frame(y, x):
 @pytest.mark.parametrize("n", [1, 3, 7, 10, 11, 12, 40, "skips"])
 def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
     # Three plays of a stream are one play of the stream written out three
-    # times: the same history windows at the same steps, so the same bits.
-    # n = 1, 10 and 11 sit at the edges of the 11-frame history. "skips"
-    # loops 24 frames: the last is skipped in every play, and its body cell
-    # joins frame 9's window from the second play on, moving frame 9's angle.
-    from hexgait.frames import FrameStream
+    # times: the same frames at the same steps, so the same bits. "skips"
+    # loops 24 frames of blank frames and lone full tiles between leg
+    # frames; every active frame is labelled, none is skipped.
     if n == "skips":
         blank = BinaryFrame.zeros(600, 600)
         frames = (train_stream.frames[:8] + (blank, _lone_tile_frame(300, 200))
@@ -234,35 +245,61 @@ def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
     assert looped.log and looped.log == unrolled.log
     assert np.array_equal(looped.weights.w, unrolled.weights.w)
     assert looped.raster == unrolled.raster
-    assert looped.skipped == unrolled.skipped == (3 if n == "skips" else 0)
+    assert looped.skipped == unrolled.skipped == 0
 
 
-def _dense_estimate(history, priors):
-    """(leg, theta) of the last frame from dense pools: the labeller's reference."""
-    i10 = andpool(history[-1], 10)
-    union = np.logical_or.reduce([orpool(andpool(f, 2), 10).bits for f in history])
-    body = BinaryFrame(frame_not(orpool(i10, 2)).bits & union)
-    c, l = centroid(body), centroid(i10)
-    theta = math.atan2(c.y - l.y, c.x - l.x)
+def _dense_estimate(frame, priors):
+    """(leg, theta) of a frame from the dense I10 pool: the labeller's
+    reference. Theta runs from the I10 centroid to the body centre."""
+    l = centroid(andpool(frame, 10))
+    theta = math.atan2(0.5 - l.y, 0.5 - l.x)
     return classify_angle(theta, priors), theta
+
+
+def _dense_log(frames, priors, repeats, dt):
+    """(time, leg, theta, popcount) columns of every update the dense
+    reference makes over `repeats` plays of `frames`."""
+    rows = []
+    for gt in range(repeats * len(frames)):
+        frame = frames[gt % len(frames)]
+        count = int(andpool(frame, 10).bits.sum())
+        if count:
+            leg, theta = _dense_estimate(frame, priors)
+            rows.append((f"{gt * dt:.3f}", str(leg), f"{theta:.6f}", str(count)))
+    return rows
+
+
+def _log_columns(log):
+    return [(t, leg, theta, count) for t, leg, theta, _, _, count in
+            (line.split() for line in log)]
 
 
 @pytest.mark.parametrize("n,repeats", [(216, 2), (15, 3)])
 def test_train_labels_match_dense_reference(train_stream, priors, cfg, n, repeats):
-    # Each update labels the leg, at the angle, that the dense pools give
-    # for the last 11 frames played, the window wrapping into the previous
-    # repeat; estimate_leg agrees. Fifteen frames of one leg's cycle, looped,
-    # slide the window over frames whose body maps overlap.
-    from hexgait.frames import FrameStream
+    # Each update labels the leg, at the angle, that the dense pool gives
+    # for the frame played; estimate_leg agrees.
     frames = train_stream.frames[:n]
     params = cfg.neuron_params()
     result = train(FrameStream.from_frames(frames), priors,
                    cfg.train_schedule(), params, repeats=repeats)
     assert len(result.log) == repeats * (48 if n == 216 else 8)
-    for line in result.log:
-        t, leg, theta = line.split()[:3]
-        gt = round(float(t) / params.dt)
-        history = [frames[(gt - i) % n] for i in reversed(range(min(11, gt + 1)))]
-        expected_leg, expected_theta = _dense_estimate(history, priors)
-        assert (int(leg), theta) == (expected_leg, f"{expected_theta:.6f}"), line
-        assert estimate_leg(history, priors) == expected_leg
+    assert _log_columns(result.log) == _dense_log(frames, priors, repeats, params.dt)
+    for frame in frames:
+        if andpool(frame, 10).any():
+            assert estimate_leg([frame], priors) == _dense_estimate(frame, priors)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 20), st.integers(10, 20),
+       st.floats(0, 0.1), st.integers(2, 6), st.integers(1, 3))
+def test_train_labels_match_dense_reference_on_drawn_scenes(geom, priors, cfg, seed,
+                                                            tw, th, noise, fpc,
+                                                            repeats):
+    # Scenes of 100x100 to 200x200 pixels under salt noise up to 0.1.
+    stream = render_expert_sequence(geom, GaitSchedule.sequential(), fpc, 10 * tw,
+                                    10 * th, noise, seed, cfg.render_params())
+    params = cfg.neuron_params()
+    result = train(stream, priors, cfg.train_schedule(), params, repeats=repeats)
+    assert result.log
+    assert _log_columns(result.log) == _dense_log(stream.frames, priors, repeats,
+                                                  params.dt)
