@@ -1,14 +1,14 @@
 """Event streams: file I/O, cropping, accumulation into binary frames.
 
 Events are held as one struct of arrays, `EventArray`: signed integer
-`x` and `y` columns, int32 when parsed from a file, and an int64 `t`
+`x` and `y` columns, int64 when read from a file, and an int64 `t`
 column. The on-disk format is plain text, one `x,y,t_us` triple per
 line, `#` comments, and a sidecar header line `!sensor WxH`.
 """
 from __future__ import annotations
 
 import math
-import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +18,6 @@ from .errors import DataError, EventBoundsError, EventFileError
 from .frames import MAX_FRAMES, FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
-# One parsed event file line: 16 bytes, where three int64 would take 24.
-_RECORD = np.dtype([("x", "<i4"), ("y", "<i4"), ("t", "<i8")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +25,8 @@ class EventArray:
     """Asynchronous pixel events: column, row, timestamp in microseconds.
 
     Three 1-D arrays of one length, every value >= 0. `x` and `y` keep
-    their signed integer dtype (int32 from a parsed file) and may be
-    strided views; `t` is int64. Other dtypes are converted to int64.
+    their signed integer dtype and may be strided views; `t` is int64.
+    Other dtypes are converted to int64.
     """
 
     x: np.ndarray
@@ -72,17 +70,17 @@ def _window_us(window_ms: float) -> int:
     return int(round(window_ms * 1000))
 
 
-def _frame_keys(events, window_us: int, width: int, height: int, first=0):
-    """(keys, n_frames) of `accumulate_frames`, keys None if n_frames is
-    over the cap. An event out of bounds is numbered from `first`."""
-    x, y = events.x, events.y
+def _frame_keys(x, y, t, window_us: int, width: int, height: int, first=0):
+    """(keys, n_frames) of `accumulate_frames` for the event columns x, y
+    and t, keys None if n_frames is over the cap. An event out of bounds
+    is numbered from `first`."""
     outside = np.flatnonzero((x >= width) | (y >= height))
     if outside.size:
         i = int(outside[0])
         raise EventBoundsError(
             f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
-    keys = events.t // window_us  # frame index
-    n_frames = int(keys.max()) + 1 if len(events) else 0
+    keys = t // window_us  # frame index
+    n_frames = int(keys.max()) + 1 if keys.size else 0
     if n_frames > MAX_FRAMES:  # before a wild frame index overflows a key
         return None, n_frames
     keys *= height
@@ -99,30 +97,48 @@ def accumulate_frames(events: EventArray, window_ms: float, width: int,
     Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
     empty input. Any event in window k sets its pixel's bit in frame k.
     """
-    keys, n_frames = _frame_keys(events, _window_us(window_ms), width, height)
+    keys, n_frames = _frame_keys(events.x, events.y, events.t, _window_us(window_ms),
+                                 width, height)
     _check_frame_count(n_frames)
     return FrameStream.from_keys(keys, n_frames, width, height)
 
 
 def frames_to_events(stream: FrameStream, window_ms: float) -> EventArray:
-    """Invert accumulation: one event per set pixel, mid-window timestamp."""
+    """Invert accumulation: one event per set pixel, mid-window timestamp.
+
+    Three int64 arrays the length of the keys are alive at once: the row
+    index becomes the frame index and then `t`, in place.
+    """
     window_us = _window_us(window_ms)
-    frame, y, x = stream.pixels()
-    return EventArray(x, y, frame * window_us + window_us // 2)
+    t, x = np.divmod(stream.keys, stream.width)  # t holds rows
+    t, y = np.divmod(t, stream.height, out=(t, None))  # t holds frames
+    t *= window_us
+    t += window_us // 2
+    return EventArray(x, y, t)
 
 
 def crop_events(events: EventArray, left: int, top: int, width: int,
                 height: int) -> EventArray:
     """Keep events inside the crop region and rebase coordinates to it."""
-    x, y = events.x, events.y
-    keep = (x >= left) & (x < left + width) & (y >= top) & (y < top + height)
-    x, y = x[keep], y[keep]
-    # An int32 column refuses a Python int offset beyond int32 even when
-    # nothing is kept. An int64 one is cast unchecked, and it fits whenever
-    # an event is kept, as every kept coordinate is >= its offset.
-    x -= np.int64(left)
-    y -= np.int64(top)
-    return EventArray(x, y, events.t[keep])
+    return EventArray(*_cropped(events.x, events.y, events.t.__getitem__,
+                                (left, top, width, height)))
+
+
+_ALL = slice(None)
+
+
+def _cropped(x, y, t, crop):
+    """(x, y, t) of the events inside `crop` = (left, top, width, height),
+    rebased to it, or of all events if `crop` is None; `t(rows)` gives the
+    t column of events[rows], so the others' is never made."""
+    if not crop:
+        return x, y, t(_ALL)
+    left, top, width, height = crop
+    # Rebased in int64 (an int32 column refuses a Python int offset beyond
+    # int32), where a coordinate before the crop reads as a huge unsigned one.
+    x, y = x - np.int64(left), y - np.int64(top)
+    rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
+    return x[rows], y[rows], t(rows)
 
 
 def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
@@ -160,43 +176,6 @@ def _sensor(line: str):
     return w, h
 
 
-def _parse_bulk(path):
-    """(rows, sensor) of an event file by np.loadtxt, or None.
-
-    `rows` is a `_RECORD` array, with fields x, y and t. Handles the
-    usual layout: comments, blank lines and `!sensor` headers before the
-    first event, then only events and comments. None, or an IndexError or
-    ValueError, means the line parser has to decide.
-    """
-    # np.loadtxt opens a str path through numpy.lib._datasource, which
-    # decompresses by suffix and fetches URL-shaped names. So files so named
-    # take the line parser, and the path handed over is absolute.
-    if str(path).lower().endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return None
-    sensor = None
-    with open(path) as fh:
-        for skip, raw in enumerate(fh):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if not line.startswith("!sensor"):
-                break
-            sensor = _sensor(line)
-        else:
-            skip = None
-    if sensor is None:
-        return None
-    if skip is None:
-        return np.empty(0, dtype=_RECORD), sensor
-    # Given a path, numpy reads the file in C chunks, not one str per line.
-    # A line without 3 fields, or an x or y beyond int32, is a ValueError.
-    rows = np.loadtxt(os.path.abspath(path), delimiter=",", comments="#",
-                      dtype=_RECORD, ndmin=1, skiprows=skip)
-    if not rows.size or min(int(rows[f].min()) for f in "xyt") < 0:
-        return None
-    return rows, sensor
-
-
 def _parse_lines(path):
     """(rows, sensor) of an event file, one line at a time.
 
@@ -232,62 +211,242 @@ def _parse_lines(path):
     return np.array(rows, dtype=[(f, "<i8") for f in "xyt"]), sensor
 
 
-def _parse(path):
-    """(rows, sensor_w, sensor_h) of an event file, rows in file order."""
-    try:
+class _Fallback(Exception):
+    """The block decoder cannot read the file: the line parser decides."""
+
+
+_BLOCK = 1 << 16  # bytes of an event file read at a time by the block decoder
+_TEXT = bytes(range(32, 127)) + b"\t\n\r"  # printable ASCII, tab, line ends
+_COMMENT = re.compile(rb"#[^\n]*")
+_SPLIT_FIELD = re.compile(rb"[0-9][ \t]+[0-9]")
+_BLANK_LINES = re.compile(rb"\n+")
+_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
+_PAD = bytes(16)
+
+
+def _plain(text: bytes) -> bool:
+    """Whether `text` reads the same in any ASCII-compatible text mode:
+    printable ASCII and tabs, every CR in a CRLF (a lone CR ends a line)."""
+    return not text.translate(None, _TEXT) and text.count(b"\r") == text.count(b"\r\n")
+
+
+def _bare(block: bytes) -> bytes:
+    """`block`, whole lines, with comments, blank lines and the spaces,
+    tabs and CRs around fields removed; _Fallback if it is not plain text
+    or if whitespace splits a field."""
+    if not _plain(block):
+        raise _Fallback
+    block = _COMMENT.sub(b"", block)
+    if _SPLIT_FIELD.search(block):
+        raise _Fallback
+    return _BLANK_LINES.sub(b"\n", block.translate(None, b" \t\r")).lstrip(b"\n")
+
+
+def _split(block: bytes):
+    """(words, ends, lens) of bare lines of 3 fields of 1 to 16 digits, or
+    None if `block` is anything else.
+
+    words[i] is the little-endian uint64 of bytes i to i + 7 of 16 pad
+    bytes then `block`. ends[i, j] is the offset in `block` of the comma
+    or newline after field j of line i, so that field's last 16 bytes
+    make words[ends[i, j]] and words[8:][ends[i, j]]; lens[i, j] is its
+    digit count.
+    """
+    padded = _PAD + block
+    body = np.frombuffer(padded, dtype=np.uint8, offset=16)
+    ends = np.flatnonzero(body < 48)  # below "0": commas and newlines, if bare
+    if ends.size % 3 or body.max(initial=48) > 57:
+        return None
+    lens = np.empty_like(ends)
+    np.subtract(ends[1:], ends[:-1], out=lens[1:])
+    lens[:1] = ends[:1] + 1
+    lens -= 1
+    ends, lens = ends.reshape(-1, 3), lens.reshape(-1, 3)
+    if not ((body[ends] == _SEPARATORS).all() and lens.min(initial=1) >= 1
+            and lens.max(initial=16) <= 16):
+        return None
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    return words, ends, lens
+
+
+# For a field of n = 0 to 16 digits, masks of the first and the last 8 of
+# its 16 bytes as little-endian words: 0x0F on its digits, 0 before them.
+_NIBBLES = 0x0F0F0F0F0F0F0F0F
+_HIGH_DIGITS = np.array([(_NIBBLES << 8 * (16 - n)) % 2**64 for n in range(17)],
+                        dtype=np.uint64)
+_LOW_DIGITS = np.array([(_NIBBLES << 8 * max(8 - n, 0)) % 2**64 for n in range(17)],
+                       dtype=np.uint64)
+
+
+def _digits8(words: np.ndarray) -> np.ndarray:
+    """Values of uint64 words of 8 digit bytes 0 to 9, the first the most
+    significant, in place: three multiply-shift steps (SWAR; Langdale and
+    Lemire 2019, "Parsing gigabytes of JSON per second")."""
+    words *= 2561  # 10 * 2**8 + 1: byte pairs to values 0..99
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 6553601  # 100 * 2**16 + 1: pairs of those to 0..9999
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 42949672960001  # 10**4 * 2**32 + 1: pairs of those to 0..10**8 - 1
+    words >>= 32
+    return words
+
+
+def _decode(words, ends, lens) -> np.ndarray:
+    """int64 values of the fields at `ends` of `lens` digits (see _split).
+    The bytes before a field are masked to 0, so they read as leading
+    zeros; the first 8 of 16 are read only if a field is longer."""
+    values = words[8:][ends]
+    values &= _LOW_DIGITS.take(lens)
+    _digits8(values)
+    if lens.max(initial=0) > 8:
+        high = words[ends]
+        high &= _HIGH_DIGITS.take(lens)
+        values += _digits8(high) * 100_000_000
+    return values.view(np.int64)
+
+
+def _columns(block: bytes, crop):
+    """`_cropped` (x, y, t) of a block of lines, whose t is decoded for the
+    kept events only; _Fallback unless they are bare lines, or become so
+    by `_bare`."""
+    parts = _split(block) or _split(_bare(block))
+    if parts is None:
+        raise _Fallback
+    words, ends, lens = parts
+    xy = _decode(words, ends[:, :2], lens[:, :2])
+    return _cropped(xy[:, 0], xy[:, 1],
+                    lambda rows: _decode(words, ends[rows, 2], lens[rows, 2]), crop)
+
+
+def _decoded(path, region):
+    """Yields the sensor (W, H) of an event file, then the `_cropped`
+    (x, y, t) of each block of about _BLOCK bytes of its events, in file
+    order, where crop = region(sensor).
+
+    Takes the header lines, then `d,d,d` lines with spaces or tabs around
+    fields, comments, blank lines and CRLF line ends. Raises _Fallback on
+    anything else, which the line parser has to decide.
+    """
+    with open(path, "rb") as fh:
+        sensor, line = None, b""
+        for line in fh:  # the header, a line at a time
+            text = line.split(b"#", 1)[0].strip()
+            if text and not text.startswith(b"!sensor"):
+                break
+            if not _plain(line):
+                raise _Fallback
+            if text:
+                try:
+                    sensor = _sensor(text.decode())
+                except (IndexError, ValueError):
+                    raise _Fallback
+            line = b""
+        if sensor is None:
+            raise _Fallback
         try:
-            parsed = _parse_bulk(path)
-        except (IndexError, ValueError):
-            parsed = None
-        rows, (w, h) = parsed or _parse_lines(path)
+            crop = region(sensor)
+        except DataError:  # after any malformed line, as a whole-file parse
+            for block in _line_blocks(fh, line):
+                _columns(block, None)
+            raise
+        yield sensor
+        for block in _line_blocks(fh, line):
+            yield _columns(block, crop)
+
+
+def _line_blocks(fh, tail: bytes):
+    """Blocks of whole lines, `tail` then the rest of binary file `fh`, read
+    _BLOCK bytes at a time; a last line without a newline gets one. A line
+    longer than a block is joined from its pieces once."""
+    pieces = [tail]
+    while block := fh.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pieces.append(memoryview(block)[:cut])
+            yield b"".join(pieces)
+            pieces = [block[cut:]]
+        else:
+            pieces.append(block)
+    if rest := b"".join(pieces):
+        yield rest + b"\n"
+
+
+def _parsed(path, region):
+    """`_decoded` by the line parser, with all events in one block. A file
+    not in the locale's encoding is a DataError."""
+    try:
+        rows, sensor = _parse_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc
-    return rows, w, h
+    crop = region(sensor)
+    yield sensor
+    yield _cropped(rows["x"], rows["y"], rows["t"].__getitem__, crop)
+
+
+def _read(path, region, consume):
+    """consume(blocks) for the blocks of `_decoded`, or of `_parsed` if the
+    block decoder cannot read the file."""
+    try:
+        return consume(_decoded(path, region))
+    except _Fallback:
+        return consume(_parsed(path, region))
 
 
 def load_events(path):
     """Read an event file. Returns (events, sensor_w, sensor_h).
 
-    The body is parsed in bulk; any line the bulk parse rejects, or a
-    negative value, sends the whole file through the line parser, which
-    raises EventFileError with the line number. A file that is not text
-    in the locale's encoding is a DataError. Events are sorted by
-    timestamp on ingest; the format permits non-strict ordering.
+    The block decoder reads the file; any line it cannot take sends the
+    whole file through the line parser, which raises EventFileError with
+    the line number. A file that is not text in the locale's encoding is
+    a DataError. Events are sorted by timestamp on ingest; the format
+    permits non-strict ordering.
     """
-    rows, w, h = _parse(path)
-    t = rows["t"]
+    def columns(blocks):
+        sensor = next(blocks)
+        cols = [np.concatenate(c) for c in zip(*blocks)]
+        return cols or [np.empty(0, dtype=np.int64)] * 3, sensor
+
+    (x, y, t), (w, h) = _read(path, lambda sensor: None, columns)
     if (t[1:] < t[:-1]).any():
-        rows = rows[np.argsort(t, kind="stable")]
-    return EventArray(rows["x"], rows["y"], rows["t"]), w, h
-
-
-_SLICE = 16384  # parsed records per slice of the key build in load_frames
+        order = np.argsort(t, kind="stable")
+        x, y, t = x[order], y[order], t[order]
+    return EventArray(x, y, t), w, h
 
 
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     """`accumulate_frames` of an event file, centre-cropped to the frame.
 
-    Past the parse, memory follows the kept events: their keys are built a
-    slice of records at a time, written over records already read, and the
-    buffer shrinks to them. Events are not sorted, so in an unsorted file
-    an EventBoundsError may name another event index.
+    The file is read a block at a time. Each block is cropped on `x` and
+    `y` before its `t` is decoded, checked against the bounds and the
+    frame cap, and its keys are appended to one buffer, so memory follows
+    the kept events, not the size of the file. Events are not sorted, so
+    in an unsorted file an EventBoundsError may name another event index.
     """
     window_us = _window_us(window_ms)
-    rows, sw, sh = _parse(path)
-    crop = (sw, sh) != (width, height) and centered_crop(sw, sh, width, height)
-    nk = n_frames = 0
-    for lo in range(0, rows.size, _SLICE):
-        events = EventArray(*(rows[f][lo:lo + _SLICE] for f in "xyt"))
-        if crop:
-            events = crop_events(events, *crop, width, height)
-        keys, n = _frame_keys(events, window_us, width, height, first=lo)
-        del events  # may view `rows`: no view may outlive the resize below
-        n_frames = max(n_frames, n)
-        if n_frames <= MAX_FRAMES:  # slot j is in record j // 2 (or // 3): a read one
-            rows.view(np.int64)[nk:nk + keys.size] = keys
-            nk += keys.size
-    _check_frame_count(n_frames)  # after every bounds check, as accumulate_frames
-    # A realloc, which frees the tail. No view of `rows` is alive; refcheck
-    # would also count the reference that a debugger's f_locals holds.
-    rows.resize(-(-nk // (rows.itemsize // 8)), refcheck=False)
-    return FrameStream.from_keys(rows.view(np.int64)[:nk], n_frames, width, height)
+
+    def region(sensor):
+        if sensor != (width, height):
+            return (*centered_crop(*sensor, width, height), width, height)
+
+    def frames(blocks):
+        next(blocks)
+        keys = bytearray()
+        n_frames = first = 0
+        try:
+            for x, y, t in blocks:
+                block_keys, n = _frame_keys(x, y, t, window_us, width, height, first)
+                first += x.size
+                n_frames = max(n_frames, n)
+                if n_frames <= MAX_FRAMES:
+                    keys.extend(block_keys)
+        except EventBoundsError:  # after any malformed line, as a whole-file parse
+            for _ in blocks:
+                pass
+            raise
+        _check_frame_count(n_frames)  # after every bounds check, as accumulate_frames
+        return FrameStream.from_keys(np.frombuffer(keys, dtype=np.int64), n_frames,
+                                     width, height)
+
+    return _read(path, region, frames)

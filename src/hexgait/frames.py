@@ -81,12 +81,13 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
 
     Sort plus a neighbour compare: np.unique is several times slower on
     the few hundred thousand keys of a recording. Sorting in place saves
-    a copy of every key; callers hand over an array they own.
+    a copy of every key, and `keys` itself is returned when no key
+    repeats; callers hand over an array they own.
     """
     keys.sort()
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys if keep.all() else keys[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +141,6 @@ class FrameStream:
         bits = np.stack([f.bits for f in frames])
         return cls(np.flatnonzero(bits), len(frames), frames[0].width,
                    frames[0].height)
-
-    def pixels(self):
-        """(frame, y, x) arrays of every set pixel, ordered by frame, y, x."""
-        rows, x = np.divmod(self.keys, self.width)
-        frame, y = np.divmod(rows, self.height)
-        return frame, y, x
 
     def per_frame(self) -> list:
         """Sorted flat indices y * width + x of the set pixels of each frame."""
@@ -233,17 +228,29 @@ def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
     return head[head == tiles[m:]]
 
 
+_POOL_BLOCK = 1 << 16  # keys pooled at a time, rounded up to whole frames
+
+
 def pooled_streams(stream: FrameStream) -> FrameStream:
     """I10 = andpool(frame, 10) of every frame of `stream`, as a FrameStream:
     the 10 x 10 tiles with all 100 pixels set. It comes from sorting the
     tile keys of the set pixels, so the cost follows the events, not the
-    frame area.
+    frame area. The keys are pooled a block of whole frames at a time,
+    since a tile never spans two frames, so the temporaries stay the size
+    of a block.
     """
     n, h, w = len(stream), stream.height, stream.width
     if h % 10 or w % 10:
         raise DimensionError(f"frame {w}x{h} not divisible by kernel 10")
-    return FrameStream(_full_tiles(_tile_keys(stream.keys, w, 10), 10), n,
-                       w // 10, h // 10)
+    keys, frame_size = stream.keys, h * w
+    blocks, lo = [], 0
+    while lo < keys.size:
+        last = keys[min(lo + _POOL_BLOCK, keys.size) - 1]
+        hi = int(np.searchsorted(keys, (last // frame_size + 1) * frame_size))
+        blocks.append(_full_tiles(_tile_keys(keys[lo:hi], w, 10), 10))
+        lo = hi
+    tiles = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return FrameStream(tiles, n, w // 10, h // 10)
 
 
 def frame_not(a: BinaryFrame) -> BinaryFrame:

@@ -113,6 +113,16 @@ def test_event_file_comments_and_sorting(tmp_path):
     assert events.t.tolist() == [100, 500]
 
 
+def test_malformed_line_is_reported_before_a_bounds_or_sensor_error(tmp_path):
+    """As by a parse of the whole file first, also when the malformed line
+    is some blocks past the event out of bounds."""
+    path = tmp_path / "ev.txt"
+    path.write_text("!sensor 8x8\n9,1,5\n" + "1,1,5\n" * 20_000 + "1,2\n")
+    for size in (8, 16):  # an event out of bounds; a sensor smaller than the frame
+        with pytest.raises(EventFileError, match="line 20003:"):
+            load_frames(path, 40, size, size)
+
+
 def test_crop():
     events = events_of([(100, 100, 0), (700, 400, 1), (1279, 799, 2)])
     left, top = centered_crop(1280, 800, 600, 600)
@@ -150,23 +160,8 @@ def test_crop_and_accumulate_leave_their_input_unchanged(tmp_path, triples):
     assert cropped == EventArray(*kept)
 
 
-def test_ingest_memory_per_event(tmp_path, cfg):
-    """Allocation peak of the CLI's event-file ingest per input event.
-
-    100k salt events on an 800x800 sensor, 56% inside the 600x600 crop.
-    The peak is the parse's: 16-byte records, whose buffer the keys of
-    the kept events then overwrite slice by slice and shrink to. It
-    measured 19.7 B per event here (18.8 on the 657k-event replay-noisy
-    benchmark input). Holding all records while a whole-array crop copied
-    the kept columns measured 26.0 (27.1); with int64 rows, int64 column
-    copies and a sorted copy of the keys, 38.5 (40.2).
-    """
-    rng = np.random.default_rng(0)
-    n = 100_000
-    events = EventArray(rng.integers(0, 800, n), rng.integers(0, 800, n),
-                        np.sort(rng.integers(0, 432 * 40_000, n)))
-    path = tmp_path / "noisy.txt"
-    save_events(path, events, 800, 800)
+def _ingest_peak(cfg, path):
+    """(stream, allocation peak) of the CLI's ingest of an event file."""
     _ingest_events(cfg, path)  # warm up numpy's lazy imports and caches
     tracemalloc.start()
     try:
@@ -174,8 +169,54 @@ def test_ingest_memory_per_event(tmp_path, cfg):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return stream, peak
+
+
+def _salt_file(path, n, sensor):
+    """An event file of n uniform salt events on a sensor x sensor sensor."""
+    rng = np.random.default_rng(0)
+    events = EventArray(rng.integers(0, sensor, n), rng.integers(0, sensor, n),
+                        np.sort(rng.integers(0, 432 * 40_000, n)))
+    save_events(path, events, sensor, sensor)
+
+
+def test_ingest_memory_per_event(tmp_path, cfg):
+    """Allocation peak of the CLI's event-file ingest per input event.
+
+    100k salt events on an 800x800 sensor, 56% inside the 600x600 crop.
+    The file is decoded 64 KiB at a time, so the peak is the keys of the
+    kept events, 8 B each, their deduplicated copy (salt repeats a few
+    pixels) and one block's temporaries. It measured 11.5 B per event here
+    (6.6 on the 657k-event replay-noisy benchmark input, where no key
+    repeats). Parsing the whole file first into 16-byte records measured
+    19.7 (18.8); holding all records while a whole-array crop copied the
+    kept columns, 26.0 (27.1); with int64 rows, int64 column copies and a
+    sorted copy of the keys, 38.5 (40.2).
+    """
+    n = 100_000
+    path = tmp_path / "noisy.txt"
+    _salt_file(path, n, 800)
+    stream, peak = _ingest_peak(cfg, path)
     assert len(stream.keys) > n // 2
-    assert peak <= 24 * n, f"{peak / n:.1f} B per event"
+    assert peak <= 16 * n, f"{peak / n:.1f} B per event"
+
+
+def test_ingest_memory_follows_kept_events(tmp_path, cfg):
+    """The ingest peak follows the kept events, not the file.
+
+    100k salt events on a 1900x1900 sensor, 10% inside the 600x600 crop.
+    Past one block's temporaries (well under 1 MiB), only the kept events
+    take memory, 16 B each at most: a key and its deduplicated copy. It
+    measured 6.5 B per input event here; a whole-file parse into 16-byte
+    records measured 17.1.
+    """
+    n = 100_000
+    path = tmp_path / "sparse.txt"
+    _salt_file(path, n, 1900)
+    stream, peak = _ingest_peak(cfg, path)
+    kept = len(stream.keys)
+    assert n // 20 < kept < n // 5
+    assert peak <= 16 * kept + (1 << 20), f"{peak / n:.1f} B per event"
 
 
 def test_save_events_memory_per_event(tmp_path):
@@ -204,7 +245,7 @@ def test_save_events_memory_per_event(tmp_path):
 
 def test_load_frames_under_a_trace_function(tmp_path):
     """A Python trace function (a debugger, a coverage or line tracer) holds
-    every local of a traced frame; the record buffer still shrinks."""
+    every local of a traced frame; the keys are the same under one."""
     path = tmp_path / "events.txt"
     path.write_text("!sensor 8x8\n1,2,40000\n3,4,5\n")
 

@@ -1,12 +1,13 @@
 """The fast paths against their references.
 
-Tile-count pooling (`pooled_streams`) against the dense `andpool`,
-the bulk event-file parse against the line parser, the slice-wise ingest
-(`load_frames`) against load, crop and accumulate of whole arrays, the
-repeated I10 of one tripod period against the I10 of the whole splice, the array-state
-network step (`step_state`) against the scalar `step_network` of
-conftest, the frozen replay of a pooled stream against that of its dense
-frames, and the one-template weight writer against per-value formatting.
+Tile-count pooling (`pooled_streams`) in blocks of several sizes against
+the dense `andpool`, the event-file block decoder against the line parser,
+the block-wise ingest (`load_frames`) against load, crop and accumulate of
+whole arrays, the repeated I10 of one tripod period against the I10 of
+the whole splice, the array-state network step (`step_state`) against
+the scalar `step_network` of conftest, the frozen replay of a pooled
+stream against that of its dense frames, and the one-template weight
+writer against per-value formatting.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import step_network
-from hexgait import events
+from hexgait import events, frames as frames_module
 from hexgait.errors import DataError, DimensionError, EventFileError
 from hexgait.events import (EventArray, accumulate_frames, centered_crop,
                             crop_events, load_events, load_frames)
@@ -39,12 +40,18 @@ def _frame(rng, w, h, p_tile, density):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 4), st.floats(0, 1), st.floats(0, 1))
 def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
+    """Pooled in blocks of the default size, of 1 key (a block ends at the
+    next frame start, so each holds one frame) and of more than one
+    frame's pixels (each holds several)."""
     rng = np.random.default_rng(seed)
     frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
     stream = FrameStream.from_frames(frames)
     keys = stream.keys.copy()
-    i10 = pooled_streams(stream)
-    assert i10.frames == tuple(andpool(f, 10) for f in frames)
+    expected = tuple(andpool(f, 10) for f in frames)
+    for block in (frames_module._POOL_BLOCK, 1, 400 * tw * th + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frames_module, "_POOL_BLOCK", block)
+            assert pooled_streams(stream).frames == expected, block
     assert np.array_equal(stream.keys, keys)
 
 
@@ -70,9 +77,9 @@ def test_stream_length_is_capped():
         FrameStream(np.empty(0, dtype=np.int64), MAX_FRAMES + 1, 600, 600)
 
 
-# Field tokens: mostly plain digits, plus what int() and np.loadtxt disagree
-# on (signs, underscores, full-width and other Unicode digits, odd
-# whitespace, line breaks, BOM and NUL) and what both reject.
+# Field tokens: mostly plain digits, plus what int() takes and the block
+# decoder leaves to it (signs, underscores, full-width and other Unicode
+# digits, odd whitespace, line breaks, BOM and NUL) and what both reject.
 _GOOD = st.integers(0, 10**6).map(str)
 _ODD = st.sampled_from([
     "+5", "1_000", "１２", "٥", " 7 ", "\t8", "-3", "-0", "",
@@ -85,12 +92,12 @@ _OTHER = st.sampled_from([
     "!sensor 10X12 # inline", "!sensor bad", "!sensor", "1,2,3 # inline !",
     "\f", "\v", "\f\v # page", "\ufeff!sensor 8x8", "\ufeff1,2,3", "\x00",
     "1,2,3\r4,5,6", "# caf\udce9 (latin-1, not UTF-8)"])
-# Lines the bulk parse takes: it must agree with the line parser on these.
+# Lines the block decoder takes: it must agree with the line parser on these.
 _PLAIN = st.one_of(
     st.tuples(_GOOD, _GOOD, _GOOD).map(",".join),
     st.tuples(_GOOD, _GOOD, _GOOD).map(lambda f: f" {f[0]} ,\t{f[1]}, {f[2]} # c"),
     st.sampled_from(["", "# comment", "1,2,3#"]))
-# A negative value parses in bulk but is an error for the line parser.
+# A negative value is an error for the line parser.
 _NEGATIVE = st.tuples(_GOOD, st.integers(-9, -1).map(str), _GOOD).map(",".join)
 _LINES = st.one_of(
     st.lists(_PLAIN, max_size=12),
@@ -130,7 +137,7 @@ def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline):
 
 def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
         tmp_path, monkeypatch):
-    """numpy's file opener decompresses by suffix and fetches URLs."""
+    """An opener that decompresses by suffix or fetches URLs would not."""
     def no_network(*args, **kwargs):
         raise AssertionError("event files are never fetched")
 
@@ -191,31 +198,31 @@ _TIMES = st.one_of(st.integers(0, 120), st.sampled_from([899_999, 900_000, 10**7
        triples=st.lists(st.tuples(st.integers(-3, 7), st.integers(-3, 7), _TIMES),
                         max_size=30),
        duplicate=st.booleans(), ordered=st.booleans(), line_parser=st.booleans(),
-       slice_size=st.integers(1, 5))
+       block_size=st.integers(1, 40))
 @example(width=2, height=2, extra_w=0, extra_h=0, triples=[], duplicate=False,
-         ordered=True, line_parser=False, slice_size=1)  # header only
+         ordered=True, line_parser=False, block_size=1)  # header only
 @example(width=2, height=2, extra_w=4, extra_h=3, triples=[(-1, 0, 5), (2, 1, 7)],
-         duplicate=True, ordered=False, line_parser=True, slice_size=1)  # all cropped
+         duplicate=True, ordered=False, line_parser=True, block_size=1)  # all cropped
 def test_load_frames_equals_the_whole_array_chain(
         tmp_path, monkeypatch, width, height, extra_w, extra_h, triples, duplicate,
-        ordered, line_parser, slice_size):
+        ordered, line_parser, block_size):
     """Equal keys and frame count, or the same error class. The message is
     the same too unless the file is out of time order, where an
     EventBoundsError may name another event index. Events are placed
-    relative to the crop region; slices of a few records hit their edges."""
+    relative to the crop region; blocks of a few bytes hit their edges."""
     sensor_w, sensor_h = width + extra_w, height + extra_h
     left, top = max(extra_w, 0) // 2, extra_h // 2
     rows = [(max(left + x, 0), max(top + y, 0), t) for x, y, t in triples]
     rows += rows if duplicate else []
     if ordered:
         rows.sort(key=lambda r: r[2])
-    # int() takes "+5" and "0_5"; the bulk parse rejects the underscore.
+    # int() takes "+5" and "0_5"; the block decoder leaves both to it.
     line = "+{},{},{}\n" if line_parser else "{},{},{}\n"
     stamp = (lambda t: "_".join(f"{t:02d}")) if line_parser else str
     body = "".join(line.format(x, y, stamp(t)) for x, y, t in rows)
     path = tmp_path / "events.txt"
     path.write_text(f"!sensor {sensor_w}x{sensor_h}\n{body}")
-    monkeypatch.setattr(events, "_SLICE", slice_size)
+    monkeypatch.setattr(events, "_BLOCK", block_size)
     args = (path, _WINDOW_MS, width, height)
     fast = _frames_or_error(load_frames, *args)
     reference = _frames_or_error(_whole_array_chain, *args)
@@ -223,6 +230,41 @@ def test_load_frames_equals_the_whole_array_chain(
         assert fast == reference
     else:
         assert fast[0] is reference[0]
+
+
+# Fields of up to 16 digits are decoded in blocks; 17 digits go to the
+# line parser.
+_WIDE = st.one_of(st.integers(0, 999), st.integers(0, 999),
+                  st.integers(10**15, 10**16 - 1), st.integers(10**16, 10**17 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(
+           st.tuples(_WIDE, _WIDE, _WIDE, st.sampled_from(["", " # c", "# c", "\t"])),
+           st.sampled_from(["", "# c", "  "])), max_size=10),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
+       crop=st.booleans(), block_size=st.integers(1, 64))
+def test_block_edges_equal_the_line_parser_and_whole_array_chain(
+        tmp_path_factory, rows, newline, final_newline, crop, block_size):
+    """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere, and
+    carry the tail of each block over to the next. A file with no field
+    over 16 digits never reaches the line parser."""
+    events_rows = sorted((r for r in rows if isinstance(r, tuple)), key=lambda r: r[2])
+    in_time_order = iter(events_rows)  # so bounds errors name the same index
+    lines = [r if isinstance(r, str) else "{},{},{}{}".format(*next(in_time_order))
+             for r in rows]
+    text = newline.join(["!sensor 1000x1000"] + lines)
+    path = tmp_path_factory.mktemp("blocks") / "events.txt"
+    path.write_bytes((text + newline if final_newline else text).encode())
+    size = 600 if crop else 1000
+    args = (path, 40, size, size)
+    expected = _outcome(_reference, path), _frames_or_error(_whole_array_chain, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events, "_BLOCK", block_size)
+        if all(v < 10**16 for r in events_rows for v in r[:3]):
+            mp.setattr(events, "_parse_lines", None)
+        got = _outcome(load_events, path), _frames_or_error(load_frames, *args)
+    assert got == expected
 
 
 @settings(max_examples=50, deadline=None)

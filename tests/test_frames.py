@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import centroid, random_frame
 from hexgait.errors import DimensionError, EmptyFrameError
-from hexgait.frames import BinaryFrame, andpool, frame_not, orpool, popcount
+from hexgait import frames as frames_module
+from hexgait.frames import (BinaryFrame, FrameStream, andpool, frame_not, orpool,
+                            pooled_streams, popcount)
 
 
 def brute_pool(bits, k, op):
@@ -159,3 +163,36 @@ def test_frame_immutable():
     f = BinaryFrame.zeros(4, 4)
     with pytest.raises(ValueError):
         f.bits[0, 0] = True
+
+
+def test_pooled_streams_memory_above_its_input():
+    """Allocation peak of pooling a stream, above its input keys.
+
+    About 1M keys: 100 frames of 300x300 salt at 12%, with 5 full 10x10
+    tiles per frame. Keys are pooled a block of about 64k keys, rounded
+    up to whole frames, at a time, so the peak is one block's tile keys
+    and masks. It measured 14% of the input keys' bytes here; pooling
+    all keys at once measured 200%.
+    """
+    rng = np.random.default_rng(0)
+    n, side = 100, 300
+    frame = np.arange(n)[:, None, None] * side * side
+    tiles = rng.integers(0, (side // 10) ** 2, (n, 5))
+    corner = (tiles // (side // 10)) * 10 * side + tiles % (side // 10) * 10
+    pixels = (np.arange(10)[:, None] * side + np.arange(10)).ravel()
+    full = (frame + corner[:, :, None] + pixels).ravel()
+    salt = rng.integers(0, n * side * side, int(0.12 * n * side * side))
+    keys = np.unique(np.concatenate([salt, full]))
+    stream = FrameStream(keys, n, side, side)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames_module, "_POOL_BLOCK", keys.size)
+        whole = pooled_streams(stream)
+    pooled_streams(stream)  # warm up
+    tracemalloc.start()
+    try:
+        i10 = pooled_streams(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(i10.keys, whole.keys) and i10.keys.size >= n
+    assert peak <= 0.25 * keys.nbytes, f"{peak / keys.nbytes:.0%} of the input"
