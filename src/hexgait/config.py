@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .events import _window_us
 from .frames import MAX_FRAMES
 from .neurons import N_LEGS, NeuronParams
-from .scene import HexapodGeometry, RenderParams
+from .scene import BLOCK, HexapodGeometry, RenderParams
 from .training import TrainSchedule
 
 # A key owned by a dataclass takes its default from there. The two angles
@@ -119,6 +119,13 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+# Work budget: the bytes the frame cap already allows the I10 stack of a
+# default 600 x 600 stream (one byte per 10 x 10 tile per frame). The keys
+# of the rendered stream's expected set pixels (8 bytes each) and the I10
+# weight map (one double per neuron per tile) must each fit it.
+WORK_BYTES = MAX_FRAMES * 60 * 60
+
+
 def validate(cfg: RunConfig) -> None:
     """Raise ConfigError unless every value meets its owner's invariants."""
     for section, values in cfg.values.items():
@@ -160,6 +167,16 @@ def validate(cfg: RunConfig) -> None:
     if n_frames > MAX_FRAMES:
         raise ConfigError(f"[scene]/[test]: the training or tripod stream spans "
                           f"{n_frames} frames, more than the limit of {MAX_FRAMES}")
+    leg_pixels = BLOCK * BLOCK * s["tip_blocks"] + 4 * s["shaft_clusters"]
+    pixels = N_LEGS * (segment * s["width"] * s["height"] * s["noise_density"]
+                       + s["frames_per_cycle"] * leg_pixels)
+    if 8 * pixels > WORK_BYTES:
+        raise ConfigError(f"[scene]: the rendered stream would set about {pixels:.3g} "
+                          f"pixels; the work budget allows {WORK_BYTES // 8:,}")
+    weights = N_LEGS * (s["width"] // 10) * (s["height"] // 10)
+    if 8 * weights > WORK_BYTES:
+        raise ConfigError(f"[scene]: the I10 weight map would take {weights:,} doubles; "
+                          f"the work budget allows {WORK_BYTES // 8:,}")
 
 
 # Comments of the annotated example config.

@@ -76,18 +76,32 @@ def _check_frame_count(n_frames: int) -> None:
             f"stream spans {n_frames} frames, more than the limit of {MAX_FRAMES}")
 
 
+# Keys handled at a time by _sort_unique and pooled_streams; pooling
+# rounds a block up to whole frames.
+_POOL_BLOCK = 1 << 16
+
+
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an int64 array, which is sorted in place.
 
     Sort plus a neighbour compare: np.unique is several times slower on
     the few hundred thousand keys of a recording. Sorting in place saves
     a copy of every key, and `keys` itself is returned when no key
-    repeats; callers hand over an array they own.
+    repeats. Otherwise the distinct keys are compacted to the front of
+    `keys` a block at a time, with no copy of every key, and a prefix
+    view of `keys` is returned; callers hand over an array they own.
     """
     keys.sort()
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys if keep.all() else keys[keep]
+    if keep.all():
+        return keys
+    size = 0
+    for lo in range(0, keys.size, _POOL_BLOCK):
+        new = keys[lo:lo + _POOL_BLOCK][keep[lo:lo + _POOL_BLOCK]]
+        keys[size:size + new.size] = new
+        size += new.size
+    return keys[:size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +240,6 @@ def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
     m = k * k - 1
     head = tiles[:max(tiles.size - m, 0)]
     return head[head == tiles[m:]]
-
-
-_POOL_BLOCK = 1 << 16  # keys pooled at a time, rounded up to whole frames
 
 
 def pooled_streams(stream: FrameStream) -> FrameStream:

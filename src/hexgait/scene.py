@@ -9,8 +9,9 @@ active frame:
 * sparse 2x2 clusters along the swinging leg shaft, which show in the
   events but are too sparse to fill a 10x10 AND pool tile.
 
-Salt noise is added as isolated single pixels; the 10x10 AND pool removes it.
-Frames are built as flat pixel indices, never as dense grids.
+Salt noise sets single pixels independently, drawn by `noise.salt` as
+geometric gaps from a hash of (seed, frame); the 10x10 AND pool removes
+it. Frames are built as flat pixel indices, never as dense grids.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import DataError
 from .frames import FrameStream, Point
 from .neurons import N_LEGS
+from .noise import salt
 
 # Side of a foot-site block: the I10 AND-pool kernel of
 # frames.pooled_streams, which the foot site must survive.
@@ -182,10 +184,10 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
     Each schedule step is one oscillation of its legs over
     `frames_per_cycle` frames followed by `gap_frames` still frames.
     Salt noise sets each pixel of a frame independently with probability
-    `noise_density`, drawn sparsely: a Binomial(width * height, p) count,
-    then that many distinct positions, uniformly. Noise uses a
-    counter-based per-frame substream, so the output is deterministic
-    and frame k's noise depends on the seed and k only.
+    `noise_density`, drawn sparsely by `noise.salt` as geometric gaps
+    between set pixels, from a counter-based hash keyed by (seed, k). So
+    the output is deterministic and frame k's noise depends on the seed
+    and k only.
     """
     if frames_per_cycle < 2:
         raise ValueError(f"frames_per_cycle must be >= 2, got {frames_per_cycle}")
@@ -207,9 +209,7 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
                                          foot_active=foot)
                              for leg in sorted(legs))
             if noise_density > 0.0:
-                rng = np.random.default_rng([seed, k])
-                parts.append(rng.choice(area, rng.binomial(area, noise_density),
-                                        replace=False, shuffle=False))
+                parts.append(salt(area, noise_density, seed, k))
             keys.append(np.concatenate(parts) + k * area)
     return FrameStream.from_keys(np.concatenate(keys), len(keys), width, height)
 

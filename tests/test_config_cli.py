@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hexgait
+from hexgait import cli
 from hexgait.cli import main
 from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
 from hexgait.energy import EnergyModel
@@ -94,6 +95,33 @@ _BAD_VALUES = (
     "[events]\nwindow_ms = 1300\n",  # dt > tau_ge: the factor is negative
     "[neuron]\ntau_ge = 0.04\n",  # tau_ge = dt
 )
+
+
+# Configs over the work budget: 1.1e12 expected set pixels and a 4.8 GB
+# weight map; the weight map alone; the noise alone; the shaft clusters.
+_OVER_BUDGET = (
+    "[scene]\nwidth = 100000\nheight = 100000\nnoise_density = 0.5\n",
+    "[scene]\nwidth = 30000\nheight = 30000\nnoise_density = 0.0\n",
+    "[scene]\nnoise_density = 0.9\n",
+    "[scene]\nshaft_clusters = 100000000\n",
+)
+
+
+def test_config_over_the_work_budget_exits_2_without_rendering(tmp_path, capsys,
+                                                               monkeypatch):
+    def render(*args, **kwargs):
+        raise AssertionError("rendered a config over the work budget")
+
+    monkeypatch.setattr(cli, "render_expert_sequence", render)
+    path, out = tmp_path / "big.ini", tmp_path / "out"
+    for text in _OVER_BUDGET:
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(out), "repro"]) == 2, text
+        assert "the work budget allows" in capsys.readouterr().err
+    assert not out.exists()
+    # Just inside: 216 frames at p = 0.5 set 38.9M of the 40.5M pixels.
+    path.write_text("[scene]\nnoise_density = 0.5\n")
+    load_config(path)
 
 
 def test_config_bad_value_rejected(tmp_path):
@@ -588,3 +616,27 @@ def test_import_starts_no_blas_thread_pool(user_value):
     assert value == (user_value or "1")
     if not user_value and threads != "None":
         assert threads == "1"
+
+
+_NO_RANDOM = """\
+import sys
+from hexgait.cli import main
+out, cfg = sys.argv[1], sys.argv[2]
+calls = (["repro"], ["train", out + "/events.txt"],
+         ["test", out + "/weights.txt", out + "/events.txt"])
+for argv in calls:
+    assert main(["--config", cfg, "--out", out] + argv) == 0, argv
+print(*sorted({"numpy.random", "secrets", "hashlib"} & set(sys.modules)))
+"""
+
+
+def test_commands_never_import_numpy_random(tmp_path):
+    # The salt noise is a hash of (seed, frame), so no command loads
+    # numpy.random and the OpenSSL hashing it pulls in.
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(_FUZZ_CFG)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
+    run = subprocess.run([sys.executable, "-c", _NO_RANDOM, str(tmp_path / "out"),
+                          str(cfg)], env=env, check=True, capture_output=True,
+                         text=True, timeout=120)
+    assert run.stdout.splitlines()[-1] == ""

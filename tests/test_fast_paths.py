@@ -56,9 +56,12 @@ def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 2 * 3 * 4 - 1), max_size=60))
-def test_from_keys_equals_np_unique(keys):
-    stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), 2, 4, 3)
+@given(st.lists(st.integers(0, 2 * 3 * 4 - 1), max_size=60), st.integers(1, 9))
+def test_from_keys_equals_np_unique(keys, block):
+    """Repeated keys are compacted `block` keys at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames_module, "_POOL_BLOCK", block)
+        stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), 2, 4, 3)
     assert np.array_equal(stream.keys, np.unique(np.array(keys, dtype=np.int64)))
 
 
