@@ -68,9 +68,8 @@ def _synth(cfg: RunConfig, out: str):
         frames_per_cycle=cfg["scene"]["frames_per_cycle"], width=width,
         height=height, noise_density=cfg["scene"]["noise_density"],
         seed=cfg.seed, params=cfg.render_params())
-    ev.save_events(os.path.join(out, "events.txt"),
-                   ev.frames_to_events(stream, cfg["events"]["window_ms"]),
-                   width, height)
+    ev.save_events(os.path.join(out, "events.txt"), stream.keys, width, height,
+                   cfg["events"]["window_ms"])
     write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
     return schedule, stream
 

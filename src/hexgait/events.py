@@ -1,15 +1,15 @@
-"""Event streams: file I/O, cropping, accumulation into binary frames.
+"""Event streams on disk: the event file, written from and read into
+`FrameStream` keys.
 
-Events are held as one struct of arrays, `EventArray`: signed integer
-`x` and `y` columns, int64 when read from a file, and an int64 `t`
-column. The on-disk format is plain text, one `x,y,t_us` triple per
-line, `#` comments, and a sidecar header line `!sensor WxH`.
+In memory an event stream is only ever a stream's keys. The file is
+plain text, one `x,y,t_us` triple per line, `#` comments, and a sidecar
+header line `!sensor WxH`. `save_events` writes one event per key,
+stamped mid-window; `load_frames` reads a file back into keys.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,45 +18,6 @@ from .errors import DataError, EventBoundsError, EventFileError
 from .frames import MAX_FRAMES, FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True, eq=False)
-class EventArray:
-    """Asynchronous pixel events: column, row, timestamp in microseconds.
-
-    Three 1-D arrays of one length, every value >= 0. `x` and `y` keep
-    their signed integer dtype and may be strided views; `t` is int64.
-    Other dtypes are converted to int64.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        cols = [_column(self.x), _column(self.y), np.asarray(self.t, dtype=np.int64)]
-        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
-            raise ValueError("x, y and t must be 1-D arrays of one length")
-        if cols[0].size and min(int(c.min()) for c in cols) < 0:
-            raise ValueError("event fields must be >= 0")
-        for name, c in zip("xyt", cols):
-            object.__setattr__(self, name, c)
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventArray):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in
-                   zip((self.x, self.y, self.t), (other.x, other.y, other.t)))
-
-
-def _column(values) -> np.ndarray:
-    """`values` as an array, converted to int64 unless of a signed integer dtype."""
-    col = np.asarray(values)
-    return col if col.dtype.kind == "i" else col.astype(np.int64)
-
 
 # Longest frame window, in us, that keeps MAX_FRAMES frames' stamps in int64.
 _MAX_WINDOW_US = _INT64_MAX // MAX_FRAMES
@@ -70,10 +31,10 @@ def _window_us(window_ms: float) -> int:
     return int(round(window_ms * 1000))
 
 
-def _frame_keys(x, y, t, window_us: int, width: int, height: int, first=0):
-    """(keys, n_frames) of `accumulate_frames` for the event columns x, y
-    and t, keys None if n_frames is over the cap. An event out of bounds
-    is numbered from `first`."""
+def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):
+    """(keys, n_frames) of the event columns x, y and t, keys None if
+    n_frames is over the cap. An event out of bounds is numbered from
+    `first`."""
     outside = np.flatnonzero((x >= width) | (y >= height))
     if outside.size:
         i = int(outside[0])
@@ -90,40 +51,6 @@ def _frame_keys(x, y, t, window_us: int, width: int, height: int, first=0):
     return keys, n_frames
 
 
-def accumulate_frames(events: EventArray, window_ms: float, width: int,
-                      height: int) -> FrameStream:
-    """OR-accumulate events into binary frames of `window_ms` each.
-
-    Frame count is ceil((t_max + 1) / window_us) for nonempty input, 0 for
-    empty input. Any event in window k sets its pixel's bit in frame k.
-    """
-    keys, n_frames = _frame_keys(events.x, events.y, events.t, _window_us(window_ms),
-                                 width, height)
-    _check_frame_count(n_frames)
-    return FrameStream.from_keys(keys, n_frames, width, height)
-
-
-def frames_to_events(stream: FrameStream, window_ms: float) -> EventArray:
-    """Invert accumulation: one event per set pixel, mid-window timestamp.
-
-    Three int64 arrays the length of the keys are alive at once: the row
-    index becomes the frame index and then `t`, in place.
-    """
-    window_us = _window_us(window_ms)
-    t, x = np.divmod(stream.keys, stream.width)  # t holds rows
-    t, y = np.divmod(t, stream.height, out=(t, None))  # t holds frames
-    t *= window_us
-    t += window_us // 2
-    return EventArray(x, y, t)
-
-
-def crop_events(events: EventArray, left: int, top: int, width: int,
-                height: int) -> EventArray:
-    """Keep events inside the crop region and rebase coordinates to it."""
-    return EventArray(*_cropped(events.x, events.y, events.t.__getitem__,
-                                (left, top, width, height)))
-
-
 _ALL = slice(None)
 
 
@@ -134,9 +61,9 @@ def _cropped(x, y, t, crop):
     if not crop:
         return x, y, t(_ALL)
     left, top, width, height = crop
-    # Rebased in int64 (an int32 column refuses a Python int offset beyond
-    # int32), where a coordinate before the crop reads as a huge unsigned one.
-    x, y = x - np.int64(left), y - np.int64(top)
+    # Rebased in int64, where a coordinate before the crop reads as a huge
+    # unsigned one.
+    x, y = x - left, y - top
     rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
     return x[rows], y[rows], t(rows)
 
@@ -152,15 +79,24 @@ def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
 _SAVE_BLOCK = 8192  # events formatted per chunk of an event file
 
 
-def save_events(path, events: EventArray, sensor_w: int, sensor_h: int) -> None:
-    """Write an event file a block of events at a time, so that the Python
-    ints and text of one block only are alive at once, and no copy of the
-    columns."""
+def save_events(path, keys, width: int, height: int, window_ms: float) -> None:
+    """Write the event file of the keys of a width x height stream: one
+    event per key, stamped mid-window, on a width x height sensor.
+
+    Each block of keys is split into its `x`, `y` and `t` columns by
+    `divmod`, with `t` built in place over the frame index, and formatted
+    at once. Only one block's columns, ints and text are alive at a time.
+    """
+    window_us = _window_us(window_ms)  # before a temp file is opened
+
     def chunks():
-        yield f"!sensor {sensor_w}x{sensor_h}\n"
-        for lo in range(0, len(events), _SAVE_BLOCK):
-            block = np.column_stack([c[lo:lo + _SAVE_BLOCK]
-                                     for c in (events.x, events.y, events.t)])
+        yield f"!sensor {width}x{height}\n"
+        for lo in range(0, len(keys), _SAVE_BLOCK):
+            t, x = np.divmod(keys[lo:lo + _SAVE_BLOCK], width)  # t holds rows
+            t, y = np.divmod(t, height, out=(t, None))  # t holds frames
+            t *= window_us
+            t += window_us // 2
+            block = np.column_stack((x, y, t))
             yield ("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
     write_atomic(path, chunks())
@@ -385,44 +321,22 @@ def _parsed(path, region):
     yield _cropped(rows["x"], rows["y"], rows["t"].__getitem__, crop)
 
 
-def _read(path, region, consume):
-    """consume(blocks) for the blocks of `_decoded`, or of `_parsed` if the
-    block decoder cannot read the file."""
-    try:
-        return consume(_decoded(path, region))
-    except _Fallback:
-        return consume(_parsed(path, region))
-
-
-def load_events(path):
-    """Read an event file. Returns (events, sensor_w, sensor_h).
-
-    The block decoder reads the file; any line it cannot take sends the
-    whole file through the line parser, which raises EventFileError with
-    the line number. A file that is not text in the locale's encoding is
-    a DataError. Events are sorted by timestamp on ingest; the format
-    permits non-strict ordering.
-    """
-    def columns(blocks):
-        sensor = next(blocks)
-        cols = [np.concatenate(c) for c in zip(*blocks)]
-        return cols or [np.empty(0, dtype=np.int64)] * 3, sensor
-
-    (x, y, t), (w, h) = _read(path, lambda sensor: None, columns)
-    if (t[1:] < t[:-1]).any():
-        order = np.argsort(t, kind="stable")
-        x, y, t = x[order], y[order], t[order]
-    return EventArray(x, y, t), w, h
-
-
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
-    """`accumulate_frames` of an event file, centre-cropped to the frame.
+    """The frames of an event file, centre-cropped to width x height.
 
-    The file is read a block at a time. Each block is cropped on `x` and
-    `y` before its `t` is decoded, checked against the bounds and the
-    frame cap, and its keys are appended to one buffer, so memory follows
-    the kept events, not the size of the file. Events are not sorted, so
-    in an unsorted file an EventBoundsError may name another event index.
+    An event at (x, y, t_us), rebased to the crop, sets pixel (x, y) of
+    frame t_us // window_us: each frame is the OR of its window's events,
+    and there are ceil((t_max + 1) / window_us) frames for t_max the
+    latest kept event, none if no event is kept.
+
+    The block decoder reads the file a block at a time. Each block is
+    cropped on `x` and `y` before its `t` is decoded, checked against the
+    bounds and the frame cap, and its keys are appended to one buffer, so
+    memory follows the kept events, not the size of the file. Any line
+    the decoder cannot take sends the whole file through the line parser,
+    which raises EventFileError with the line number; a file that is not
+    text in the locale's encoding is a DataError. Events are numbered in
+    file order, so an EventBoundsError names the event's place in the file.
     """
     window_us = _window_us(window_ms)
 
@@ -445,8 +359,11 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
             for _ in blocks:
                 pass
             raise
-        _check_frame_count(n_frames)  # after every bounds check, as accumulate_frames
+        _check_frame_count(n_frames)  # after every bounds check
         return FrameStream.from_keys(np.frombuffer(keys, dtype=np.int64), n_frames,
                                      width, height)
 
-    return _read(path, region, frames)
+    try:
+        return frames(_decoded(path, region))
+    except _Fallback:
+        return frames(_parsed(path, region))

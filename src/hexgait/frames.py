@@ -110,8 +110,8 @@ class FrameStream:
 
     Only the set pixels are stored: `keys` holds their sorted, distinct
     flat indices (frame * height + y) * width + x. `frames` builds the
-    dense frames on request. A stream carries no time: the event
-    converters in `events` take the window that maps frames to time.
+    dense frames on request. A stream carries no time: `events.save_events`
+    and `events.load_frames` take the window that maps frames to time.
     """
 
     keys: np.ndarray

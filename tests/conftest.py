@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hexgait import events
 from hexgait.config import default_config
-from hexgait.errors import DimensionError
-from hexgait.frames import BinaryFrame, Point, cell_centroid
+from hexgait.errors import DimensionError, EventBoundsError
+from hexgait.events import centered_crop
+from hexgait.frames import (BinaryFrame, FrameStream, Point, _check_frame_count,
+                            cell_centroid)
 from hexgait.neurons import NeuronParams, NeuronState, WeightMap, step_neuron
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import calibrate_priors, train
@@ -76,3 +79,28 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
             spiked.add(i + 1)
         new_states.append(state)
     return tuple(new_states), spiked
+
+
+# The whole-array reference that events.load_frames is checked against. It
+# shares no code with the block decoder, its crop or its keys.
+def reference_frames(path, window_ms, width, height) -> FrameStream:
+    """load_frames as the line parser, a crop and a bucketing of whole
+    arrays compute it: events numbered in file order, keys of frame
+    t // window."""
+    rows, (sensor_w, sensor_h) = events._parse_lines(path)
+    x, y, t = rows["x"], rows["y"], rows["t"]
+    if (sensor_w, sensor_h) != (width, height):
+        left, top = centered_crop(sensor_w, sensor_h, width, height)
+        x, y = x - left, y - top
+        inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+        x, y, t = x[inside], y[inside], t[inside]
+    outside = np.flatnonzero((x >= width) | (y >= height))
+    if outside.size:
+        i = outside[0]
+        raise EventBoundsError(
+            f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+    frame = t // round(window_ms * 1000)
+    n_frames = int(frame.max()) + 1 if frame.size else 0
+    _check_frame_count(n_frames)  # before a wild frame index overflows a key
+    return FrameStream(np.unique((frame * height + y) * width + x), n_frames,
+                       width, height)

@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 
@@ -8,109 +9,136 @@ from hypothesis import strategies as st
 
 from hexgait.cli import _ingest_events
 from hexgait.errors import EventBoundsError, EventFileError
-from hexgait.events import (EventArray, accumulate_frames, centered_crop,
-                            crop_events, frames_to_events, load_events,
-                            load_frames, save_events)
+from hexgait.events import centered_crop, load_frames, save_events
+from hexgait.frames import FrameStream
 
 
-def events_of(triples):
-    """EventArray of (x, y, t) triples, in the given order."""
-    cols = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    return EventArray(cols[:, 0], cols[:, 1], cols[:, 2])
+def load_triples(tmp_path, triples, window_ms, width, height, sensor=None):
+    """load_frames of an event file of (x, y, t) triples, in the given
+    order, on a `sensor` = (W, H) sensor, width x height by default."""
+    sensor_w, sensor_h = sensor or (width, height)
+    path = tmp_path / "ev.txt"
+    path.write_text(f"!sensor {sensor_w}x{sensor_h}\n"
+                    + "".join(f"{x},{y},{t}\n" for x, y, t in triples))
+    return load_frames(path, window_ms, width, height)
 
 
-def brute_bucket(events, window_us, width, height):
-    """Direct bucketing oracle for accumulate_frames."""
-    if not len(events):
+def brute_bucket(triples, window_us, width, height):
+    """Direct bucketing oracle for the frames of (x, y, t) triples."""
+    if not triples:
         return []
-    n = int(events.t.max()) // window_us + 1
+    n = max(t for _, _, t in triples) // window_us + 1
     frames = [np.zeros((height, width), dtype=bool) for _ in range(n)]
-    for x, y, t in zip(events.x.tolist(), events.y.tolist(), events.t.tolist()):
+    for x, y, t in triples:
         frames[t // window_us][y, x] = True
     return frames
 
 
-def test_empty_stream():
-    assert len(accumulate_frames(events_of([]), 40, 10, 10)) == 0
+def test_empty_stream(tmp_path):
+    assert len(load_triples(tmp_path, [], 40, 10, 10)) == 0
 
 
-def test_single_event():
-    stream = accumulate_frames(events_of([(5, 7, 10_000)]), 40, 16, 16)
+def test_single_event(tmp_path):
+    stream = load_triples(tmp_path, [(5, 7, 10_000)], 40, 16, 16)
     assert len(stream) == 1
     assert stream.frames[0].bits[7, 5]
     assert stream.frames[0].bits.sum() == 1
 
 
-def test_window_under_one_microsecond_rejected():
+def test_window_under_one_microsecond_rejected(tmp_path):
     # Timestamps are whole microseconds: such a window would divide by 0,
     # or stamp every event t = 0. Past INT64_MAX // MAX_FRAMES us, the
-    # timestamps of a long stream would overflow int64.
-    stream = accumulate_frames(events_of([(1, 1, 5)]), 0.001, 4, 4)
+    # timestamps of a long stream would overflow int64. A writer rejects
+    # the window before it opens a temp file, so it leaves no file behind.
+    stream = load_triples(tmp_path, [(1, 1, 5)], 0.001, 4, 4)
+    path = tmp_path / "out" / "events.txt"
+    path.parent.mkdir()
     for window_ms in (0.0, 0.0001, 0.0005, float("inf"), float("nan"), 5e13, 1e16):
         with pytest.raises(ValueError, match="at least 1 us"):
-            accumulate_frames(events_of([(1, 1, 5)]), window_ms, 4, 4)
+            load_triples(tmp_path, [(1, 1, 5)], window_ms, 4, 4)
         with pytest.raises(ValueError, match="at least 1 us"):
-            frames_to_events(stream, window_ms)
+            save_events(path, stream.keys, 4, 4, window_ms)
+        assert os.listdir(path.parent) == []
     assert len(stream) == 6
-    assert frames_to_events(stream, 0.001) == events_of([(1, 1, 5)])
+    save_events(path, stream.keys, 4, 4, 0.001)
+    assert path.read_text() == "!sensor 4x4\n1,1,5\n"
 
 
-def test_window_boundary():
-    events = events_of([(3, 3, 0), (3, 3, 39_999), (3, 3, 40_000)])
-    stream = accumulate_frames(events, 40, 8, 8)
-    expected = brute_bucket(events, 40_000, 8, 8)
+def test_window_boundary(tmp_path):
+    triples = [(3, 3, 0), (3, 3, 39_999), (3, 3, 40_000)]
+    stream = load_triples(tmp_path, triples, 40, 8, 8)
+    expected = brute_bucket(triples, 40_000, 8, 8)
     assert len(stream) == len(expected) == 2
     for frame, exp in zip(stream.frames, expected):
         assert np.array_equal(frame.bits, exp)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
                           st.integers(0, 200_000)), max_size=60),
        st.randoms())
-def test_accumulate_matches_oracle_and_order_invariance(triples, rnd):
-    events = events_of(triples)
-    stream = accumulate_frames(events, 40, 16, 16)
-    expected = brute_bucket(events, 40_000, 16, 16)
+def test_accumulate_matches_oracle_and_order_invariance(tmp_path, triples, rnd):
+    stream = load_triples(tmp_path, triples, 40, 16, 16)
+    expected = brute_bucket(triples, 40_000, 16, 16)
     assert len(stream) == len(expected)
     for frame, exp in zip(stream.frames, expected):
         assert np.array_equal(frame.bits, exp)
     shuffled = list(triples)
     rnd.shuffle(shuffled)
-    stream2 = accumulate_frames(events_of(shuffled), 40, 16, 16)
+    stream2 = load_triples(tmp_path, shuffled, 40, 16, 16)
     assert stream.frames == stream2.frames
 
 
-def test_out_of_bounds_reports_index():
-    events = events_of([(0, 0, 0), (20, 0, 10)])
+def test_out_of_bounds_reports_index(tmp_path):
     with pytest.raises(EventBoundsError, match="event 1 at"):
-        accumulate_frames(events, 40, 16, 16)
+        load_triples(tmp_path, [(0, 0, 0), (20, 0, 10)], 40, 16, 16)
 
 
-def test_event_file_roundtrip(tmp_path):
-    events = events_of([(1, 2, 30), (5, 5, 99_000)])
+@st.composite
+def streams(draw):
+    """A FrameStream of up to 6 frames whose last frame has a set pixel:
+    an empty frame after the last event leaves no trace in an event file."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n_frames = draw(st.integers(0, 6))
+    size = n_frames * width * height
+    keys = set()
+    if n_frames:
+        keys = draw(st.sets(st.integers(0, size - 1), max_size=40))
+        keys.add(draw(st.integers(size - width * height, size - 1)))  # the last frame
+    return FrameStream(np.array(sorted(keys), dtype=np.int64), n_frames, width, height)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(streams(), st.sampled_from([0.001, 0.002, 0.013, 33.3335, 40.0]))
+def test_event_file_roundtrip(tmp_path, stream, window_ms):
+    """One mid-window event per key reads back as the same keys and frame
+    count, also for windows of 1 or an odd number of us."""
     path = tmp_path / "ev.txt"
-    save_events(path, events, 600, 600)
-    loaded, w, h = load_events(path)
-    assert (w, h) == (600, 600)
-    assert loaded == events
+    save_events(path, stream.keys, stream.width, stream.height, window_ms)
+    loaded = load_frames(path, window_ms, stream.width, stream.height)
+    assert np.array_equal(loaded.keys, stream.keys)
+    assert loaded.n_frames == stream.n_frames
 
 
 def test_event_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("!sensor 10x10\n1,2\n")
     with pytest.raises(EventFileError, match="line 2:"):
-        load_events(path)
+        load_frames(path, 40, 10, 10)
     path.write_text("1,2,3\n")
     with pytest.raises(EventFileError):
-        load_events(path)  # missing header
+        load_frames(path, 40, 10, 10)  # missing header
 
 
 def test_event_file_comments_and_sorting(tmp_path):
+    """Comments are skipped, and events out of time order give sorted keys."""
     path = tmp_path / "ev.txt"
     path.write_text("# comment\n!sensor 8x8\n3,3,500\n1,1,100  # inline\n")
-    events, _, _ = load_events(path)
-    assert events.t.tolist() == [100, 500]
+    stream = load_frames(path, 0.1, 8, 8)  # frames 5 and 1
+    assert stream.keys.tolist() == [64 + 8 + 1, 5 * 64 + 3 * 8 + 3]
+    assert stream.n_frames == 6
 
 
 def test_malformed_line_is_reported_before_a_bounds_or_sensor_error(tmp_path):
@@ -123,41 +151,25 @@ def test_malformed_line_is_reported_before_a_bounds_or_sensor_error(tmp_path):
             load_frames(path, 40, size, size)
 
 
-def test_crop():
-    events = events_of([(100, 100, 0), (700, 400, 1), (1279, 799, 2)])
+def test_crop(tmp_path):
+    triples = [(100, 100, 0), (700, 400, 1), (1279, 799, 2)]
     left, top = centered_crop(1280, 800, 600, 600)
     assert (left, top) == (340, 100)
-    cropped = crop_events(events, left, top, 600, 600)
-    assert cropped == events_of([(360, 300, 1)])
+    stream = load_triples(tmp_path, triples, 40, 600, 600, sensor=(1280, 800))
+    assert stream.keys.tolist() == [300 * 600 + 360]
+    assert stream.n_frames == 1
 
 
-def test_frames_to_events_roundtrip():
+def test_frames_to_events_roundtrip(tmp_path):
+    """The frames of random events, written back as events, give the same frames."""
     rng = np.random.default_rng(2)
-    events = EventArray(rng.integers(0, 16, 30), rng.integers(0, 16, 30),
-                        rng.integers(0, 200_000, 30))
-    stream = accumulate_frames(events, 40, 16, 16)
-    rebuilt = accumulate_frames(frames_to_events(stream, 40.0), 40, 16, 16)
+    triples = list(zip(rng.integers(0, 16, 30).tolist(), rng.integers(0, 16, 30).tolist(),
+                       rng.integers(0, 200_000, 30).tolist()))
+    stream = load_triples(tmp_path, triples, 40, 16, 16)
+    path = tmp_path / "rebuilt.txt"
+    save_events(path, stream.keys, 16, 16, 40.0)
+    rebuilt = load_frames(path, 40, 16, 16)
     assert stream.frames == rebuilt.frames
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 29),
-                          st.integers(0, 200_000)), max_size=40))
-def test_crop_and_accumulate_leave_their_input_unchanged(tmp_path, triples):
-    """Both build their output in arrays of their own, also from the
-    narrow, strided columns of a parsed file."""
-    path = tmp_path / "ev.txt"
-    save_events(path, events_of(triples), 40, 30)
-    events, _, _ = load_events(path)
-    before = EventArray(events.x.copy(), events.y.copy(), events.t.copy())
-    cropped = crop_events(events, 10, 5, 20, 20)
-    assert events == before
-    accumulate_frames(events, 40, 40, 30)
-    assert events == before
-    kept = cropped.x.copy(), cropped.y.copy(), cropped.t.copy()
-    accumulate_frames(cropped, 40, 20, 20)
-    assert cropped == EventArray(*kept)
 
 
 def _ingest_peak(cfg, path):
@@ -175,9 +187,10 @@ def _ingest_peak(cfg, path):
 def _salt_file(path, n, sensor):
     """An event file of n uniform salt events on a sensor x sensor sensor."""
     rng = np.random.default_rng(0)
-    events = EventArray(rng.integers(0, sensor, n), rng.integers(0, sensor, n),
-                        np.sort(rng.integers(0, 432 * 40_000, n)))
-    save_events(path, events, sensor, sensor)
+    rows = np.column_stack([rng.integers(0, sensor, n), rng.integers(0, sensor, n),
+                            np.sort(rng.integers(0, 432 * 40_000, n))])
+    np.savetxt(path, rows, fmt="%d", delimiter=",", header=f"!sensor {sensor}x{sensor}",
+               comments="")
 
 
 def test_ingest_memory_per_event(tmp_path, cfg):
@@ -222,24 +235,24 @@ def test_ingest_memory_follows_kept_events(tmp_path, cfg):
 def test_save_events_memory_per_event(tmp_path):
     """Allocation peak of writing an event file, per event written.
 
-    100k events. The peak is one block's: its Python ints, their tuple
-    and its text, about 1.2 MB whatever the event count. It measured
-    12.3 B per event here (6.2 at 200k events). A full (n, 3) int64
-    `column_stack` of the columns before the blocks measured 34.4 (29.2).
+    100k keys of a 432-frame stream. The peak is one block's: its x, y
+    and t columns, their Python ints, tuple and text, about 1.2 MB
+    whatever the event count. A full (n, 3) int64 `column_stack` of the
+    columns before the blocks measured 34.4 B per event (29.2 at 200k).
     """
     rng = np.random.default_rng(0)
-    n = 100_000
-    events = EventArray(rng.integers(0, 600, n), rng.integers(0, 600, n),
-                        np.sort(rng.integers(0, 432 * 40_000, n)))
+    stream = FrameStream.from_keys(rng.integers(0, 432 * 600 * 600, 100_000), 432,
+                                   600, 600)
+    n = len(stream.keys)
     path = tmp_path / "events.txt"
-    save_events(path, events, 600, 600)  # warm up numpy's lazy imports and caches
+    save_events(path, stream.keys, 600, 600, 40)  # warm up numpy's lazy imports
     tracemalloc.start()
     try:
-        save_events(path, events, 600, 600)
+        save_events(path, stream.keys, 600, 600, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert load_events(path)[0] == events
+    assert np.array_equal(load_frames(path, 40, 600, 600).keys, stream.keys)
     assert peak <= 20 * n, f"{peak / n:.1f} B per event"
 
 

@@ -2,23 +2,23 @@
 
 Tile-count pooling (`pooled_streams`) in blocks of several sizes against
 the dense `andpool`, the event-file block decoder against the line parser,
-the block-wise ingest (`load_frames`) against load, crop and accumulate of
-whole arrays, the repeated I10 of one tripod period against the I10 of
-the whole splice, the array-state network step (`step_state`) against
-the scalar `step_network` of conftest, the frozen replay of a pooled
-stream against that of its dense frames, and the one-template weight
-writer against per-value formatting.
+the block-wise ingest (`load_frames`) against the line parser, crop and
+bucketing of whole arrays (`reference_frames` of conftest), the repeated
+I10 of one tripod period against the I10 of the whole splice, the
+array-state network step (`step_state`) against the scalar
+`step_network` of conftest, the frozen replay of a pooled stream
+against that of its dense frames, and the one-template weight writer
+against per-value formatting.
 """
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import step_network
+from conftest import reference_frames, step_network
 from hexgait import events, frames as frames_module
-from hexgait.errors import DataError, DimensionError, EventFileError
-from hexgait.events import (EventArray, accumulate_frames, centered_crop,
-                            crop_events, load_events, load_frames)
+from hexgait.errors import DataError, DimensionError
+from hexgait.events import load_frames
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
@@ -72,10 +72,11 @@ def test_tile_pool_divisibility():
         pooled_streams(FrameStream.from_frames([BinaryFrame.zeros(35, 20)]))
 
 
-def test_stream_length_is_capped():
-    one_line = EventArray([1], [1], [99_999_999_999])
+def test_stream_length_is_capped(tmp_path):
+    one_line = tmp_path / "events.txt"
+    one_line.write_text("!sensor 600x600\n1,1,99999999999\n")
     with pytest.raises(DataError, match="limit"):
-        accumulate_frames(one_line, 40, 600, 600)
+        load_frames(one_line, 40, 600, 600)
     with pytest.raises(DataError, match="limit"):
         FrameStream(np.empty(0, dtype=np.int64), MAX_FRAMES + 1, 600, 600)
 
@@ -111,31 +112,52 @@ _HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", "",
                          "\ufeff!sensor 600x600", "# \udcff\n!sensor 600x600"])
 
 
-def _reference(path):
-    """load_events as the line parser alone would return it."""
-    rows, (w, h) = events._parse_lines(path)
-    rows = rows[np.argsort(rows["t"], kind="stable")]
-    return EventArray(rows["x"], rows["y"], rows["t"]), w, h
-
-
-def _outcome(fn, path):
+def _decoded_columns(path):
+    """(sensor, [x, y, t]) of an event file by the block decoder alone,
+    the columns as lists in time order; None if the decoder leaves the
+    file to the line parser."""
     try:
-        return fn(path)
-    except EventFileError as exc:
-        return ("error", str(exc))
-    except (DataError, UnicodeDecodeError) as exc:
-        return ("undecodable", str(exc.__cause__ or exc))
+        blocks = events._decoded(path, lambda sensor: None)
+        sensor = next(blocks)
+        cols = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 3
+    except events._Fallback:
+        return None
+    order = np.argsort(cols[2], kind="stable")
+    return sensor, [c[order].tolist() for c in cols]
+
+
+def _parsed_columns(path):
+    """_decoded_columns by the line parser."""
+    rows, sensor = events._parse_lines(path)
+    rows = rows[np.argsort(rows["t"], kind="stable")]
+    return sensor, [rows[f].tolist() for f in "xyt"]
+
+
+def _outcome(fn, *args):
+    """fn(*args) as keys and frame count, or as the error the CLI reports."""
+    try:
+        stream = fn(*args)
+    except (DataError, UnicodeDecodeError) as exc:  # the exit code follows the class
+        cause = exc.__cause__ or exc
+        return type(cause), str(cause)
+    return stream.keys.tolist(), stream.n_frames
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]))
 def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline):
+    """The events of a file the block decoder takes are the line parser's;
+    the frames of any file, or its error, are the reference's."""
     path = tmp_path / "events.txt"
     # Lone surrogates in the text stand for bytes that are not UTF-8.
     text = newline.join([head] + lines) + "\n"
     path.write_bytes(text.encode(errors="surrogateescape"))
-    assert _outcome(load_events, path) == _outcome(_reference, path)
+    decoded = _decoded_columns(path)
+    if decoded is not None:
+        assert decoded == _parsed_columns(path)
+    args = (path, 40, 600, 600)
+    assert _outcome(load_frames, *args) == _outcome(reference_frames, *args)
 
 
 def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
@@ -149,11 +171,13 @@ def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
     (tmp_path / "http:" / "host").mkdir(parents=True)
     text = "# recorded\n!sensor 800x800\n3,4,40000\n1,2,5\n"
     names = ["ev.gz", "ev.bz2", "ev.xz", "ev.lzma", "http://host/ev.txt"]
+    columns = (800, 800), [[1, 3], [2, 4], [5, 40000]]
+    frames = [2 * 800 + 1, 800 * 800 + 4 * 800 + 3], 2
     for name in names:
         (tmp_path / name).write_text(text)
-        loaded = load_events(name)
-        assert loaded == _reference(name), name
-        assert loaded[0] == EventArray([1, 3], [2, 4], [5, 40000]), name
+        assert _decoded_columns(name) == _parsed_columns(name) == columns, name
+        args = (name, 40, 800, 800)
+        assert _outcome(load_frames, *args) == _outcome(reference_frames, *args) == frames
 
 
 @settings(max_examples=50, deadline=None,
@@ -164,27 +188,13 @@ def test_plain_files_never_reach_the_line_parser(tmp_path, triples):
     path = tmp_path / "events.txt"
     path.write_text("# recorded\n!sensor 800x800\n"
                     + "".join(f"{x},{y},{t}  # ok\n" for x, y, t in triples))
+    args = (path, 40, 800, 800)
+    expected = _parsed_columns(path), _outcome(reference_frames, *args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_parse_lines", None)
-        loaded, w, h = load_events(path)
-    assert (w, h) == (800, 800)
-    assert loaded == _reference(path)[0]
-
-
-def _whole_array_chain(path, window_ms, width, height):
-    """load_frames as load, crop and accumulate of whole arrays compute it."""
-    evts, sw, sh = load_events(path)
-    if (sw, sh) != (width, height):
-        evts = crop_events(evts, *centered_crop(sw, sh, width, height), width, height)
-    return accumulate_frames(evts, window_ms, width, height)
-
-
-def _frames_or_error(fn, *args):
-    try:
-        stream = fn(*args)
-    except DataError as exc:  # the CLI's exit code follows from the class
-        return type(exc), str(exc)
-    return stream.keys.tolist(), stream.n_frames
+        got = _decoded_columns(path), _outcome(load_frames, *args)
+    assert expected[0][0] == (800, 800)
+    assert got == expected
 
 
 # 10 us windows: t = 899_999 is in the last frame MAX_FRAMES allow, 900_000
@@ -209,10 +219,10 @@ _TIMES = st.one_of(st.integers(0, 120), st.sampled_from([899_999, 900_000, 10**7
 def test_load_frames_equals_the_whole_array_chain(
         tmp_path, monkeypatch, width, height, extra_w, extra_h, triples, duplicate,
         ordered, line_parser, block_size):
-    """Equal keys and frame count, or the same error class. The message is
-    the same too unless the file is out of time order, where an
-    EventBoundsError may name another event index. Events are placed
-    relative to the crop region; blocks of a few bytes hit their edges."""
+    """Equal keys and frame count, or the same error and message, also in
+    a file out of time order: both number events in file order. Events
+    are placed relative to the crop region; blocks of a few bytes hit
+    their edges."""
     sensor_w, sensor_h = width + extra_w, height + extra_h
     left, top = max(extra_w, 0) // 2, extra_h // 2
     rows = [(max(left + x, 0), max(top + y, 0), t) for x, y, t in triples]
@@ -227,12 +237,7 @@ def test_load_frames_equals_the_whole_array_chain(
     path.write_text(f"!sensor {sensor_w}x{sensor_h}\n{body}")
     monkeypatch.setattr(events, "_BLOCK", block_size)
     args = (path, _WINDOW_MS, width, height)
-    fast = _frames_or_error(load_frames, *args)
-    reference = _frames_or_error(_whole_array_chain, *args)
-    if ordered or isinstance(reference[0], list):
-        assert fast == reference
-    else:
-        assert fast[0] is reference[0]
+    assert _outcome(load_frames, *args) == _outcome(reference_frames, *args)
 
 
 # Fields of up to 16 digits are decoded in blocks; 17 digits go to the
@@ -252,21 +257,20 @@ def test_block_edges_equal_the_line_parser_and_whole_array_chain(
     """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere, and
     carry the tail of each block over to the next. A file with no field
     over 16 digits never reaches the line parser."""
-    events_rows = sorted((r for r in rows if isinstance(r, tuple)), key=lambda r: r[2])
-    in_time_order = iter(events_rows)  # so bounds errors name the same index
-    lines = [r if isinstance(r, str) else "{},{},{}{}".format(*next(in_time_order))
-             for r in rows]
+    lines = [r if isinstance(r, str) else "{},{},{}{}".format(*r) for r in rows]
     text = newline.join(["!sensor 1000x1000"] + lines)
     path = tmp_path_factory.mktemp("blocks") / "events.txt"
     path.write_bytes((text + newline if final_newline else text).encode())
     size = 600 if crop else 1000
     args = (path, 40, size, size)
-    expected = _outcome(_reference, path), _frames_or_error(_whole_array_chain, *args)
+    plain = all(v < 10**16 for r in rows if isinstance(r, tuple) for v in r[:3])
+    expected = (_parsed_columns(path) if plain else None,
+                _outcome(reference_frames, *args))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_BLOCK", block_size)
-        if all(v < 10**16 for r in events_rows for v in r[:3]):
+        if plain:
             mp.setattr(events, "_parse_lines", None)
-        got = _outcome(load_events, path), _frames_or_error(load_frames, *args)
+        got = _decoded_columns(path), _outcome(load_frames, *args)
     assert got == expected
 
 
