@@ -1,12 +1,12 @@
 """Imitation gait learning from synthetic event-camera footage.
 
-Pipeline: accumulate (x, y, t) event arrays into 40 ms binary frames,
-stored as the keys of their set pixels, denoise and compress them with
-Boolean AND/OR pooling by counting set pixels per tile, train a six-neuron
-leaky integrate-and-fire network, its state held as arrays, against a
-geometry-derived Gaussian leg labeler, then replay rearranged (spliced)
-footage through the frozen network to drive central-pattern-generator leg
-cycles.
+Pipeline: decode an event file block by block into 40 ms binary frames,
+stored as the keys of their set pixels, denoise and compress them with a
+10x10 Boolean AND pool (I10) by counting set pixels per tile, train a
+six-neuron leaky integrate-and-fire network, its state held as arrays,
+against a geometry-derived Gaussian leg labeler, then replay rearranged
+(spliced) footage through the frozen network to drive
+central-pattern-generator leg cycles.
 """
 
 import os

@@ -6,7 +6,6 @@ failure (repro only).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -76,8 +75,7 @@ def _synth(cfg: RunConfig, out: str):
 
 def _train(cfg: RunConfig, out: str, stream):
     """Train on a raw FrameStream; write weights.txt and train_raster.txt."""
-    priors = calibrate_priors(cfg.geometry(),
-                              std=math.radians(cfg["training"]["prior_std_deg"]))
+    priors = calibrate_priors(cfg.geometry())
     result = train(stream, priors, cfg.train_schedule(), cfg.neuron_params(),
                    repeats=cfg["training"]["repeats"])
     save_weights(os.path.join(out, "weights.txt"), result.weights)

@@ -18,23 +18,21 @@ from .neurons import N_LEGS, NeuronParams
 from .scene import BLOCK, HexapodGeometry, RenderParams
 from .training import TrainSchedule
 
-# A key owned by a dataclass takes its default from there. The two angles
-# are written in degrees here, as radians do not convert back exactly. The
-# frame window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
+# A key owned by a dataclass takes its default from there. The frame
+# window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
 _DEFAULTS = {
     "run": {"seed": 0, "out": "out"},
     "scene": {
         "width": 600, "height": 600, "frames_per_cycle": 25,
         "noise_density": 0.001, "gap_frames": RenderParams.gap_frames,
         "tip_blocks": RenderParams.tip_blocks,
-        "shaft_clusters": RenderParams.shaft_clusters,
         "body_radius": HexapodGeometry.body_radius,
         "leg_length": HexapodGeometry.leg_length,
-        "sweep_angle_deg": 30.0, "active_frames": RenderParams.active_frames,
+        "active_frames": RenderParams.active_frames,
     },
     "events": {"window_ms": NeuronParams.dt * 1000},
     "neuron": {k: v for k, v in asdict(NeuronParams()).items() if k != "dt"},
-    "training": {**asdict(TrainSchedule()), "repeats": 10, "prior_std_deg": 15.0},
+    "training": {**asdict(TrainSchedule()), "repeats": 10},
     "energy": {
         "energy_per_spike_nj": EnergyModel.energy_per_spike * 1e9,
         "andpool_energy_per_frame_nj": EnergyModel.andpool_energy_per_frame * 1e9,
@@ -69,8 +67,7 @@ class RunConfig:
                            dt=self.values["events"]["window_ms"] / 1000)
 
     def geometry(self) -> HexapodGeometry:
-        return self._build(HexapodGeometry, "scene", sweep_angle=math.radians(
-            self.values["scene"]["sweep_angle_deg"]))
+        return self._build(HexapodGeometry, "scene")
 
     def render_params(self) -> RenderParams:
         return self._build(RenderParams, "scene")
@@ -149,8 +146,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[events]: {exc}") from exc
     if cfg.values["training"]["repeats"] < 0:
         raise ConfigError("[training]: repeats must be >= 0")
-    if cfg.values["training"]["prior_std_deg"] <= 0:
-        raise ConfigError("[training]: prior_std_deg must be > 0")
     if cfg.values["test"]["tripod_repeats"] < 1:
         raise ConfigError("[test]: tripod_repeats must be >= 1")
     # Construct the derived objects so their own invariants run now.
@@ -167,7 +162,7 @@ def validate(cfg: RunConfig) -> None:
     if n_frames > MAX_FRAMES:
         raise ConfigError(f"[scene]/[test]: the training or tripod stream spans "
                           f"{n_frames} frames, more than the limit of {MAX_FRAMES}")
-    leg_pixels = BLOCK * BLOCK * s["tip_blocks"] + 4 * s["shaft_clusters"]
+    leg_pixels = BLOCK * BLOCK * s["tip_blocks"]
     pixels = N_LEGS * (segment * s["width"] * s["height"] * s["noise_density"]
                        + s["frames_per_cycle"] * leg_pixels)
     if 8 * pixels > WORK_BYTES:
@@ -184,7 +179,7 @@ _NOTES = {
     ("scene", "frames_per_cycle"): "1 s leg cycle at 40 ms/frame",
     ("scene", "gap_frames"): "still frames between cycles",
     ("scene", "tip_blocks"): "foot-site blocks surviving the 10x10 AND pool",
-    ("scene", "active_frames"): "fast-sweep frames that light the foot site",
+    ("scene", "active_frames"): "leading cycle frames that light the foot site",
     ("events", "window_ms"): "sensors larger than the scene are center-cropped",
 }
 

@@ -1,13 +1,9 @@
 """Synthetic expert-hexapod scene: rendering and splicing.
 
 The scene is planar: a circular body at the frame center with six legs,
-three per side. A moving leg emits two kinds of clustered events per
-active frame:
-
-* a fixed "foot site" of full 10x10 pixel blocks at the leg tip, which
-  is what survives the 10x10 AND pool and feeds the network, and
-* sparse 2x2 clusters along the swinging leg shaft, which show in the
-  events but are too sparse to fill a 10x10 AND pool tile.
+three per side. A moving leg lights a fixed "foot site" of full 10x10
+pixel blocks at its tip in the first active frames of each cycle, which
+is what survives the 10x10 AND pool and feeds the network.
 
 Salt noise sets single pixels independently, drawn by `noise.salt` as
 geometric gaps from a hash of (seed, frame); the 10x10 AND pool removes
@@ -47,7 +43,6 @@ class HexapodGeometry:
     body_center = Point(0.5, 0.5)
     body_radius: float = 0.18
     leg_length: float = 0.17
-    sweep_angle: float = math.radians(30.0)
 
     def __post_init__(self):
         anchors = tuple(
@@ -103,7 +98,6 @@ class RenderParams:
     """Knobs for the synthetic renderer (all pixel units at raw scale)."""
 
     tip_blocks: int = 3          # full 10x10 blocks at the foot site
-    shaft_clusters: int = 5      # 2x2 clusters along the moving shaft
     gap_frames: int = 11         # still frames after each cycle
     active_frames: int = 8       # cycle frames dense enough to light the foot site
 
@@ -136,43 +130,13 @@ def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
     return blocks
 
 
-def _shaft_points(geom: HexapodGeometry, leg: int, width: int, height: int,
-                  sweep_offset: float, params: RenderParams):
-    """2x2-aligned cluster origins along the shaft at the current sweep angle."""
-    phi = geom.anchor_angle(leg) + sweep_offset
-    ax = geom.leg_anchors[leg - 1].x * (width - 1)
-    ay = geom.leg_anchors[leg - 1].y * (height - 1)
-    leg_px = geom.leg_length * min(width, height)
-    ux, uy = _unit(phi)
-    pts = []
-    fracs = np.linspace(0.15, 0.55, params.shaft_clusters)
-    for f in fracs:
-        px, py = ax + f * leg_px * ux, ay + f * leg_px * uy
-        cx = min(max(int(px) // 2 * 2, 0), width - 2)
-        cy = min(max(int(py) // 2 * 2, 0), height - 2)
-        pts.append((cx, cy))
-    return pts
-
-
-def _leg_pixels(geom: HexapodGeometry, leg: int, sweep_offset: float,
-                width: int, height: int, params: RenderParams,
-                foot_active: bool = True) -> np.ndarray:
-    """Flat indices y * width + x of the pixels one leg sets (may repeat)."""
-    parts = [np.empty(0, dtype=np.int64)]
-    if foot_active:
-        block = (np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)).ravel()
-        parts.extend(by * BLOCK * width + bx * BLOCK + block
-                     for bx, by in _foot_blocks(geom, leg, width, height, params))
-    cluster = np.array([0, 1, width, width + 1])
-    parts.extend(cy * width + cx + cluster
-                 for cx, cy in _shaft_points(geom, leg, width, height,
-                                             sweep_offset, params))
-    return np.concatenate(parts)
-
-
-def sweep_offset(geom: HexapodGeometry, j: int, frames_per_cycle: int) -> float:
-    """Sweep-angle offset of oscillation frame j (one full sine period)."""
-    return (geom.sweep_angle / 2.0) * math.sin(2.0 * math.pi * j / frames_per_cycle)
+def _leg_pixels(geom: HexapodGeometry, leg: int, width: int, height: int,
+                params: RenderParams) -> np.ndarray:
+    """Flat indices y * width + x of the foot-site pixels of one leg."""
+    block = (np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)).ravel()
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        by * BLOCK * width + bx * BLOCK + block
+        for bx, by in _foot_blocks(geom, leg, width, height, params)])
 
 
 def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
@@ -181,8 +145,11 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
                            params: RenderParams = RenderParams()) -> FrameStream:
     """Render the expert's gait as a raw binary frame stream.
 
-    Each schedule step is one oscillation of its legs over
-    `frames_per_cycle` frames followed by `gap_frames` still frames.
+    Each schedule step is one cycle of its legs over `frames_per_cycle`
+    frames followed by `gap_frames` still frames; the foot sites of the
+    step's legs light the first min(active_frames, frames_per_cycle)
+    frames of the cycle.
+
     Salt noise sets each pixel of a frame independently with probability
     `noise_density`, drawn sparsely by `noise.salt` as geometric gaps
     between set pixels, from a counter-based hash keyed by (seed, k). So
@@ -194,20 +161,16 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
     if not (0.0 <= noise_density < 1.0):
         raise ValueError(f"noise_density must be in [0,1), got {noise_density}")
     seg_len = frames_per_cycle + params.gap_frames
+    active = min(params.active_frames, frames_per_cycle)
     area = width * height
     keys = []
     for step_idx, (_, legs) in enumerate(schedule.entries):
+        feet = [_leg_pixels(geom, leg, width, height, params) for leg in sorted(legs)]
         for j in range(seg_len):
             k = step_idx * seg_len + j
             parts = [np.empty(0, dtype=np.int64)]
-            if j < frames_per_cycle:
-                off = sweep_offset(geom, j, frames_per_cycle)
-                # The foot site only lights while the sweep is fast (early
-                # cycle); the slower shaft clusters persist all cycle.
-                foot = j < min(params.active_frames, frames_per_cycle)
-                parts.extend(_leg_pixels(geom, leg, off, width, height, params,
-                                         foot_active=foot)
-                             for leg in sorted(legs))
+            if j < active:
+                parts.extend(feet)
             if noise_density > 0.0:
                 parts.append(salt(area, noise_density, seed, k))
             keys.append(np.concatenate(parts) + k * area)
@@ -217,11 +180,11 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
 def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
                     width: int, height: int,
                     params: RenderParams = RenderParams()) -> np.ndarray:
-    """Union of every pixel leg `leg` can set over one noise-free cycle."""
+    """Pixels leg `leg` sets in a noise-free active frame: its foot site,
+    or none when a cycle has no active frame."""
     bits = np.zeros((height, width), dtype=bool)
-    for j in range(frames_per_cycle):
-        bits.flat[_leg_pixels(geom, leg, sweep_offset(geom, j, frames_per_cycle),
-                              width, height, params)] = True
+    if min(params.active_frames, frames_per_cycle):
+        bits.flat[_leg_pixels(geom, leg, width, height, params)] = True
     return bits
 
 
@@ -264,12 +227,17 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
         raise DataError(
             f"boundaries cover {pos} frames but stream has {len(stream)}")
     area = stream.width * stream.height
-    pieces = []
+    pieces = []  # (a view of one segment's keys, its shift)
     start = 0
     for _, legs in new_schedule.entries:
         segs = [boundaries[l - 1] for l in sorted(legs)]
         for a, b in segs:
             lo, hi = np.searchsorted(stream.keys, (a * area, b * area))
-            pieces.append(stream.keys[lo:hi] + (start - a) * area)
+            pieces.append((stream.keys[lo:hi], (start - a) * area))
         start += max(b - a for a, b in segs)
-    return FrameStream.from_keys(np.concatenate(pieces), start, stream.width, stream.height)
+    keys = np.empty(sum(piece.size for piece, _ in pieces), dtype=np.int64)
+    pos = 0
+    for piece, shift in pieces:
+        np.add(piece, shift, out=keys[pos:pos + piece.size])
+        pos += piece.size
+    return FrameStream.from_keys(keys, start, stream.width, stream.height)

@@ -32,24 +32,20 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianPriors:
-    """Per-leg angular Gaussians of equal prior mass: mean directions, one width."""
+    """Mean directions of the per-leg angular Gaussians. They share one
+    width and one prior mass, so the width never decides a label."""
 
     means: tuple
-    std: float
 
     def __post_init__(self):
         means = tuple(float(m) for m in self.means)
-        std = float(self.std)
         if len(means) != N_LEGS:
             raise ValueError(f"priors need {N_LEGS} means, got {len(means)}")
-        if std <= 0:
-            raise ValueError("prior std must be positive")
         for i in range(N_LEGS):
             for j in range(i + 1, N_LEGS):
                 if abs(wrap_angle(means[i] - means[j])) < 1e-9:
                     raise ValueError(f"prior means {i + 1} and {j + 1} coincide")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "std", std)
 
 
 @dataclass(frozen=True)
@@ -75,15 +71,13 @@ class TrainSchedule:
 
 
 def classify_angle(theta: float, priors: GaussianPriors) -> int:
-    """Most probable leg for direction theta; ties break to the lowest label."""
-    best_leg, best_score = 1, -math.inf
-    sigma = priors.std
-    for leg in range(1, N_LEGS + 1):
-        d = wrap_angle(theta - priors.means[leg - 1])
-        score = (1.0 / sigma) * math.exp(-0.5 * (d / sigma) ** 2)
-        if score > best_score + 1e-15:
-            best_leg, best_score = leg, score
-    return best_leg
+    """Most probable leg for direction theta: of Gaussians of one width,
+    the one with the nearest wrapped mean. Distances within 1e-12 rad tie,
+    so rounding in wrap_angle cannot split a tie; ties break to the lowest
+    label."""
+    dists = [abs(wrap_angle(theta - m)) for m in priors.means]
+    best = min(dists)
+    return next(leg for leg, d in enumerate(dists, start=1) if d <= best + 1e-12)
 
 
 def _estimate(leg_cells: np.ndarray, width: int, height: int,
@@ -105,13 +99,13 @@ def _estimate(leg_cells: np.ndarray, width: int, height: int,
 
 def estimate_leg(history, priors: GaussianPriors) -> int:
     """Label the leg moving in the last frame of `history` (raw frames)."""
-    leg = pooled_streams(as_stream(history))
-    if not len(leg):
+    if not len(history):
         raise ValueError("history must contain at least the current frame")
-    return _estimate(leg.per_frame()[-1], leg.width, leg.height, priors)[0]
+    leg = pooled_streams(as_stream(history[-1:]))
+    return _estimate(leg.keys, leg.width, leg.height, priors)[0]
 
 
-def calibrate_priors(geom: HexapodGeometry, std: float) -> GaussianPriors:
+def calibrate_priors(geom: HexapodGeometry) -> GaussianPriors:
     """Prior means from geometry: direction from each leg tip to the body center."""
     means = []
     for leg in range(1, N_LEGS + 1):
@@ -121,7 +115,7 @@ def calibrate_priors(geom: HexapodGeometry, std: float) -> GaussianPriors:
         tip_y = anchor.y + geom.leg_length * math.sin(phi)
         means.append(math.atan2(geom.body_center.y - tip_y,
                                 geom.body_center.x - tip_x))
-    return GaussianPriors(means=tuple(means), std=std)
+    return GaussianPriors(means=tuple(means))
 
 
 @dataclass

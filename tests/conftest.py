@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +25,8 @@ def geom(cfg):
 
 
 @pytest.fixture(scope="session")
-def priors(cfg, geom):
-    return calibrate_priors(geom, math.radians(cfg["training"]["prior_std_deg"]))
+def priors(geom):
+    return calibrate_priors(geom)
 
 
 @pytest.fixture(scope="session")

@@ -75,11 +75,9 @@ _BAD_VALUES = (
     "[run]\nseed = -1\n",
     "[test]\ntripod_repeats = 0\n",
     "[scene]\ngap_frames = -30\n",
-    "[scene]\nshaft_clusters = -1\n",
     "[scene]\ntip_blocks = -1\n",
     "[scene]\nactive_frames = -1\n",
     "[events]\nwindow_ms = inf\n",
-    "[scene]\nsweep_angle_deg = nan\n",
     "[scene]\nleg_length = inf\n",
     "[neuron]\ntau_v = nan\n",
     "[energy]\nenergy_per_spike_nj = -1.0\n",
@@ -98,12 +96,11 @@ _BAD_VALUES = (
 
 
 # Configs over the work budget: 1.1e12 expected set pixels and a 4.8 GB
-# weight map; the weight map alone; the noise alone; the shaft clusters.
+# weight map; the weight map alone; the noise alone.
 _OVER_BUDGET = (
     "[scene]\nwidth = 100000\nheight = 100000\nnoise_density = 0.5\n",
     "[scene]\nwidth = 30000\nheight = 30000\nnoise_density = 0.0\n",
     "[scene]\nnoise_density = 0.9\n",
-    "[scene]\nshaft_clusters = 100000000\n",
 )
 
 
@@ -408,7 +405,10 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
 @pytest.mark.parametrize("section,key", [("events", "sensor_width"),
                                          ("events", "sensor_height"),
                                          ("energy", "gates"),
-                                         ("neuron", "dt")])
+                                         ("neuron", "dt"),
+                                         ("scene", "shaft_clusters"),
+                                         ("scene", "sweep_angle_deg"),
+                                         ("training", "prior_std_deg")])
 def test_cli_removed_keys_exit_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "old.ini"
     cfg.write_text(f"[{section}]\n{key} = 600\n")

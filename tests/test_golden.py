@@ -18,7 +18,7 @@ from hexgait.cli import main
 NUMPY_VERSION = "2.4.6"
 
 REPRO = {
-    "events.txt": "61c4e077634aaced0e32cfe64c8d67dcf8703cfb423d937a8da642110620ecb4",
+    "events.txt": "1c33e1ef96916776e36404548296b334e429d66ece79b40bb2aa61ccda494c3e",
     "report.txt": "9e5221582756410e4f96490ac9963a378edb6906028e8af93f612413896f7d72",
     "schedule.txt": "47a6a442639576ca35337682da4e912ffd83421b2eb07382574919837b01047c",
     "seq_raster.txt": "b9e31d743c1a55c9548646aeb11468dc27a83ba057f01c8d15e3c79902ac72da",
@@ -39,7 +39,7 @@ TRAIN = {
 NOISY_CONFIG = "[scene]\nnoise_density = 0.02\n"
 NOISY_REPRO = dict(
     REPRO,
-    **{"events.txt": "cce85b7f2cc53923be3c2a5d1ccba0b9a2d8f1bdf93653554bd1b460b0b805db"})
+    **{"events.txt": "8fcc2d41265400a916bb12ffbb30c1b231e44f742ee88445311addf46e884c1d"})
 NOISY_TRAIN = TRAIN
 
 pytestmark = pytest.mark.skipif(

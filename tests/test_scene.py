@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,31 @@ def test_render_separation(geom, cfg):
     region = leg_region_mask(geom, 1, FPC, 600, 600, params)
     for frame in stream.frames:
         assert not (frame.bits & ~region).any()
+
+
+def test_render_lights_exactly_the_foot_sites(geom, cfg):
+    # Noise-free, each of the first min(active_frames, frames_per_cycle)
+    # frames of a step sets exactly the union of its legs' regions, and
+    # every other frame is empty.
+    params = cfg.render_params()
+    sched = GaitSchedule(GaitSchedule.sequential().entries + ((6, {3, 4}),))
+    stream = render_expert_sequence(geom, sched, FPC, 600, 600,
+                                    noise_density=0.0, seed=0, params=params)
+    seg_len = FPC + params.gap_frames
+    frames = stream.per_frame()
+    assert len(frames) == len(sched.entries) * seg_len
+    for step, (_, legs) in enumerate(sched.entries):
+        union = np.zeros((600, 600), dtype=bool)
+        for leg in legs:
+            union |= leg_region_mask(geom, leg, FPC, 600, 600, params)
+        assert union.any()
+        for j in range(seg_len):
+            expect = np.flatnonzero(union) if j < min(params.active_frames, FPC) else []
+            assert np.array_equal(frames[step * seg_len + j], expect), (step, j)
+    # A cycle with no active frame lights nothing.
+    idle = replace(params, active_frames=0)
+    assert not leg_region_mask(geom, 1, FPC, 600, 600, idle).any()
+    assert not render_expert_sequence(geom, sched, FPC, 600, 600, params=idle).keys.size
 
 
 def test_render_noise_is_pool_removable(geom, cfg):
