@@ -277,11 +277,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (HexgaitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except HexgaitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

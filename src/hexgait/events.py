@@ -257,9 +257,9 @@ def _columns(block: bytes, crop):
 
 
 def _decoded(path, region):
-    """Yields the sensor (W, H) of an event file, then the `_cropped`
-    (x, y, t) of each block of about _BLOCK bytes of its events, in file
-    order, where crop = region(sensor).
+    """Yields the `_cropped` (x, y, t) of each block of about _BLOCK bytes
+    of an event file's events, in file order. crop = region(sensor) is
+    taken once, from the header's sensor (W, H), before the first block.
 
     Takes the header lines, then `d,d,d` lines with spaces or tabs around
     fields, comments, blank lines and CRLF line ends. Raises _Fallback on
@@ -287,7 +287,6 @@ def _decoded(path, region):
             for block in _line_blocks(fh, line):
                 _columns(block, None)
             raise
-        yield sensor
         for block in _line_blocks(fh, line):
             yield _columns(block, crop)
 
@@ -317,7 +316,6 @@ def _parsed(path, region):
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc
     crop = region(sensor)
-    yield sensor
     yield _cropped(rows["x"], rows["y"], rows["t"].__getitem__, crop)
 
 
@@ -345,7 +343,6 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
             return (*centered_crop(*sensor, width, height), width, height)
 
     def frames(blocks):
-        next(blocks)
         keys = bytearray()
         n_frames = first = 0
         try:

@@ -108,14 +108,6 @@ class WeightMap:
     def width(self) -> int:
         return self.w.shape[2]
 
-    def copy(self) -> "WeightMap":
-        return WeightMap(self.w.copy())
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightMap):
-            return NotImplemented
-        return np.array_equal(self.w, other.w)
-
 
 def save_weights(path, weights: WeightMap) -> None:
     """Plain-text weights: header `neurons height width`, then rows."""

@@ -190,20 +190,12 @@ def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,
 
 def segment_boundaries(schedule: GaitSchedule, frames_per_cycle: int,
                        params: RenderParams = RenderParams()):
-    """Per-leg (start, stop) frame ranges of a sequential training stream."""
+    """Per-leg (start, stop) frame ranges of the training stream, which
+    must follow `GaitSchedule.sequential()`: leg k owns segment k - 1."""
+    if schedule != GaitSchedule.sequential():
+        raise ValueError("boundaries require the sequential training schedule")
     seg_len = frames_per_cycle + params.gap_frames
-    bounds = {}
-    for step_idx, (_, legs) in enumerate(schedule.entries):
-        if len(legs) != 1:
-            raise ValueError("boundaries require a one-leg-at-a-time schedule")
-        (leg,) = legs
-        if leg in bounds:
-            raise ValueError(f"leg {leg} appears twice in the training schedule")
-        bounds[leg] = (step_idx * seg_len, (step_idx + 1) * seg_len)
-    missing = set(range(1, N_LEGS + 1)) - set(bounds)
-    if missing:
-        raise ValueError(f"training schedule missing legs {sorted(missing)}")
-    return tuple(bounds[leg] for leg in range(1, N_LEGS + 1))
+    return tuple((k * seg_len, (k + 1) * seg_len) for k in range(N_LEGS))
 
 
 def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule) -> FrameStream:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EmptyFrameError, EmptyStreamError
+from .errors import EmptyStreamError
 from .frames import FrameStream, as_stream, cell_centroid, pooled_streams
 from .neurons import (N_LEGS, NetworkState, NeuronParams, SpikeRaster,
                       WeightMap, step_state)
@@ -89,8 +89,6 @@ def _estimate(leg_cells: np.ndarray, width: int, height: int,
     their centroid to `HexapodGeometry.body_center`, the point the priors
     aim at. Returns (leg, theta).
     """
-    if not leg_cells.size:
-        raise EmptyFrameError("no movement: current pooled leg frame is empty")
     c = HexapodGeometry.body_center
     l = cell_centroid(leg_cells, width, height)
     theta = math.atan2(c.y - l.y, c.x - l.x)
@@ -127,25 +125,18 @@ class TrainResult:
 
 
 def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
-          params: NeuronParams, repeats: int = 1,
-          weights: WeightMap = None) -> TrainResult:
+          params: NeuronParams, repeats: int = 1) -> TrainResult:
     """Run the weight-adjusting loop over `repeats` plays of the stream.
 
-    Weights start at zero unless a map is passed in. Returns the trained
-    weights, the raster emitted during training, and a per-update log with
-    lines `t_sec leg theta_rad p m popcount_i10`.
+    Weights start at zero. Returns the trained weights, the raster emitted
+    during training, and a per-update log with lines
+    `t_sec leg theta_rad p m popcount_i10`.
     """
     n = len(stream)
     if n == 0:
         raise EmptyStreamError("cannot train on an empty stream")
     leg = pooled_streams(stream)
-    if weights is None:
-        weights = WeightMap.zeros(leg.width, leg.height)
-    elif weights.w.shape[1:] != (leg.height, leg.width):
-        raise DimensionError(
-            f"weight grid {weights.w.shape[1:]} != frame {(leg.height, leg.width)}")
-    else:
-        weights = weights.copy()
+    weights = WeightMap.zeros(leg.width, leg.height)
     rows = weights.w.reshape(weights.n_neurons, -1)  # a view: updates land in weights
     leg_cells = leg.per_frame()
     state = NetworkState.resting(params, weights.n_neurons)

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import hexgait
 from hexgait import cli
+from hexgait.atomic import write_atomic
 from hexgait.cli import main
 from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
 from hexgait.energy import EnergyModel
 from hexgait.errors import ConfigError
-from hexgait.frames import MAX_FRAMES
+from hexgait.frames import MAX_FRAMES, FrameStream
 from hexgait.neurons import NeuronParams, WeightMap, save_weights
 from hexgait.scene import HexapodGeometry, RenderParams
 from hexgait.training import TrainSchedule
@@ -92,6 +93,10 @@ _BAD_VALUES = (
     "[events]\nwindow_ms = 1200\n",  # dt = tau_ge: Euler's g_e decay factor is 0
     "[events]\nwindow_ms = 1300\n",  # dt > tau_ge: the factor is negative
     "[neuron]\ntau_ge = 0.04\n",  # tau_ge = dt
+    "[scene]\nwidth = 0\n",
+    "[scene]\nframes_per_cycle = 1\n",
+    "[scene]\nnoise_density = 1.0\n",
+    "[training]\nrepeats = -1\n",
 )
 
 
@@ -416,9 +421,16 @@ def test_cli_removed_keys_exit_2(tmp_path, capsys, section, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
-def test_cli_artifacts_share_one_mode(fast_cfg_path, tmp_path):
+@pytest.mark.parametrize("text, code", [
+    (FAST_CFG, 0),
+    # Untrained weights never spike, so the check fails after every write.
+    (FAST_CFG.replace("repeats = 2\n\n[test]", "repeats = 0\n\n[test]"), 4),
+], ids=["trained", "untrained"])
+def test_cli_artifacts_share_one_mode(text, code, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
     out = tmp_path / "run"
-    assert main(["--config", fast_cfg_path, "--out", str(out), "repro"]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), "repro"]) == code
     umask = os.umask(0)
     os.umask(umask)
     names = sorted(os.listdir(out))
@@ -427,6 +439,41 @@ def test_cli_artifacts_share_one_mode(fast_cfg_path, tmp_path):
                      "weights.txt"]
     modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in names}
     assert set(modes.values()) == {0o666 & ~umask}, modes
+    if code:
+        assert "repro check FAILED" in capsys.readouterr().err
+        assert "sequence_accuracy=0.000000" in (out / "report.txt").read_text()
+
+
+def test_write_atomic_leaves_the_target_when_a_chunk_fails(tmp_path):
+    target = tmp_path / "weights.txt"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        write_atomic(target, chunks())
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["weights.txt"]
+
+
+@pytest.mark.parametrize("cells, counts", [
+    (([], [0, 1], [0, 1, 2]), (3, 1)),
+    (([0], [], [0, 1]), (3, 2)),
+], ids=["one-burst", "two-bursts"])
+def test_leg_event_counts_close_a_burst_at_the_stream_end(cells, counts):
+    keys = [k * 4 + c for k, frame in enumerate(cells) for c in frame]
+    i10 = FrameStream.from_keys(np.array(keys, dtype=np.int64), len(cells), 2, 2)
+    assert cli._leg_event_counts(i10) == counts
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
+    run = subprocess.run([sys.executable, "-m", "hexgait.cli", "example-config"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == EXAMPLE_CONFIG
 
 
 def test_cli_pipeline_synth_train_test(fast_cfg_path, tmp_path, capsys):

@@ -9,7 +9,6 @@ from conftest import centroid
 from hexgait.cli import main
 from hexgait.errors import EmptyFrameError
 from hexgait.frames import BinaryFrame, FrameStream, andpool
-from hexgait.neurons import WeightMap
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
                               classify_angle, estimate_leg, train, wrap_angle)
@@ -180,15 +179,6 @@ def test_train_time_runs_across_repeats(train_stream, priors, cfg):
         2 * n * cfg.neuron_params().dt)
     times = [float(line.split()[0]) for line in result.log]
     assert any(t >= n * cfg.neuron_params().dt for t in times)
-
-
-def test_train_starts_from_given_weights(train_stream, priors, cfg):
-    seed_w = WeightMap(np.full((6, 60, 60), 0.2))
-    result = train(train_stream, priors, cfg.train_schedule(),
-                   cfg.neuron_params(), weights=seed_w)
-    # input map untouched, output differs from it
-    assert (seed_w.w == 0.2).all()
-    assert not np.array_equal(result.weights.w, seed_w.w)
 
 
 def test_train_ignores_salt_noise(geom, priors, cfg):
