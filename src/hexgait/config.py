@@ -93,9 +93,13 @@ def default_config() -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a config file; unknown keys are an error."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    """Parse and validate a UTF-8 config file, `%` literal; unknown keys are an error."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     values = {s: dict(kv) for s, kv in _DEFAULTS.items()}

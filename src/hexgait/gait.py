@@ -7,23 +7,13 @@ alignment, since the network may lock onto the looping video at any phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .neurons import N_LEGS, SpikeRaster
 
 
-@dataclass(frozen=True)
-class GaitTrace:
-    """Per-leg oscillation intervals (cycle_start, cycle_end), seconds."""
-
-    cycles: tuple  # cycles[leg-1] = tuple of (start, end)
-
-    def leg(self, leg: int):
-        return self.cycles[leg - 1]
-
-
-def spikes_to_gait(raster: SpikeRaster, period: float) -> GaitTrace:
-    """Open one fixed-length cycle per spike; absorb spikes mid-cycle."""
+def spikes_to_gait(raster: SpikeRaster, period: float) -> tuple:
+    """Per-leg oscillation intervals: element leg - 1 holds the
+    (cycle_start, cycle_end) pairs of leg `leg`, in seconds. One
+    fixed-length cycle opens per spike; spikes mid-cycle are absorbed."""
     if period <= 0:
         raise ValueError(f"period must be > 0, got {period}")
     cycles = [[] for _ in range(N_LEGS)]
@@ -33,7 +23,7 @@ def spikes_to_gait(raster: SpikeRaster, period: float) -> GaitTrace:
             if t >= busy_until[leg - 1]:
                 cycles[leg - 1].append((t, t + period))
                 busy_until[leg - 1] = t + period
-    return GaitTrace(cycles=tuple(tuple(c) for c in cycles))
+    return tuple(tuple(c) for c in cycles)
 
 
 def label_sequence(raster: SpikeRaster, gap_s: float):
@@ -92,11 +82,11 @@ def is_tripod(sequence) -> bool:
     return all(s == expected[i % 2] for i, s in enumerate(sequence))
 
 
-def format_trace(trace: GaitTrace) -> str:
-    """Plain-text table: leg, cycle start, cycle end."""
+def format_trace(trace) -> str:
+    """Plain-text table of `spikes_to_gait`'s cycles: leg, start, end."""
     lines = ["# leg cycle_start_s cycle_end_s"]
-    for leg in range(1, N_LEGS + 1):
-        for start, end in trace.leg(leg):
+    for leg, cycles in enumerate(trace, start=1):
+        for start, end in cycles:
             lines.append(f"{leg} {start:.6f} {end:.6f}")
     return "\n".join(lines) + "\n"
 

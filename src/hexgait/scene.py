@@ -31,10 +31,6 @@ BLOCK = 10
 ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
 
 
-def _unit(angle: float):
-    return math.cos(angle), math.sin(angle)
-
-
 @dataclass(frozen=True)
 class HexapodGeometry:
     """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
@@ -45,18 +41,13 @@ class HexapodGeometry:
     leg_length: float = 0.17
 
     def __post_init__(self):
-        anchors = tuple(
-            Point(self.body_center.x + self.body_radius * math.cos(math.radians(a)),
-                  self.body_center.y + self.body_radius * math.sin(math.radians(a)))
-            for a in ANCHOR_DEG)
-        if self.body_radius <= 0 or self.leg_length <= 0:
-            raise ValueError("body_radius and leg_length must be > 0")
-        object.__setattr__(self, "leg_anchors", anchors)
+        # Above 0.5 the 180-degree anchor would lie left of the frame.
+        if not (0 < self.body_radius <= 0.5 and self.leg_length > 0):
+            raise ValueError("body_radius must be in (0, 0.5] and leg_length > 0")
 
     def anchor_angle(self, leg: int) -> float:
         """Outward direction of leg `leg` (1..6) from the body center."""
-        a = self.leg_anchors[leg - 1]
-        return math.atan2(a.y - self.body_center.y, a.x - self.body_center.x)
+        return math.radians(ANCHOR_DEG[leg - 1])
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,8 @@ class GaitSchedule:
 
 @dataclass(frozen=True)
 class RenderParams:
-    """Knobs for the synthetic renderer (all pixel units at raw scale)."""
+    """Knobs for the synthetic renderer: foot-site size in 10x10 blocks,
+    cycle timing in frames."""
 
     tip_blocks: int = 3          # full 10x10 blocks at the foot site
     gap_frames: int = 11         # still frames after each cycle
@@ -111,10 +103,11 @@ def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
                  params: RenderParams):
     """Grid-aligned 10x10 block indices of the fixed foot site of one leg."""
     phi = geom.anchor_angle(leg)
-    ax = geom.leg_anchors[leg - 1].x * (width - 1)
-    ay = geom.leg_anchors[leg - 1].y * (height - 1)
+    ux, uy = math.cos(phi), math.sin(phi)
+    c = geom.body_center
+    ax = (c.x + geom.body_radius * ux) * (width - 1)
+    ay = (c.y + geom.body_radius * uy) * (height - 1)
     leg_px = geom.leg_length * min(width, height)
-    ux, uy = _unit(phi)
     blocks = []
     r = leg_px - BLOCK * 0.5
     # March inward until tip_blocks distinct grid blocks are collected, so

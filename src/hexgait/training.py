@@ -1,10 +1,11 @@
 """Geometry-supervised training: Gaussian leg estimator + weight adjusting.
 
 During training only, each movement frame is labeled by where the moving
-pixels sit relative to the fixed body centre, and the labeled neuron's
-input weights are potentiated at the active pixels and depressed
-elsewhere. Both the potentiation and depression magnitudes decay
-exponentially with simulated time, so training freezes on its own.
+pixels sit relative to the fixed body centre: the nearest of six prior
+directions, each a leg's anchor direction reversed, so geometry sets no
+prior beyond `scene.ANCHOR_DEG`. The labeled neuron's input weights are
+potentiated at the active pixels and depressed elsewhere. Both magnitudes
+decay exponentially with simulated time, so training freezes on its own.
 """
 from __future__ import annotations
 
@@ -31,24 +32,6 @@ def wrap_angle(a: float) -> float:
 
 
 @dataclass(frozen=True)
-class GaussianPriors:
-    """Mean directions of the per-leg angular Gaussians. They share one
-    width and one prior mass, so the width never decides a label."""
-
-    means: tuple
-
-    def __post_init__(self):
-        means = tuple(float(m) for m in self.means)
-        if len(means) != N_LEGS:
-            raise ValueError(f"priors need {N_LEGS} means, got {len(means)}")
-        for i in range(N_LEGS):
-            for j in range(i + 1, N_LEGS):
-                if abs(wrap_angle(means[i] - means[j])) < 1e-9:
-                    raise ValueError(f"prior means {i + 1} and {j + 1} coincide")
-        object.__setattr__(self, "means", means)
-
-
-@dataclass(frozen=True)
 class TrainSchedule:
     """Exponentially decaying potentiation/depression schedule."""
 
@@ -70,18 +53,18 @@ class TrainSchedule:
         return self.sigma_d * math.exp(-self.beta * t_sec)
 
 
-def classify_angle(theta: float, priors: GaussianPriors) -> int:
+def classify_angle(theta: float, priors: tuple) -> int:
     """Most probable leg for direction theta: of Gaussians of one width,
     the one with the nearest wrapped mean. Distances within 1e-12 rad tie,
     so rounding in wrap_angle cannot split a tie; ties break to the lowest
     label."""
-    dists = [abs(wrap_angle(theta - m)) for m in priors.means]
+    dists = [abs(wrap_angle(theta - m)) for m in priors]
     best = min(dists)
     return next(leg for leg, d in enumerate(dists, start=1) if d <= best + 1e-12)
 
 
 def _estimate(leg_cells: np.ndarray, width: int, height: int,
-              priors: GaussianPriors):
+              priors: tuple):
     """Label + direction of a leg frame against the fixed body centre.
 
     `leg_cells` are the set cells of andpool(I0, 10) on its width x height
@@ -95,7 +78,7 @@ def _estimate(leg_cells: np.ndarray, width: int, height: int,
     return classify_angle(theta, priors), theta
 
 
-def estimate_leg(history, priors: GaussianPriors) -> int:
+def estimate_leg(history, priors: tuple) -> int:
     """Label the leg moving in the last frame of `history` (raw frames)."""
     if not len(history):
         raise ValueError("history must contain at least the current frame")
@@ -103,17 +86,11 @@ def estimate_leg(history, priors: GaussianPriors) -> int:
     return _estimate(leg.keys, leg.width, leg.height, priors)[0]
 
 
-def calibrate_priors(geom: HexapodGeometry) -> GaussianPriors:
-    """Prior means from geometry: direction from each leg tip to the body center."""
-    means = []
-    for leg in range(1, N_LEGS + 1):
-        anchor = geom.leg_anchors[leg - 1]
-        phi = geom.anchor_angle(leg)
-        tip_x = anchor.x + geom.leg_length * math.cos(phi)
-        tip_y = anchor.y + geom.leg_length * math.sin(phi)
-        means.append(math.atan2(geom.body_center.y - tip_y,
-                                geom.body_center.x - tip_x))
-    return GaussianPriors(means=tuple(means))
+def calibrate_priors(geom: HexapodGeometry) -> tuple:
+    """Prior means, leg 1 first: a leg's tip lies on its anchor's ray out of
+    the body centre, so tip-to-centre is the anchor direction reversed."""
+    return tuple(wrap_angle(geom.anchor_angle(leg) + math.pi)
+                 for leg in range(1, N_LEGS + 1))
 
 
 @dataclass
@@ -124,7 +101,7 @@ class TrainResult:
     skipped: int = 0  # always 0; read by perfbench and report.txt's skip line
 
 
-def train(stream: FrameStream, priors: GaussianPriors, sched: TrainSchedule,
+def train(stream: FrameStream, priors: tuple, sched: TrainSchedule,
           params: NeuronParams, repeats: int = 1) -> TrainResult:
     """Run the weight-adjusting loop over `repeats` plays of the stream.
 

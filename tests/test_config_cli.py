@@ -109,6 +109,12 @@ _OVER_BUDGET = (
 )
 
 
+def test_config_percent_is_literal(tmp_path):
+    path = tmp_path / "pct.ini"
+    path.write_text("[run]\nout = runs/50%(seed)s %%\n")
+    assert load_config(path)["run"]["out"] == "runs/50%(seed)s %%"
+
+
 def test_config_over_the_work_budget_exits_2_without_rendering(tmp_path, capsys,
                                                                monkeypatch):
     def render(*args, **kwargs):
@@ -177,6 +183,16 @@ def test_cli_example_config(capsys):
     assert "[neuron]" in capsys.readouterr().out
 
 
+# Files configparser itself rejects, or that are not UTF-8.
+_MALFORMED_FILES = (
+    b"[scene]\nwidth = 100\nwidth = 200\n",  # a repeated key
+    b"[scene]\nwidth = 100\n[scene]\nheight = 100\n",  # a repeated section
+    b"width = 100\n[scene]\n",  # a key before any section
+    b"[scene]\nnoise_density = 0.1%\n",  # a bad value, not an interpolation
+    b"[run]\nout = \xff\n",
+)
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[nope]\nx = 1\n")
@@ -189,6 +205,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     for text in _BAD_VALUES:
         bad.write_text(text)
         assert main(["--config", str(bad), "--out", str(out), "repro"]) == 2, text
+        assert "config error:" in capsys.readouterr().err
+    for data in _MALFORMED_FILES:
+        bad.write_bytes(data)
+        assert main(["--config", str(bad), "--out", str(out), "repro"]) == 2, data
         assert "config error:" in capsys.readouterr().err
     assert main(["--seed", "-1", "--out", str(out), "repro"]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -365,6 +385,8 @@ def fuzz_inputs(tmp_path_factory):
 
 def _fuzz_argv(target, mutated, p):
     """CLI argv that feeds the mutated copy of `target`'s file to a parser."""
+    if target == "config":
+        return ["example-config"]
     if target == "events-train":
         return ["train", mutated]
     if target == "events-test":
@@ -378,7 +400,7 @@ def _fuzz_argv(target, mutated, p):
 
 _INSERT = st.one_of(st.binary(min_size=1, max_size=3), st.sampled_from([
     b"-", b"0", b"9", b",", b" ", b"\t", b"\n", b"\r", b"#", b".", b"e", b"x",
-    b"nan", b"inf", b"!sensor 8x8\n", b"step ", b"\xff", b"\x00"]))
+    b"nan", b"inf", b"!sensor 8x8\n", b"step ", b"\xff", b"\x00", b"%", b"[", b"="]))
 # Edits at a position (taken modulo the length): delete up to 4 bytes, then
 # insert some; the result may also be cut short.
 _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _INSERT),
@@ -387,7 +409,7 @@ _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _INSERT)
 
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["events-train", "events-test", "weights", "raster",
+@given(st.sampled_from(["config", "events-train", "events-test", "weights", "raster",
                         "schedule"]),
        _EDITS, st.one_of(st.none(), st.integers(0, 1 << 16)))
 def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, cut):
@@ -400,9 +422,10 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
         data = data[:cut % (len(data) + 1)]
     mutated = root / "mutated.txt"
     mutated.write_bytes(data)
-    argv = ["--config", p["config"], "--out", str(root / "out")]
+    config = str(mutated) if target == "config" else p["config"]
+    argv = ["--config", config, "--out", str(root / "out")]
     rc = main(argv + _fuzz_argv(target, str(mutated), p))
-    assert rc in (0, 2, 3)
+    assert rc in ((0, 2) if target == "config" else (0, 2, 3))
     if rc:
         assert "error" in capsys.readouterr().err
 

@@ -1,7 +1,7 @@
 import pytest
 
-from hexgait.gait import (GaitTrace, format_sequence, format_trace, is_tripod,
-                          label_sequence, sequence_accuracy, spikes_to_gait)
+from hexgait.gait import (format_sequence, format_trace, is_tripod, label_sequence,
+                          sequence_accuracy, spikes_to_gait)
 from hexgait.neurons import SpikeRaster
 
 
@@ -11,21 +11,19 @@ def raster(*steps, dt=0.04):
 
 def test_spikes_to_gait_basic():
     trace = spikes_to_gait(raster((0.0, {1}), (2.0, {2})), period=1.0)
-    assert trace.leg(1) == ((0.0, 1.0),)
-    assert trace.leg(2) == ((2.0, 3.0),)
-    assert trace.leg(3) == ()
+    assert trace == (((0.0, 1.0),), ((2.0, 3.0),), (), (), (), ())
 
 
 def test_spikes_to_gait_absorbs_mid_cycle():
     # Second spike lands during the running cycle and is swallowed;
     # the third starts a fresh one.
     trace = spikes_to_gait(raster((0.0, {4}), (0.5, {4}), (1.2, {4})), 1.0)
-    assert trace.leg(4) == ((0.0, 1.0), (1.2, 2.2))
+    assert trace[3] == ((0.0, 1.0), (1.2, 2.2))
 
 
 def test_spikes_to_gait_boundary_spike_opens_new_cycle():
     trace = spikes_to_gait(raster((0.0, {1}), (1.0, {1})), 1.0)
-    assert trace.leg(1) == ((0.0, 1.0), (1.0, 2.0))
+    assert trace[0] == ((0.0, 1.0), (1.0, 2.0))
 
 
 def test_spikes_to_gait_rejects_bad_period():
@@ -112,8 +110,8 @@ def test_is_tripod():
 
 
 def test_format_outputs():
-    trace = GaitTrace(cycles=(((0.0, 1.0),),) + ((),) * 5)
-    text = format_trace(trace)
-    assert "1 0.000000 1.000000" in text
+    text = format_trace((((0.0, 1.0),), (), ((2.0, 3.0),), (), (), ()))
+    assert text == ("# leg cycle_start_s cycle_end_s\n"
+                    "1 0.000000 1.000000\n3 2.000000 3.000000\n")
     seq_text = format_sequence([frozenset({3, 1}), frozenset({2})])
     assert "0 1,3" in seq_text and "1 2" in seq_text

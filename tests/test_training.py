@@ -9,9 +9,10 @@ from conftest import centroid
 from hexgait.cli import main
 from hexgait.errors import EmptyFrameError
 from hexgait.frames import BinaryFrame, FrameStream, andpool
-from hexgait.scene import GaitSchedule, render_expert_sequence
-from hexgait.training import (GaussianPriors, TrainSchedule, calibrate_priors,
-                              classify_angle, estimate_leg, train, wrap_angle)
+from hexgait.scene import (ANCHOR_DEG, GaitSchedule, HexapodGeometry, RenderParams,
+                           render_expert_sequence)
+from hexgait.training import (TrainSchedule, calibrate_priors, classify_angle,
+                              estimate_leg, train, wrap_angle)
 
 FPC = 25
 
@@ -25,29 +26,21 @@ def test_wrap_angle():
     assert wrap_angle(2 * math.pi + 0.3) == pytest.approx(0.3)
 
 
-def test_priors_validation():
-    with pytest.raises(ValueError):
-        GaussianPriors(means=(0, 1, 2))
-    with pytest.raises(ValueError):
-        GaussianPriors(means=(0, 1, 2, 3, 0, 5))
-
-
 def test_classify_exact_means(priors):
     for leg in range(1, 7):
-        assert classify_angle(priors.means[leg - 1], priors) == leg
+        assert classify_angle(priors[leg - 1], priors) == leg
 
 
 def test_classify_tie_breaks_low():
     # Two legs symmetric about theta=0 score identically; lowest label wins.
-    priors = GaussianPriors(means=(0.5, -0.5, 1.5, -1.5, 2.5, -2.5))
+    priors = (0.5, -0.5, 1.5, -1.5, 2.5, -2.5)
     assert classify_angle(0.0, priors) == 1
     assert classify_angle(2.0, priors) == 3
     # Legs 1 and 2 sit 0.7 rad either side of theta. wrap_angle rounds one
     # distance up by an ulp at some theta; that must not break the tie.
     for theta in np.linspace(-3.1, 3.1, 621):
         t = float(theta)
-        priors = GaussianPriors(means=(t + 0.7, t - 0.7, t + 1.7, t - 1.7,
-                                       t + 2.7, t - 2.7))
+        priors = (t + 0.7, t - 0.7, t + 1.7, t - 1.7, t + 2.7, t - 2.7)
         assert classify_angle(t, priors) == 1, t
 
 
@@ -55,15 +48,15 @@ def test_classify_nearest_mean_with_equal_stds(priors):
     # With equal stds the classifier reduces to nearest wrapped mean.
     rng = np.random.default_rng(2)
     for theta in rng.uniform(-math.pi, math.pi, 1000):
-        dists = [abs(wrap_angle(theta - m)) for m in priors.means]
+        dists = [abs(wrap_angle(theta - m)) for m in priors]
         nearest = int(np.argmin(dists)) + 1
         assert classify_angle(float(theta), priors) == nearest
 
 
-def test_estimate_leg_geometric_sweep(geom, priors, cfg):
-    # Each leg's noise-free segment is labeled as that leg on every
-    # active frame.
-    params = cfg.render_params()
+def _sweep_labels(geom, params):
+    """Check that each leg's noise-free segment is labeled as that leg on
+    every active frame, against the priors of the geometry that drew it."""
+    priors = calibrate_priors(geom)
     stream = render_expert_sequence(geom, GaitSchedule.sequential(), FPC,
                                     600, 600, noise_density=0.0, seed=0,
                                     params=params)
@@ -76,7 +69,19 @@ def test_estimate_leg_geometric_sweep(geom, priors, cfg):
                 continue
             assert estimate_leg([frame], priors) == leg
             checked += 1
-    assert checked >= 6 * 8
+    assert checked == 6 * params.active_frames
+
+
+def test_estimate_leg_geometric_sweep(geom, cfg):
+    _sweep_labels(geom, cfg.render_params())
+
+
+@pytest.mark.parametrize("body_radius,leg_length,tip_blocks", [
+    (0.12, 0.22, 3), (0.25, 0.12, 3), (0.1, 0.1, 1), (0.3, 0.15, 4)])
+def test_estimate_leg_geometric_sweep_across_geometries(body_radius, leg_length,
+                                                        tip_blocks):
+    _sweep_labels(HexapodGeometry(body_radius, leg_length),
+                  RenderParams(tip_blocks=tip_blocks))
 
 
 def test_estimate_leg_errors(priors):
@@ -93,13 +98,38 @@ def test_estimate_leg_errors(priors):
 def test_calibrate_priors_idempotent_and_sided(geom):
     a = calibrate_priors(geom)
     b = calibrate_priors(geom)
-    assert a.means == b.means
+    assert a == b and len(a) == 6
     # Tips point outward, so every mean points back toward the center:
     # left-side legs (1..3) look right-ish, right-side legs look left-ish.
     for leg in (1, 2, 3):
-        assert math.cos(a.means[leg - 1]) > 0
+        assert math.cos(a[leg - 1]) > 0
     for leg in (4, 5, 6):
-        assert math.cos(a.means[leg - 1]) < 0
+        assert math.cos(a[leg - 1]) < 0
+
+
+def _tip_to_centre(geom):
+    """Prior means as the direction from each leg tip back to the body
+    centre, the tip a leg length out along the anchor's direction."""
+    c = geom.body_center
+    means = []
+    for a in ANCHOR_DEG:
+        ax = c.x + geom.body_radius * math.cos(math.radians(a))
+        ay = c.y + geom.body_radius * math.sin(math.radians(a))
+        phi = math.atan2(ay - c.y, ax - c.x)
+        tip_x = ax + geom.leg_length * math.cos(phi)
+        tip_y = ay + geom.leg_length * math.sin(phi)
+        means.append(math.atan2(c.y - tip_y, c.x - tip_x))
+    return means
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.01, 0.5), st.floats(0.01, 1.0))
+def test_calibrate_priors_aim_from_each_tip_at_the_centre(body_radius, leg_length):
+    # Every tip lies on its anchor's ray out of the centre, so geometry
+    # sets no prior beyond ANCHOR_DEG.
+    geom = HexapodGeometry(body_radius, leg_length)
+    for mean, ref in zip(calibrate_priors(geom), _tip_to_centre(geom), strict=True):
+        assert abs(wrap_angle(mean - ref)) <= 1e-12
 
 
 def test_schedule_decay_strictly_decreasing():
