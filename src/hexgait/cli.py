@@ -18,8 +18,8 @@ from .errors import ConfigError, DataError, HexgaitError
 from .frames import as_stream, pooled_streams
 from .gait import (format_sequence, format_trace, is_tripod, label_sequence,
                    sequence_accuracy, spikes_to_gait)
-from .neurons import (WeightMap, load_raster, load_weights, run_network,
-                      save_raster, save_weights)
+from .neurons import (WeightMap, load_weights, run_network, save_raster,
+                      save_weights)
 from .scene import (GaitSchedule, render_expert_sequence, segment_boundaries,
                     splice_segments)
 from .training import calibrate_priors, train
@@ -135,15 +135,6 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
     return 0
 
 
-def cmd_energy(cfg: RunConfig, raster_path, active_frames: int,
-               leg_events: int) -> int:
-    raster = load_raster(raster_path)
-    rep = energy_report(raster.total_spikes(), active_frames, leg_events,
-                        cfg.energy_model())
-    print(rep.format(), end="")
-    return 0
-
-
 def _leg_event_counts(i10_frames):
     """Canonical per-leg-event accounting: (spikes, leg events).
 
@@ -164,6 +155,18 @@ def _leg_event_counts(i10_frames):
         n_spikes += peak
         n_events += 1
     return n_spikes, n_events
+
+
+def _energy(cfg: RunConfig, i10):
+    """Energy report of an I10 FrameStream, one leg event per burst."""
+    n_spikes, n_events = _leg_event_counts(i10)
+    return energy_report(n_spikes, n_events, n_events, cfg.energy_model())
+
+
+def cmd_energy(cfg: RunConfig, events_path) -> int:
+    i10 = pooled_streams(_ingest_events(cfg, events_path))
+    print(_energy(cfg, i10).format(), end="")
+    return 0
 
 
 def cmd_repro(cfg: RunConfig, out: str) -> int:
@@ -190,9 +193,6 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
                  format_trace(spikes_to_gait(tri_raster, cfg.period_s())))
     tripod_ok = is_tripod(tri_observed)
 
-    n_spikes, n_events = _leg_event_counts(i10)
-    erep = energy_report(n_spikes, n_events, n_events, cfg.energy_model())
-
     report = [
         f"train_duration_s={result.raster.n_steps * result.raster.dt:.2f}",
         f"train_repeats={cfg['training']['repeats']}",
@@ -200,7 +200,7 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
         f"sequence_accuracy={seq_acc:.6f}",
         f"tripod_accuracy={tri_acc:.6f}",
         f"is_tripod={tripod_ok}",
-        erep.format().rstrip(),
+        _energy(cfg, i10).format().rstrip(),
     ]
     write_atomic(os.path.join(out, "report.txt"), "\n".join(report) + "\n")
     print("\n".join(report))
@@ -208,16 +208,6 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
         print("repro check FAILED", file=sys.stderr)
         return 4
     return 0
-
-
-def _count(text: str) -> int:
-    """argparse type of a count: an integer >= 0."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events", help="event file")
     p.add_argument("--schedule", help="expected schedule file for scoring")
 
-    p = sub.add_parser("energy", help="energy estimate for a raster")
-    p.add_argument("raster", help="raster file (time_s neuron pairs)")
-    p.add_argument("--active-frames", type=_count, default=0)
-    p.add_argument("--leg-events", type=_count, default=0)
+    p = sub.add_parser("energy", help="energy per leg event of an event file")
+    p.add_argument("events", help="event file")
 
     sub.add_parser("repro", help="full synth/train/splice/test pipeline")
 
@@ -262,7 +250,7 @@ def main(argv=None) -> int:
             print(EXAMPLE_CONFIG, end="")
             return 0
         if args.command == "energy":  # writes no artifact, so makes no --out
-            return cmd_energy(cfg, args.raster, args.active_frames, args.leg_events)
+            return cmd_energy(cfg, args.events)
         out = args.out or cfg["run"]["out"]
         os.makedirs(out, exist_ok=True)
         if args.command == "synth":

@@ -102,6 +102,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     values = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     for section in parser.sections():
         if section not in _DEFAULTS:
@@ -115,6 +117,8 @@ def load_config(path) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"[{section}] {key}={raw!r}: expected {caster.__name__}") from exc
+            if caster is int and not -2**63 <= values[section][key] < 2**63:
+                raise ConfigError(f"[{section}] {key}: must fit in int64")
     cfg = RunConfig(values)
     validate(cfg)
     return cfg

@@ -171,38 +171,6 @@ def save_raster(path, raster: SpikeRaster) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_raster(path) -> SpikeRaster:
-    dt, n_steps = NeuronParams.dt, 0
-    by_time = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("dt="):
-                            dt = float(tok[3:])
-                        elif tok.startswith("n_steps="):
-                            n_steps = int(tok[8:])
-                    continue
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ValueError(f"line {lineno}: expected `time_s neuron`, got {line!r}")
-                t, label = float(fields[0]), int(fields[1])
-                if not (math.isfinite(t) and 1 <= label <= N_LEGS):
-                    raise ValueError(f"line {lineno}: need a finite time and a "
-                                     f"neuron in 1..{N_LEGS}, got {line!r}")
-                by_time.setdefault(t, set()).add(label)
-    except ValueError as exc:
-        raise DataError(f"bad raster file {path}: {exc}") from exc
-    if n_steps < 0:
-        raise DataError(f"bad raster file {path}: n_steps={n_steps} is negative")
-    steps = tuple((t, frozenset(s)) for t, s in sorted(by_time.items()))
-    return SpikeRaster(dt=dt, steps=steps, n_steps=n_steps)
-
-
 def step_neuron(state: NeuronState, params: NeuronParams, now: float):
     """One Euler step. Returns (new_state, spiked)."""
     g_e = state.g_e * (1.0 - params.dt / params.tau_ge)

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -15,9 +17,10 @@ from hexgait import cli
 from hexgait.atomic import write_atomic
 from hexgait.cli import main
 from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
-from hexgait.energy import EnergyModel
+from hexgait.energy import EnergyModel, energy_report
+from hexgait.events import load_frames, save_events
 from hexgait.errors import ConfigError
-from hexgait.frames import MAX_FRAMES, FrameStream
+from hexgait.frames import MAX_FRAMES, FrameStream, pooled_streams
 from hexgait.neurons import NeuronParams, WeightMap, save_weights
 from hexgait.scene import HexapodGeometry, RenderParams
 from hexgait.training import TrainSchedule
@@ -97,6 +100,9 @@ _BAD_VALUES = (
     "[scene]\nframes_per_cycle = 1\n",
     "[scene]\nnoise_density = 1.0\n",
     "[training]\nrepeats = -1\n",
+    # Integers too large for a float, which the work budget multiplies in.
+    "[scene]\nwidth = 1" + "0" * 400 + "\n",
+    "[scene]\ntip_blocks = 1" + "0" * 400 + "\n",
 )
 
 
@@ -201,6 +207,12 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     bad.write_text("[gait]\nperiod_s = 1.0\n")
     assert main(["--config", str(bad), "example-config"]) == 2
     assert "unknown config section [gait]" in capsys.readouterr().err
+    for text in ("[DEFAULT]\nseed = 5\n",
+                 "[DEFAULT]\nwidth = 100\n[scene]\n",  # spread into [scene]
+                 "[DEFAULT]\nwidth = 100\n[run]\n"):
+        bad.write_text(text)
+        assert main(["--config", str(bad), "example-config"]) == 2, text
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
     out = tmp_path / "out"
     for text in _BAD_VALUES:
         bad.write_text(text)
@@ -255,27 +267,22 @@ def test_cli_wild_timestamp_exit_3(tmp_path, capsys):
     assert "data error:" in err and "2500000 frames" in err
 
 
-def test_cli_energy_bad_raster_exit_3(tmp_path, capsys):
-    raster = tmp_path / "raster.txt"
-    raster.write_text("# dt=0.04 n_steps=10\n0.080000 1\n0.120000 2 5\n")
-    assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
+def test_cli_energy_bad_events_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.events"
+    bad.write_text("!sensor 600x600\n1,1,0\n1,2\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "energy", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "data error:" in err and "line 3" in err
-    for body in ("0.080000 99\n", "0.080000 -2\n", "nan 1\n", "inf 1\n"):
-        raster.write_text("# dt=0.04 n_steps=10\n0.040000 1\n" + body)
-        assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3, body
-        err = capsys.readouterr().err
-        assert "data error:" in err and "line 3" in err
-    raster.write_text("# dt=0.04 n_steps=-3\n0.040000 1\n")
-    assert main(["--out", str(tmp_path / "out"), "energy", str(raster)]) == 3
-    assert "n_steps=-3" in capsys.readouterr().err
+    assert main(["--out", str(out), "energy", str(tmp_path / "absent")]) == 3
+    assert "data error:" in capsys.readouterr().err
 
 
 def test_cli_energy_makes_no_out_directory(tmp_path, capsys):
-    raster = tmp_path / "raster.txt"
-    raster.write_text("# dt=0.04 n_steps=10\n0.040000 1\n")
+    evts = tmp_path / "events.txt"
+    evts.write_text("!sensor 600x600\n1,1,0\n")
     out = tmp_path / "out"
-    assert main(["--out", str(out), "energy", str(raster)]) == 0
+    assert main(["--out", str(out), "energy", str(evts)]) == 0
     assert main(["--out", str(out), "energy", str(tmp_path / "missing.txt")]) == 3
     assert "data error:" in capsys.readouterr().err
     assert not out.exists()
@@ -366,15 +373,13 @@ _FUZZ_CFG = "[scene]\nwidth = 100\nheight = 100\n\n[training]\nrepeats = 2\n"
 _FUZZ_EVENTS = "# two tiles and some salt\n!sensor 120x100\n" + "".join(
     f"{x},{y},{t}\n" for t, (x0, y0) in ((1000, (40, 30)), (41000, (70, 60)))
     for y in range(y0, y0 + 10) for x in range(x0, x0 + 10)) + "3,4,5000\n119,99,90000\n"
-_FUZZ_RASTER = "# dt=0.04 n_steps=10\n0.080000 1\n0.080000 3\n0.120000 2\n"
 _FUZZ_SCHEDULE = "frames_per_cycle=25\ngap_frames=11\nstep 0 1,3,5\nstep 1 2,4,6\n"
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    files = {"config": _FUZZ_CFG, "events": _FUZZ_EVENTS, "raster": _FUZZ_RASTER,
-             "schedule": _FUZZ_SCHEDULE}
+    files = {"config": _FUZZ_CFG, "events": _FUZZ_EVENTS, "schedule": _FUZZ_SCHEDULE}
     paths = {name: root / f"{name}.txt" for name in (*files, "weights")}
     for name, text in files.items():
         paths[name].write_text(text)
@@ -393,8 +398,8 @@ def _fuzz_argv(target, mutated, p):
         return ["test", p["weights"], mutated]
     if target == "weights":
         return ["test", mutated, p["events"]]
-    if target == "raster":
-        return ["energy", mutated, "--active-frames", "2", "--leg-events", "1"]
+    if target == "events-energy":
+        return ["energy", mutated]
     return ["test", p["weights"], p["events"], "--schedule", mutated]
 
 
@@ -409,8 +414,8 @@ _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _INSERT)
 
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["config", "events-train", "events-test", "weights", "raster",
-                        "schedule"]),
+@given(st.sampled_from(["config", "events-train", "events-test", "events-energy",
+                        "weights", "schedule"]),
        _EDITS, st.one_of(st.none(), st.integers(0, 1 << 16)))
 def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, cut):
     root, p = fuzz_inputs
@@ -428,6 +433,32 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
     assert rc in ((0, 2) if target == "config" else (0, 2, 3))
     if rc:
         assert "error" in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sets(st.integers(0, 99), max_size=3), min_size=1, max_size=12),
+       st.lists(st.integers(0, 1 << 20), max_size=20))
+def test_cli_energy_of_a_saved_stream_is_repros_accounting(tmp_path, capsys, tiles,
+                                                           salt):
+    """`energy` on the event file of a 100x100 stream S prints the report
+    `repro` makes of S: the leg events of pooled_streams(S). Frame k of S
+    fills the 10x10 tiles tiles[k] and holds some salt pixels."""
+    n_frames = len(tiles)
+    keys = [k * 10_000 + (tile // 10 * 10 + dy) * 100 + tile % 10 * 10 + dx
+            for k, frame in enumerate(tiles) for tile in frame
+            for dy in range(10) for dx in range(10)]
+    keys += [key % (n_frames * 10_000) for key in salt]
+    stream = FrameStream.from_keys(np.array(keys, dtype=np.int64), n_frames, 100, 100)
+    path, evts = tmp_path / "small.ini", tmp_path / "events.txt"
+    path.write_text(_FUZZ_CFG)
+    cfg = load_config(path)
+    save_events(evts, stream.keys, 100, 100, cfg["events"]["window_ms"])
+    capsys.readouterr()
+    assert main(["--config", str(path), "energy", str(evts)]) == 0
+    n_spikes, n_events = cli._leg_event_counts(pooled_streams(stream))
+    assert capsys.readouterr().out == energy_report(
+        n_spikes, n_events, n_events, cfg.energy_model()).format()
 
 
 @pytest.mark.parametrize("section,key", [("events", "sensor_width"),
@@ -491,6 +522,29 @@ def test_leg_event_counts_close_a_burst_at_the_stream_end(cells, counts):
     assert cli._leg_event_counts(i10) == counts
 
 
+def test_readme_command_line_matches_the_parser():
+    """README's `## Command line` section names each subcommand of
+    build_parser() with its positionals, every long option, and nothing
+    the parser does not define."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    synopsis = {line.split()[1]: line
+                for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(synopsis) == sorted(commands)
+    options = {opt for a in parser._actions for opt in a.option_strings}
+    for name, sub in commands.items():
+        words = [Path(w).stem.upper() for w in synopsis[name].split("#")[0].split()]
+        for action in sub._actions:
+            if not action.option_strings:  # as EVENTS or as OUT/events.txt
+                assert action.dest.upper() in words, (name, action.dest)
+            options.update(action.option_strings)
+    options = {opt for opt in options if opt.startswith("--") and opt != "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options
+
+
 def test_module_entry_point_runs_main():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
     run = subprocess.run([sys.executable, "-m", "hexgait.cli", "example-config"],
@@ -511,14 +565,16 @@ def test_cli_pipeline_synth_train_test(fast_cfg_path, tmp_path, capsys):
     assert "sequence_accuracy=1.000000" in (run / "report.txt").read_text()
     # the frozen run must not touch the weight file
     assert (run / "weights.txt").read_bytes() == weights_before
-    assert main(base + ["energy", f"{out}/test_raster.txt",
-                        "--active-frames", "6", "--leg-events", "6"]) == 0
-    assert "per_leg_event" in capsys.readouterr().out
-    for flag in ("--active-frames", "--leg-events"):
-        with pytest.raises(SystemExit) as exc:
-            main(base + ["energy", f"{out}/test_raster.txt", flag, "-1"])
-        assert exc.value.code == 2
-        assert "expected an integer >= 0" in capsys.readouterr().err
+    # energy charges the recording as repro charges its I10 stream.
+    capsys.readouterr()
+    assert main(base + ["energy", f"{out}/events.txt"]) == 0
+    cfg = load_config(fast_cfg_path)
+    i10 = pooled_streams(load_frames(run / "events.txt", cfg["events"]["window_ms"],
+                                     cfg["scene"]["width"], cfg["scene"]["height"]))
+    n_spikes, n_events = cli._leg_event_counts(i10)
+    assert n_events == 6
+    assert capsys.readouterr().out == energy_report(
+        n_spikes, n_events, n_events, cfg.energy_model()).format()
     # repro runs the same stages, without reading events.txt back.
     repro = tmp_path / "repro"
     assert main(["--config", fast_cfg_path, "--out", str(repro), "repro"]) == 0

@@ -7,8 +7,7 @@ from conftest import inject
 from hexgait.errors import DimensionError
 from hexgait.frames import BinaryFrame
 from hexgait.neurons import (NeuronParams, NeuronState, SpikeRaster, WeightMap,
-                             load_raster, load_weights,
-                             run_network, save_raster, save_weights,
+                             load_weights, run_network, save_raster, save_weights,
                              step_neuron)
 
 PARAMS = NeuronParams()
@@ -174,13 +173,12 @@ def test_weights_roundtrip(tmp_path):
     assert (tmp_path / "w2.txt").read_text() == path.read_text()
 
 
-def test_raster_roundtrip(tmp_path):
-    raster = SpikeRaster(dt=0.04, steps=((0.08, {1, 3}), (1.0, {2})), n_steps=50)
+def test_save_raster_text(tmp_path):
+    raster = SpikeRaster(dt=0.04, steps=((0.08, {3, 1}), (1.0, {2})), n_steps=50)
     path = tmp_path / "r.txt"
     save_raster(path, raster)
-    loaded = load_raster(path)
-    assert loaded.steps == raster.steps
-    assert loaded.n_steps == 50
+    assert path.read_text() == ("# dt=0.04 n_steps=50\n"
+                                "0.080000 1\n0.080000 3\n1.000000 2\n")
 
 
 def test_raster_requires_increasing_times():

@@ -9,11 +9,12 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Removed from hexgait; the benchmark is to retarget them. The event
 # functions went with the whole-array event API: their work now runs in
-# save_events and load_frames.
+# save_events and load_frames. No command reads a raster any more.
 _STALE = {("hexgait.training", "pooled_views"), ("hexgait.cli", "andpool"),
           ("hexgait.training", "step_network"),
           ("hexgait.events", "frames_to_events"), ("hexgait.events", "load_events"),
-          ("hexgait.events", "crop_events"), ("hexgait.events", "accumulate_frames")}
+          ("hexgait.events", "crop_events"), ("hexgait.events", "accumulate_frames"),
+          ("hexgait.cli", "load_raster")}
 
 
 def test_every_traced_target_resolves():

@@ -201,6 +201,55 @@ def test_train_deterministic(train_stream, priors, cfg):
     assert a.raster.steps == b.raster.steps
 
 
+def _tiles_frame(tiles):
+    """A 100x100 frame of the full 10x10 tiles at I10 cells (row, col)."""
+    bits = np.zeros((100, 100), dtype=bool)
+    for row, col in tiles:
+        bits[10 * row:10 * row + 10, 10 * col:10 * col + 10] = True
+    return BinaryFrame(bits)
+
+
+def test_train_update_follows_its_closed_form(priors, cfg):
+    # One label's frames alternate between the overlapping I10 cell sets A
+    # and B, with a blank frame between plays of A, B. Decay is fast, so no
+    # weight reaches w_max, and each update is exactly: +p at the frame's
+    # cells, -m at every other cell of the label's neuron, clipped to
+    # [0, w_max], with p and m decayed to the simulated time of the frame.
+    a, b = {(4, 8), (5, 8)}, {(5, 8), (5, 9)}
+    plays = [a, b, set(), a, b]
+    frames = [_tiles_frame(cells) for cells in plays]
+    label = estimate_leg(frames[:1], priors)
+    assert estimate_leg(frames[1:2], priors) == label
+    alpha, beta, omega, sigma_d, w_max = 5.0, 1.0, 0.05, 0.01, 0.35
+    sched = TrainSchedule(alpha=alpha, beta=beta, omega=omega, sigma_d=sigma_d,
+                          w_max=w_max)
+    dt, repeats = cfg.neuron_params().dt, 3
+    result = train(FrameStream.from_frames(frames), priors, sched,
+                   cfg.neuron_params(), repeats=repeats)
+
+    w = [0.0] * 100
+    log = []
+    for step in range(repeats * len(plays)):
+        cells = {10 * row + col for row, col in plays[step % len(plays)]}
+        if not cells:
+            continue
+        now = step * dt
+        p = omega * math.exp(-alpha * now)
+        m = sigma_d * math.exp(-beta * now)
+        w = [min(max(v + p if i in cells else v - m, 0.0), w_max)
+             for i, v in enumerate(w)]
+        log.append((f"{now:.3f}", str(label), f"{p:.9g}", f"{m:.9g}", str(len(cells))))
+
+    expected = np.zeros((6, 10, 10))
+    expected[label - 1] = np.reshape(w, (10, 10))
+    assert np.array_equal(result.weights.w, expected)
+    assert [(t, leg, p, m, count) for t, leg, _, p, m, count in
+            (line.split() for line in result.log)] == log
+    # Depression acts: the cells of A alone and of B alone end lower than
+    # the cell of both, and no weight saturates.
+    assert 0.0 < max(w[48], w[59]) < w[58] < w_max
+
+
 def test_train_time_runs_across_repeats(train_stream, priors, cfg):
     result = train(train_stream, priors, cfg.train_schedule(),
                    cfg.neuron_params(), repeats=2)
