@@ -6,23 +6,48 @@ failure (repro only).
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from . import events as ev
 from .atomic import write_atomic
 from .config import (EXAMPLE_CONFIG, RunConfig, default_config, load_config,
                      validate)
 from .energy import energy_report
 from .errors import ConfigError, DataError, HexgaitError
-from .frames import as_stream, pooled_streams
-from .gait import (format_sequence, format_trace, is_tripod, label_sequence,
-                   sequence_accuracy, spikes_to_gait)
-from .neurons import (WeightMap, load_weights, run_network, save_raster,
-                      save_weights)
-from .scene import (GaitSchedule, render_expert_sequence, segment_boundaries,
-                    splice_segments)
-from .training import calibrate_priors, train
+
+# The pipeline's names, bound here by _load_pipeline. Only a command that
+# computes loads them, after its config is valid, so example-config, --help
+# and a config error import no numpy.
+_PIPELINE = {
+    "frames": ("as_stream", "pooled_streams"),
+    "gait": ("format_sequence", "format_trace", "is_tripod", "label_sequence",
+             "sequence_accuracy", "spikes_to_gait"),
+    "neurons": ("WeightMap", "load_weights", "run_network", "save_raster",
+                "save_weights"),
+    "scene": ("GaitSchedule", "render_expert_sequence", "segment_boundaries",
+              "splice_segments"),
+    "training": ("calibrate_priors", "train"),
+}
+
+
+def _load_pipeline() -> None:
+    """Import the pipeline and bind its names in this module. A name that
+    is already bound is kept, so a wrapper set on it from outside stays."""
+    names = globals()
+    names.setdefault("ev", importlib.import_module(".events", __package__))
+    for module, attrs in _PIPELINE.items():
+        mod = importlib.import_module("." + module, __package__)
+        for attr in attrs:
+            names.setdefault(attr, getattr(mod, attr))
+
+
+def __getattr__(name):
+    """Resolve a pipeline name before any command has loaded it (PEP 562)."""
+    if name == "ev" or any(name in attrs for attrs in _PIPELINE.values()):
+        _load_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _schedule_text(cfg: RunConfig, schedule: GaitSchedule) -> str:
@@ -53,6 +78,7 @@ def _load_schedule(path) -> GaitSchedule:
 
 def _ingest_events(cfg: RunConfig, path):
     """Load an event file into frames of the configured size."""
+    _load_pipeline()
     return ev.load_frames(path, cfg["events"]["window_ms"], cfg["scene"]["width"],
                           cfg["scene"]["height"])
 
@@ -142,6 +168,7 @@ def _leg_event_counts(i10_frames):
     is one burst of consecutive active I10 frames, so a step that moves
     three legs at once counts once. It costs the peak pixel count of the
     burst in spikes and one filter application."""
+    _load_pipeline()
     n_spikes = n_events = 0
     peak = 0
     for c in (cells.size for cells in as_stream(i10_frames).per_frame()):
@@ -249,6 +276,7 @@ def main(argv=None) -> int:
         if args.command == "example-config":
             print(EXAMPLE_CONFIG, end="")
             return 0
+        _load_pipeline()
         if args.command == "energy":  # writes no artifact, so makes no --out
             return cmd_energy(cfg, args.events)
         out = args.out or cfg["run"]["out"]

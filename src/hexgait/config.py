@@ -1,8 +1,9 @@
 """Run configuration: one key=value file with a section per subsystem.
 
-Unknown sections or keys are rejected; every value is validated against
-the owning module's invariants at load time. A key's type is the type of
-its default.
+Unknown sections or keys are rejected; config owns the parameter classes
+and their invariants, and every value is checked against them at load
+time. A key's type is the type of its default. This module imports no
+numpy, so a command that only reads its config never loads the pipeline.
 """
 from __future__ import annotations
 
@@ -12,11 +13,127 @@ from dataclasses import asdict, dataclass, fields
 
 from .energy import EnergyModel
 from .errors import ConfigError
-from .events import _window_us
-from .frames import MAX_FRAMES
-from .neurons import N_LEGS, NeuronParams
-from .scene import BLOCK, HexapodGeometry, RenderParams
-from .training import TrainSchedule
+
+N_LEGS = 6
+
+# Longest stream accepted: one hour of 40 ms frames. Its I10 stack alone
+# takes 324 MB, so a wild timestamp is rejected before anything is sized
+# by it.
+MAX_FRAMES = 90_000
+
+# Longest frame window, in us, that keeps MAX_FRAMES frames' stamps in int64.
+_MAX_WINDOW_US = (2**63 - 1) // MAX_FRAMES
+
+
+def _window_us(window_ms: float) -> int:
+    """`window_ms` in whole us; ValueError unless finite and 1.._MAX_WINDOW_US."""
+    if not (math.isfinite(window_ms) and 1 <= round(window_ms * 1000) <= _MAX_WINDOW_US):
+        raise ValueError(f"window_ms must be finite, at least 1 us and at most "
+                         f"{_MAX_WINDOW_US} us, got {window_ms}")
+    return int(round(window_ms * 1000))
+
+
+@dataclass(frozen=True)
+class NeuronParams:
+    """LIF constants. Voltages in mV, times in seconds."""
+
+    tau_v: float = 4.0
+    tau_ge: float = 1.2
+    v_rest: float = -65.0
+    v_exc: float = -30.0
+    v_thresh: float = -52.0
+    refractory: float = 2.0
+    dt: float = 0.04
+
+    def __post_init__(self):
+        for name in ("tau_v", "tau_ge", "dt", "refractory"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not (self.v_rest < self.v_thresh):
+            raise ValueError(
+                f"require v_rest < v_thresh, got {self.v_rest} >= {self.v_thresh}")
+        if not (self.v_rest < self.v_exc):
+            raise ValueError(
+                f"require v_rest < v_exc, got {self.v_rest} >= {self.v_exc}")
+
+
+@dataclass(frozen=True)
+class Point:
+    """Normalized image coordinate, both axes in [0, 1]."""
+
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
+            raise ValueError(f"point ({self.x}, {self.y}) outside [0,1]^2")
+
+
+# Side of a foot-site block: the I10 AND-pool kernel of
+# frames.pooled_streams, which the foot site must survive.
+BLOCK = 10
+
+# Anchor directions (degrees, image coords): legs 1-3 on the left side,
+# legs 4-6 on the right. Adjacent directions are 45 degrees apart, so
+# neighbouring anchors are 2 r sin(22.5 deg) ~ 0.77 r apart.
+ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
+
+
+@dataclass(frozen=True)
+class HexapodGeometry:
+    """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
+    anchors sit on the body's rim in the ANCHOR_DEG directions."""
+
+    body_center = Point(0.5, 0.5)
+    body_radius: float = 0.18
+    leg_length: float = 0.17
+
+    def __post_init__(self):
+        # Above 0.5 the 180-degree anchor would lie left of the frame.
+        if not (0 < self.body_radius <= 0.5 and self.leg_length > 0):
+            raise ValueError("body_radius must be in (0, 0.5] and leg_length > 0")
+
+    def anchor_angle(self, leg: int) -> float:
+        """Outward direction of leg `leg` (1..6) from the body center."""
+        return math.radians(ANCHOR_DEG[leg - 1])
+
+
+@dataclass(frozen=True)
+class RenderParams:
+    """Knobs for the synthetic renderer: foot-site size in 10x10 blocks,
+    cycle timing in frames."""
+
+    tip_blocks: int = 3          # full 10x10 blocks at the foot site
+    gap_frames: int = 11         # still frames after each cycle
+    active_frames: int = 8       # cycle frames dense enough to light the foot site
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+
+
+@dataclass(frozen=True)
+class TrainSchedule:
+    """Exponentially decaying potentiation/depression schedule."""
+
+    alpha: float = 0.01      # 1/s, potentiation decay rate
+    beta: float = 0.01       # 1/s, depression decay rate
+    omega: float = 0.05      # potentiation scale
+    sigma_d: float = 0.0005  # depression scale
+    w_max: float = 0.35      # weight ceiling
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "omega", "sigma_d", "w_max"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
+    def potentiation(self, t_sec: float) -> float:
+        return self.omega * math.exp(-self.alpha * t_sec)
+
+    def depression(self, t_sec: float) -> float:
+        return self.sigma_d * math.exp(-self.beta * t_sec)
+
 
 # A key owned by a dataclass takes its default from there. The frame
 # window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
@@ -117,8 +234,6 @@ def load_config(path) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"[{section}] {key}={raw!r}: expected {caster.__name__}") from exc
-            if caster is int and not -2**63 <= values[section][key] < 2**63:
-                raise ConfigError(f"[{section}] {key}: must fit in int64")
     cfg = RunConfig(values)
     validate(cfg)
     return cfg
@@ -137,6 +252,8 @@ def validate(cfg: RunConfig) -> None:
         for key, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"[{section}] {key}={value}: must be finite")
+            if isinstance(value, int) and not -2**63 <= value < 2**63:
+                raise ConfigError(f"[{section}] {key}: must fit in int64")
     if cfg.seed < 0:
         raise ConfigError("[run]: seed must be >= 0")
     s = cfg.values["scene"]

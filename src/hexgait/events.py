@@ -8,27 +8,16 @@ stamped mid-window; `load_frames` reads a file back into keys.
 """
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
 
 from .atomic import write_atomic
+from .config import MAX_FRAMES, _window_us
 from .errors import DataError, EventBoundsError, EventFileError
-from .frames import MAX_FRAMES, FrameStream, _check_frame_count
+from .frames import FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-# Longest frame window, in us, that keeps MAX_FRAMES frames' stamps in int64.
-_MAX_WINDOW_US = _INT64_MAX // MAX_FRAMES
-
-
-def _window_us(window_ms: float) -> int:
-    """`window_ms` in whole us; ValueError unless finite and 1.._MAX_WINDOW_US."""
-    if not (math.isfinite(window_ms) and 1 <= round(window_ms * 1000) <= _MAX_WINDOW_US):
-        raise ValueError(f"window_ms must be finite, at least 1 us and at most "
-                         f"{_MAX_WINDOW_US} us, got {window_ms}")
-    return int(round(window_ms * 1000))
 
 
 def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):

@@ -14,19 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import MAX_FRAMES, Point
 from .errors import DataError, DimensionError, EmptyFrameError
-
-
-@dataclass(frozen=True)
-class Point:
-    """Normalized image coordinate, both axes in [0, 1]."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"point ({self.x}, {self.y}) outside [0,1]^2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +51,6 @@ class BinaryFrame:
         if not isinstance(other, BinaryFrame):
             return NotImplemented
         return np.array_equal(self.bits, other.bits)
-
-
-# Longest stream accepted: one hour of 40 ms frames. Its I10 stack alone
-# takes 324 MB, so a wild timestamp is rejected before anything is sized
-# by it.
-MAX_FRAMES = 90_000
 
 
 def _check_frame_count(n_frames: int) -> None:

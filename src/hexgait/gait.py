@@ -7,7 +7,8 @@ alignment, since the network may lock onto the looping video at any phase.
 """
 from __future__ import annotations
 
-from .neurons import N_LEGS, SpikeRaster
+from .config import N_LEGS
+from .neurons import SpikeRaster
 
 
 def spikes_to_gait(raster: SpikeRaster, period: float) -> tuple:

@@ -23,35 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import write_atomic
+from .config import N_LEGS, NeuronParams
 from .errors import DataError, DimensionError
 from .frames import as_stream
-
-N_LEGS = 6
-
-
-@dataclass(frozen=True)
-class NeuronParams:
-    """LIF constants. Voltages in mV, times in seconds."""
-
-    tau_v: float = 4.0
-    tau_ge: float = 1.2
-    v_rest: float = -65.0
-    v_exc: float = -30.0
-    v_thresh: float = -52.0
-    refractory: float = 2.0
-    dt: float = 0.04
-
-    def __post_init__(self):
-        for name in ("tau_v", "tau_ge", "dt", "refractory"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (self.v_rest < self.v_thresh):
-            raise ValueError(
-                f"require v_rest < v_thresh, got {self.v_rest} >= {self.v_thresh}")
-        if not (self.v_rest < self.v_exc):
-            raise ValueError(
-                f"require v_rest < v_exc, got {self.v_rest} >= {self.v_exc}")
-
 
 @dataclass(frozen=True)
 class NeuronState:

@@ -12,42 +12,15 @@ it. Frames are built as flat pixel indices, never as dense grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (ANCHOR_DEG, BLOCK, N_LEGS,  # noqa: F401 (ANCHOR_DEG re-exported)
+                     HexapodGeometry, RenderParams)
 from .errors import DataError
-from .frames import FrameStream, Point
-from .neurons import N_LEGS
+from .frames import FrameStream
 from .noise import salt
-
-# Side of a foot-site block: the I10 AND-pool kernel of
-# frames.pooled_streams, which the foot site must survive.
-BLOCK = 10
-
-# Anchor directions (degrees, image coords): legs 1-3 on the left side,
-# legs 4-6 on the right. Adjacent directions are 45 degrees apart, so
-# neighbouring anchors are 2 r sin(22.5 deg) ~ 0.77 r apart.
-ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
-
-
-@dataclass(frozen=True)
-class HexapodGeometry:
-    """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
-    anchors sit on the body's rim in the ANCHOR_DEG directions."""
-
-    body_center = Point(0.5, 0.5)
-    body_radius: float = 0.18
-    leg_length: float = 0.17
-
-    def __post_init__(self):
-        # Above 0.5 the 180-degree anchor would lie left of the frame.
-        if not (0 < self.body_radius <= 0.5 and self.leg_length > 0):
-            raise ValueError("body_radius must be in (0, 0.5] and leg_length > 0")
-
-    def anchor_angle(self, leg: int) -> float:
-        """Outward direction of leg `leg` (1..6) from the body center."""
-        return math.radians(ANCHOR_DEG[leg - 1])
 
 
 @dataclass(frozen=True)
@@ -82,21 +55,6 @@ class GaitSchedule:
             steps.append((2 * r, {1, 3, 5}))
             steps.append((2 * r + 1, {2, 4, 6}))
         return cls(tuple(steps))
-
-
-@dataclass(frozen=True)
-class RenderParams:
-    """Knobs for the synthetic renderer: foot-site size in 10x10 blocks,
-    cycle timing in frames."""
-
-    tip_blocks: int = 3          # full 10x10 blocks at the foot site
-    gap_frames: int = 11         # still frames after each cycle
-    active_frames: int = 8       # cycle frames dense enough to light the foot site
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,

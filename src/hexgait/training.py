@@ -3,7 +3,7 @@
 During training only, each movement frame is labeled by where the moving
 pixels sit relative to the fixed body centre: the nearest of six prior
 directions, each a leg's anchor direction reversed, so geometry sets no
-prior beyond `scene.ANCHOR_DEG`. The labeled neuron's input weights are
+prior beyond `config.ANCHOR_DEG`. The labeled neuron's input weights are
 potentiated at the active pixels and depressed elsewhere. Both magnitudes
 decay exponentially with simulated time, so training freezes on its own.
 """
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import N_LEGS, HexapodGeometry, NeuronParams, TrainSchedule
 from .errors import EmptyStreamError
 from .frames import FrameStream, as_stream, cell_centroid, pooled_streams
-from .neurons import (N_LEGS, NetworkState, NeuronParams, SpikeRaster,
-                      WeightMap, step_state)
-from .scene import HexapodGeometry
+from .neurons import NetworkState, SpikeRaster, WeightMap, step_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,28 +28,6 @@ def wrap_angle(a: float) -> float:
     if a <= 0.0:
         a += TWO_PI
     return a - math.pi
-
-
-@dataclass(frozen=True)
-class TrainSchedule:
-    """Exponentially decaying potentiation/depression schedule."""
-
-    alpha: float = 0.01      # 1/s, potentiation decay rate 
-    beta: float = 0.01       # 1/s, depression decay rate   
-    omega: float = 0.05      # potentiation scale           
-    sigma_d: float = 0.0005  # depression scale             
-    w_max: float = 0.35      # weight ceiling               
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "omega", "sigma_d", "w_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    def potentiation(self, t_sec: float) -> float:
-        return self.omega * math.exp(-self.alpha * t_sec)
-
-    def depression(self, t_sec: float) -> float:
-        return self.sigma_d * math.exp(-self.beta * t_sec)
 
 
 def classify_angle(theta: float, priors: tuple) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import stat
@@ -224,6 +225,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
     assert main(["--seed", "-1", "--out", str(out), "repro"]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert main(["--seed", str(2**63), "--out", str(out), "repro"]) == 2
+    assert "[run] seed: must fit in int64" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -766,3 +769,35 @@ def test_commands_never_import_numpy_random(tmp_path):
                           str(cfg)], env=env, check=True, capture_output=True,
                          text=True, timeout=120)
     assert run.stdout.splitlines()[-1] == ""
+
+
+_START_UP = """\
+import json, sys
+from hexgait.cli import main
+argv, code, repro = json.loads(sys.argv[1])
+if argv:
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse ends --help
+        assert exc.code == code
+print("numpy imported:", "numpy" in sys.modules)
+assert main(repro) == 0
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([], 0), (["example-config"], 0), (["--help"], 0),
+    (["--config", "{bad}", "synth"], 2)])
+def test_start_up_imports_no_numpy(tmp_path, argv, code):
+    # Only a command that computes imports the pipeline, and only once its
+    # config is valid; a later command in the same process still runs.
+    bad, cfg = tmp_path / "bad.ini", tmp_path / "small.ini"
+    bad.write_text("[neuron]\ntau_v = -1\n")
+    cfg.write_text(_FUZZ_CFG)
+    argv = [a.format(bad=bad) for a in argv]
+    repro = ["--config", str(cfg), "--out", str(tmp_path / "out"), "repro"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
+    run = subprocess.run([sys.executable, "-c", _START_UP, json.dumps([argv, code, repro])],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "numpy imported: False" in run.stdout.splitlines()

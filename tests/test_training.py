@@ -10,7 +10,7 @@ from hexgait.cli import main
 from hexgait.errors import EmptyFrameError
 from hexgait.frames import BinaryFrame, FrameStream, andpool
 from hexgait.scene import (ANCHOR_DEG, GaitSchedule, HexapodGeometry, RenderParams,
-                           render_expert_sequence)
+                           leg_region_mask, render_expert_sequence)
 from hexgait.training import (TrainSchedule, calibrate_priors, classify_angle,
                               estimate_leg, train, wrap_angle)
 
@@ -55,7 +55,8 @@ def test_classify_nearest_mean_with_equal_stds(priors):
 
 def _sweep_labels(geom, params):
     """Check that each leg's noise-free segment is labeled as that leg on
-    every active frame, against the priors of the geometry that drew it."""
+    every active frame, against the priors of the geometry that drew it.
+    Returns the stream."""
     priors = calibrate_priors(geom)
     stream = render_expert_sequence(geom, GaitSchedule.sequential(), FPC,
                                     600, 600, noise_density=0.0, seed=0,
@@ -70,6 +71,7 @@ def _sweep_labels(geom, params):
             assert estimate_leg([frame], priors) == leg
             checked += 1
     assert checked == 6 * params.active_frames
+    return stream
 
 
 def test_estimate_leg_geometric_sweep(geom, cfg):
@@ -79,9 +81,20 @@ def test_estimate_leg_geometric_sweep(geom, cfg):
 @pytest.mark.parametrize("body_radius,leg_length,tip_blocks", [
     (0.12, 0.22, 3), (0.25, 0.12, 3), (0.1, 0.1, 1), (0.3, 0.15, 4)])
 def test_estimate_leg_geometric_sweep_across_geometries(body_radius, leg_length,
-                                                        tip_blocks):
-    _sweep_labels(HexapodGeometry(body_radius, leg_length),
-                  RenderParams(tip_blocks=tip_blocks))
+                                                        tip_blocks, cfg):
+    geom = HexapodGeometry(body_radius, leg_length)
+    params = RenderParams(tip_blocks=tip_blocks)
+    stream = _sweep_labels(geom, params)
+    # What default training learns: each neuron ends at w_max on its own
+    # leg's foot-site I10 tiles and at 0 on every other tile.
+    sched = cfg.train_schedule()
+    result = train(stream, calibrate_priors(geom), sched, cfg.neuron_params(),
+                   repeats=cfg["training"]["repeats"])
+    for leg in range(1, 7):
+        tiles = andpool(BinaryFrame(leg_region_mask(geom, leg, FPC, 600, 600, params)),
+                        10).bits
+        assert np.array_equal(result.weights.w[leg - 1],
+                              np.where(tiles, sched.w_max, 0.0)), leg
 
 
 def test_estimate_leg_errors(priors):
@@ -151,7 +164,6 @@ def test_schedule_validation():
 
 def test_train_locality(trained, geom, cfg):
     # Each neuron's strong weights sit inside its own leg's pooled region.
-    from hexgait.scene import leg_region_mask
     params = cfg.render_params()
     for leg in range(1, 7):
         w = trained.weights.w[leg - 1]
