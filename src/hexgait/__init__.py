@@ -2,10 +2,10 @@
 
 Pipeline: decode an event file block by block into 40 ms binary frames,
 stored as the keys of their set pixels, denoise and compress them with a
-10x10 Boolean AND pool (I10) by counting set pixels per tile, train a
-six-neuron leaky integrate-and-fire network, its state held as arrays,
-against a geometry-derived Gaussian leg labeler, then replay rearranged
-(spliced) footage through the frozen network to drive
+10x10 Boolean AND pool (I10) from the runs of 10 keys that fill a tile
+row, train a six-neuron leaky integrate-and-fire network, its state held
+as arrays, against a geometry-derived Gaussian leg labeler, then replay
+rearranged (spliced) footage through the frozen network to drive
 central-pattern-generator leg cycles.
 """
 

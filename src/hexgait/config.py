@@ -7,7 +7,6 @@ numpy, so a command that only reads its config never loads the pipeline.
 """
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -211,6 +210,8 @@ def default_config() -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a UTF-8 config file, `%` literal; unknown keys are an error."""
+    import configparser  # here, so a run without --config never loads it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     try:

@@ -23,12 +23,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):
     """(keys, n_frames) of the event columns x, y and t, keys None if
     n_frames is over the cap. An event out of bounds is numbered from
-    `first`."""
-    outside = np.flatnonzero((x >= width) | (y >= height))
-    if outside.size:
-        i = int(outside[0])
-        raise EventBoundsError(
-            f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+    `first`; with `first` None, a crop has bounded x and y, and they are
+    not checked."""
+    if first is not None:
+        outside = np.flatnonzero((x >= width) | (y >= height))
+        if outside.size:
+            i = int(outside[0])
+            raise EventBoundsError(
+                f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
     keys = t // window_us  # frame index
     n_frames = int(keys.max()) + 1 if keys.size else 0
     if n_frames > MAX_FRAMES:  # before a wild frame index overflows a key
@@ -40,21 +42,17 @@ def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):
     return keys, n_frames
 
 
-_ALL = slice(None)
-
-
 def _cropped(x, y, t, crop):
     """(x, y, t) of the events inside `crop` = (left, top, width, height),
-    rebased to it, or of all events if `crop` is None; `t(rows)` gives the
-    t column of events[rows], so the others' is never made."""
+    rebased to it, or of all events if `crop` is None."""
     if not crop:
-        return x, y, t(_ALL)
+        return x, y, t
     left, top, width, height = crop
     # Rebased in int64, where a coordinate before the crop reads as a huge
     # unsigned one.
     x, y = x - left, y - top
     rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
-    return x[rows], y[rows], t(rows)
+    return x[rows], y[rows], t[rows]
 
 
 def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
@@ -145,7 +143,6 @@ _TEXT = bytes(range(32, 127)) + b"\t\n\r"  # printable ASCII, tab, line ends
 _COMMENT = re.compile(rb"#[^\n]*")
 _SPLIT_FIELD = re.compile(rb"[0-9][ \t]+[0-9]")
 _BLANK_LINES = re.compile(rb"\n+")
-_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
 _PAD = bytes(16)
 
 
@@ -187,8 +184,8 @@ def _split(block: bytes):
     lens[:1] = ends[:1] + 1
     lens -= 1
     ends, lens = ends.reshape(-1, 3), lens.reshape(-1, 3)
-    if not ((body[ends] == _SEPARATORS).all() and lens.min(initial=1) >= 1
-            and lens.max(initial=16) <= 16):
+    if not (body.take(ends).tobytes() == b",,\n" * len(ends)
+            and lens.min(initial=1) >= 1 and lens.max(initial=16) <= 16):
         return None
     words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
     return words, ends, lens
@@ -222,27 +219,24 @@ def _decode(words, ends, lens) -> np.ndarray:
     """int64 values of the fields at `ends` of `lens` digits (see _split).
     The bytes before a field are masked to 0, so they read as leading
     zeros; the first 8 of 16 are read only if a field is longer."""
-    values = words[8:][ends]
+    values = words[8:].take(ends)  # `take` gathers the unaligned words faster than []
     values &= _LOW_DIGITS.take(lens)
     _digits8(values)
     if lens.max(initial=0) > 8:
-        high = words[ends]
+        high = words.take(ends)
         high &= _HIGH_DIGITS.take(lens)
         values += _digits8(high) * 100_000_000
     return values.view(np.int64)
 
 
 def _columns(block: bytes, crop):
-    """`_cropped` (x, y, t) of a block of lines, whose t is decoded for the
-    kept events only; _Fallback unless they are bare lines, or become so
-    by `_bare`."""
+    """`_cropped` (x, y, t) of a block of lines, all three fields decoded
+    in one pass; _Fallback unless they are bare lines, or become so by
+    `_bare`."""
     parts = _split(block) or _split(_bare(block))
     if parts is None:
         raise _Fallback
-    words, ends, lens = parts
-    xy = _decode(words, ends[:, :2], lens[:, :2])
-    return _cropped(xy[:, 0], xy[:, 1],
-                    lambda rows: _decode(words, ends[rows, 2], lens[rows, 2]), crop)
+    return _cropped(*_decode(*parts).T, crop)
 
 
 def _decoded(path, region):
@@ -305,7 +299,7 @@ def _parsed(path, region):
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc
     crop = region(sensor)
-    yield _cropped(rows["x"], rows["y"], rows["t"].__getitem__, crop)
+    yield _cropped(rows["x"], rows["y"], rows["t"], crop)
 
 
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
@@ -316,27 +310,35 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     and there are ceil((t_max + 1) / window_us) frames for t_max the
     latest kept event, none if no event is kept.
 
-    The block decoder reads the file a block at a time. Each block is
-    cropped on `x` and `y` before its `t` is decoded, checked against the
-    bounds and the frame cap, and its keys are appended to one buffer, so
-    memory follows the kept events, not the size of the file. Any line
-    the decoder cannot take sends the whole file through the line parser,
-    which raises EventFileError with the line number; a file that is not
-    text in the locale's encoding is a DataError. Events are numbered in
-    file order, so an EventBoundsError names the event's place in the file.
+    The block decoder reads the file a block at a time. All three fields
+    of a block are decoded in one pass and then cropped; a crop bounds x
+    and y, so only an uncropped block is checked against the bounds.
+    Each block is checked against the frame cap and its keys are appended
+    to one buffer, so memory follows the kept events, not the size of the
+    file. Any line the decoder cannot take sends the whole file through
+    the line parser, which raises EventFileError with the line number; a
+    file that is not text in the locale's encoding is a DataError. Events
+    are numbered in file order, so an EventBoundsError names the event's
+    place in the file.
     """
     window_us = _window_us(window_ms)
 
+    crop = None  # of the last sensor read: the line parser's after a fallback
+
     def region(sensor):
+        nonlocal crop
+        crop = None
         if sensor != (width, height):
-            return (*centered_crop(*sensor, width, height), width, height)
+            crop = (*centered_crop(*sensor, width, height), width, height)
+        return crop
 
     def frames(blocks):
         keys = bytearray()
         n_frames = first = 0
         try:
             for x, y, t in blocks:
-                block_keys, n = _frame_keys(x, y, t, window_us, width, height, first)
+                block_keys, n = _frame_keys(x, y, t, window_us, width, height,
+                                            None if crop else first)
                 first += x.size
                 n_frames = max(n_frames, n)
                 if n_frames <= MAX_FRAMES:

@@ -4,8 +4,8 @@ A BinaryFrame is an immutable 2-D bit grid; pooling reduces it with
 non-overlapping k x k AND/OR tiles (binary min/max pooling). A
 FrameStream stores a whole recording sparsely, as the keys of its set
 pixels, and `pooled_streams` derives the 10 x 10 AND pool of every frame
-from those keys by counting set pixels per tile. The dense `andpool` is
-its reference.
+from the runs of 10 consecutive keys that fill a tile row. The dense
+`andpool` is its reference.
 """
 from __future__ import annotations
 
@@ -59,8 +59,7 @@ def _check_frame_count(n_frames: int) -> None:
             f"stream spans {n_frames} frames, more than the limit of {MAX_FRAMES}")
 
 
-# Keys handled at a time by _sort_unique and pooled_streams; pooling
-# rounds a block up to whole frames.
+# Keys handled at a time by _sort_unique and pooled_streams.
 _POOL_BLOCK = 1 << 16
 
 
@@ -197,54 +196,33 @@ def orpool(frame: BinaryFrame, k: int) -> BinaryFrame:
     return BinaryFrame(tiled.any(axis=(1, 3)))
 
 
-def _tile_keys(keys: np.ndarray, width: int, k: int) -> np.ndarray:
-    """Flat keys on the grid of k x k tiles of the tile holding each pixel.
-
-    `keys` are flat pixel keys (row * width + x) of a stack whose height
-    and width are multiples of k, so rows // k is frame * (height // k) +
-    y // k. The tile keys are built in place, with one temporary.
-    """
-    tiles = keys // (width * k)  # rows // k
-    tiles *= width // k
-    x = keys % width
-    x //= k
-    tiles += x
-    return tiles
-
-
-def _full_tiles(tiles: np.ndarray, k: int) -> np.ndarray:
-    """Sorted keys of the tiles listed k * k times, i.e. with every pixel set.
-
-    Pixel keys are distinct, so no tile is listed more than k * k times:
-    after sorting, a run of that length starts exactly where an entry
-    equals the one k * k - 1 places further on. `tiles` is sorted in place.
-    """
-    tiles.sort()
-    m = k * k - 1
-    head = tiles[:max(tiles.size - m, 0)]
-    return head[head == tiles[m:]]
-
-
 def pooled_streams(stream: FrameStream) -> FrameStream:
     """I10 = andpool(frame, 10) of every frame of `stream`, as a FrameStream:
-    the 10 x 10 tiles with all 100 pixels set. It comes from sorting the
-    tile keys of the set pixels, so the cost follows the events, not the
-    frame area. The keys are pooled a block of whole frames at a time,
-    since a tile never spans two frames, so the temporaries stay the size
-    of a block.
+    the 10 x 10 tiles with all 100 pixels set.
+
+    Keys are sorted and distinct, and the width is a multiple of 10, so a
+    full tile row is a run of 10 consecutive keys from a multiple of 10:
+    keys[i] % 10 == 0 and keys[i + 9] == keys[i] + 9. A tile is full when
+    exactly 10 run starts fall in it, so only the run starts are sorted,
+    and the cost follows the events, not the frame area. The keys are
+    scanned a block at a time, a run free to end in the next block, so
+    the temporaries stay the size of a block.
     """
     n, h, w = len(stream), stream.height, stream.width
     if h % 10 or w % 10:
         raise DimensionError(f"frame {w}x{h} not divisible by kernel 10")
-    keys, frame_size = stream.keys, h * w
-    blocks, lo = [], 0
-    while lo < keys.size:
-        last = keys[min(lo + _POOL_BLOCK, keys.size) - 1]
-        hi = int(np.searchsorted(keys, (last // frame_size + 1) * frame_size))
-        blocks.append(_full_tiles(_tile_keys(keys[lo:hi], w, 10), 10))
-        lo = hi
-    tiles = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return FrameStream(tiles, n, w // 10, h // 10)
+    keys, starts = stream.keys, []
+    for lo in range(0, keys.size, _POOL_BLOCK):
+        last = keys[lo + 9:lo + 9 + _POOL_BLOCK]  # keys[i + 9], up to the stream's end
+        head = keys[lo:lo + last.size]
+        runs = head[last - head == 9]
+        starts.append(runs[runs % 10 == 0])
+    rows = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
+    # The tile of each run start: its row // 10 is frame * (h // 10) + y // 10.
+    tiles = rows // (w * 10) * (w // 10) + rows % w // 10
+    tiles.sort()
+    head = tiles[:max(tiles.size - 9, 0)]  # a tile listed 10 times starts a run of 10
+    return FrameStream(head[head == tiles[9:]], n, w // 10, h // 10)
 
 
 def frame_not(a: BinaryFrame) -> BinaryFrame:

@@ -17,7 +17,7 @@ import hexgait
 from hexgait import cli
 from hexgait.atomic import write_atomic
 from hexgait.cli import main
-from hexgait.config import (EXAMPLE_CONFIG, default_config, load_config)
+from hexgait.config import _DEFAULTS, EXAMPLE_CONFIG, default_config, load_config
 from hexgait.energy import EnergyModel, energy_report
 from hexgait.events import load_frames, save_events
 from hexgait.errors import ConfigError
@@ -781,6 +781,7 @@ if argv:
     except SystemExit as exc:  # argparse ends --help
         assert exc.code == code
 print("numpy imported:", "numpy" in sys.modules)
+print("configparser imported:", "configparser" in sys.modules)
 assert main(repro) == 0
 """
 
@@ -790,7 +791,8 @@ assert main(repro) == 0
     (["--config", "{bad}", "synth"], 2)])
 def test_start_up_imports_no_numpy(tmp_path, argv, code):
     # Only a command that computes imports the pipeline, and only once its
-    # config is valid; a later command in the same process still runs.
+    # config is valid; only --config imports configparser; a later command
+    # in the same process still runs.
     bad, cfg = tmp_path / "bad.ini", tmp_path / "small.ini"
     bad.write_text("[neuron]\ntau_v = -1\n")
     cfg.write_text(_FUZZ_CFG)
@@ -801,3 +803,84 @@ def test_start_up_imports_no_numpy(tmp_path, argv, code):
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "numpy imported: False" in run.stdout.splitlines()
+    uses_config = "--config" in argv
+    assert f"configparser imported: {uses_config}" in run.stdout.splitlines()
+
+
+# The key-liveness table: for each config key but [run] out, one valid
+# change and the artifacts it must change, on a 200x200 scene trained for
+# 2 repeats. The artifacts are `repro`'s plus the train_log.txt of `train`
+# on the events.txt that `repro` wrote. The weights reach w_max within
+# the first repeat, so the decay rates alpha and beta and the depression
+# scale sigma_d reach train_log.txt only.
+_LIVE_CFG = {"scene": {"width": 200, "height": 200}, "training": {"repeats": 2}}
+_RASTERS = {"seq_raster.txt", "train_raster.txt", "tripod_raster.txt", "tripod_trace.txt"}
+_SCENE = {"events.txt", "train_log.txt", "weights.txt"}
+_EVERY = _RASTERS | _SCENE | {"report.txt", "schedule.txt"}
+_KEY_LIVENESS = [
+    ("run", "seed", 1, {"events.txt"}),  # salt noise never fills a tile
+    ("scene", "width", 220, _SCENE),
+    ("scene", "height", 220, _SCENE),
+    ("scene", "frames_per_cycle", 20, _EVERY - {"weights.txt"}),
+    ("scene", "noise_density", 0.002, {"events.txt"}),  # nor at this density
+    ("scene", "gap_frames", 9, _EVERY - {"weights.txt"}),
+    ("scene", "tip_blocks", 2, _EVERY - {"schedule.txt"}),
+    ("scene", "body_radius", 0.2, _EVERY - {"schedule.txt"}),
+    ("scene", "leg_length", 0.2, _SCENE),
+    ("scene", "active_frames", 6, _RASTERS | {"events.txt", "train_log.txt"}),
+    ("events", "window_ms", 44.0, _EVERY - {"schedule.txt", "weights.txt"}),
+    ("neuron", "tau_v", 3.0, _RASTERS),
+    ("neuron", "tau_ge", 1.0, _RASTERS - {"seq_raster.txt"}),
+    ("neuron", "v_rest", -66.0, _RASTERS),
+    ("neuron", "v_exc", -25.0, _RASTERS),
+    ("neuron", "v_thresh", -53.0, _RASTERS),
+    ("neuron", "refractory", 1.5, _RASTERS - {"seq_raster.txt"}),
+    ("training", "alpha", 0.0105, {"train_log.txt"}),  # 0.011 also moves train_raster
+    ("training", "beta", 0.02, {"train_log.txt"}),
+    ("training", "omega", 0.06, {"train_log.txt", "train_raster.txt"}),
+    ("training", "sigma_d", 0.001, {"train_log.txt"}),
+    ("training", "w_max", 0.3, _RASTERS | {"weights.txt"}),
+    ("training", "repeats", 3, {"report.txt", "train_log.txt", "train_raster.txt"}),
+    ("energy", "energy_per_spike_nj", 1.0, {"report.txt"}),
+    ("energy", "andpool_energy_per_frame_nj", 1.0, {"report.txt"}),
+    ("test", "tripod_repeats", 3, {"report.txt", "tripod_raster.txt", "tripod_trace.txt"}),
+]
+
+
+def _live_artifacts(root, change=None):
+    """Bytes of each artifact of `repro`, then of `train`'s train_log.txt,
+    on the table's scene with `change` = (section, key, value) applied."""
+    values = {section: dict(keys) for section, keys in _LIVE_CFG.items()}
+    if change:
+        section, key, value = change
+        values.setdefault(section, {})[key] = value
+    cfg = root / "live.ini"
+    cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for section, keys in values.items()))
+    repro, train = root / "repro", root / "train"
+    assert main(["--config", str(cfg), "--out", str(repro), "repro"]) == 0
+    assert main(["--config", str(cfg), "--out", str(train), "train",
+                 str(repro / "events.txt")]) == 0
+    artifacts = {p.name: p.read_bytes() for p in repro.iterdir()}
+    artifacts["train_log.txt"] = (train / "train_log.txt").read_bytes()
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def live_base(tmp_path_factory):
+    return _live_artifacts(tmp_path_factory.mktemp("live"))
+
+
+def test_key_liveness_table_lists_every_key():
+    keys = [(section, key) for section, values in _DEFAULTS.items() for key in values]
+    assert [(s, k) for s, k, _, _ in _KEY_LIVENESS] == [
+        k for k in keys if k != ("run", "out")]
+
+
+@pytest.mark.parametrize("section,key,value,changed", _KEY_LIVENESS,
+                         ids=[f"{s}.{k}" for s, k, _, _ in _KEY_LIVENESS])
+def test_every_key_changes_its_artifacts(tmp_path, live_base, section, key, value,
+                                         changed):
+    got = _live_artifacts(tmp_path, (section, key, value))
+    assert set(got) == set(live_base)
+    assert {name for name in got if got[name] != live_base[name]} == changed

@@ -1,6 +1,6 @@
 """The fast paths against their references.
 
-Tile-count pooling (`pooled_streams`) in blocks of several sizes against
+Row-run pooling (`pooled_streams`) in blocks of several sizes against
 the dense `andpool`, the event-file block decoder against the line parser,
 the block-wise ingest (`load_frames`) against the line parser, crop and
 bucketing of whole arrays (`reference_frames` of conftest), the repeated
@@ -36,19 +36,39 @@ def _frame(rng, w, h, p_tile, density):
     return BinaryFrame(bits)
 
 
+# Runs (frame, y, x, length) of set pixels in a row, cut at its right end;
+# frame -1 is the last.
+_RUNS = st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 79), st.integers(0, 79),
+                           st.integers(1, 20)), max_size=12)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
-       st.integers(0, 4), st.floats(0, 1), st.floats(0, 1))
-def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density):
-    """Pooled in blocks of the default size, of 1 key (a block ends at the
-    next frame start, so each holds one frame) and of more than one
-    frame's pixels (each holds several)."""
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 4), st.floats(0, 1), st.floats(0, 1), _RUNS)
+@example(seed=0, tw=2, th=1, n=1, p_tile=0, density=0,  # 10 pixels over two tiles
+         runs=[(0, y, 0, 10) for y in range(1, 10)] + [(0, 0, 5, 10)])
+@example(seed=0, tw=1, th=1, n=1, p_tile=0, density=0,  # 9 full rows, 9 pixels
+         runs=[(0, y, 0, 10) for y in range(9)] + [(0, 9, 0, 9)])
+@example(seed=0, tw=2, th=1, n=1, p_tile=0, density=0,  # a row of 20 pixels
+         runs=[(0, 0, 0, 20)])
+@example(seed=0, tw=3, th=2, n=3, p_tile=0, density=0.05,  # the stream's last tile
+         runs=[(-1, y, 20, 10) for y in range(10, 20)])
+@example(seed=0, tw=1, th=3, n=2, p_tile=0.3, density=0.2,  # 10 pixels wide
+         runs=[(1, y, 0, 10) for y in range(10, 20)])
+def test_tile_pool_matches_dense_pools(seed, tw, th, n, p_tile, density, runs):
+    """Pooled in blocks of the default size, of 9 keys (every run of 10
+    keys crosses a block end) and of more than one frame's pixels (a block
+    holds several frames)."""
     rng = np.random.default_rng(seed)
-    frames = [_frame(rng, 20 * tw, 20 * th, p_tile, density) for _ in range(n)]
+    w, h = 10 * tw, 10 * th
+    bits = [_frame(rng, w, h, p_tile, density).bits.copy() for _ in range(n)]
+    for f, y, x, length in runs if n else ():
+        bits[f % n][y % h, x % w:x % w + length] = True
+    frames = [BinaryFrame(b) for b in bits]
     stream = FrameStream.from_frames(frames)
     keys = stream.keys.copy()
     expected = tuple(andpool(f, 10) for f in frames)
-    for block in (frames_module._POOL_BLOCK, 1, 400 * tw * th + 1):
+    for block in (frames_module._POOL_BLOCK, 9, w * h + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frames_module, "_POOL_BLOCK", block)
             assert pooled_streams(stream).frames == expected, block
@@ -146,6 +166,8 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]))
+@example(head="!sensor 800x800", lines=["1,2,3", "!sensor 600x600", "700,1,5"],
+         newline="\n")  # the line parser's sensor, not the decoder's, sets the crop
 def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline):
     """The events of a file the block decoder takes are the line parser's;
     the frames of any file, or its error, are the reference's."""
