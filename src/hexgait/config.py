@@ -56,18 +56,6 @@ class NeuronParams:
                 f"require v_rest < v_exc, got {self.v_rest} >= {self.v_exc}")
 
 
-@dataclass(frozen=True)
-class Point:
-    """Normalized image coordinate, both axes in [0, 1]."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"point ({self.x}, {self.y}) outside [0,1]^2")
-
-
 # Side of a foot-site block: the I10 AND-pool kernel of
 # frames.pooled_streams, which the foot site must survive.
 BLOCK = 10
@@ -83,7 +71,7 @@ class HexapodGeometry:
     """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
     anchors sit on the body's rim in the ANCHOR_DEG directions."""
 
-    body_center = Point(0.5, 0.5)
+    body_center = (0.5, 0.5)
     body_radius: float = 0.18
     leg_length: float = 0.17
 
@@ -110,6 +98,31 @@ class RenderParams:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+
+
+def foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
+                params: RenderParams) -> list:
+    """Grid-aligned 10x10 blocks (bx, by) of leg `leg`'s foot site: up to
+    `tip_blocks` distinct blocks, as many as the leg holds, marching in from
+    its tip in half-block steps. ValueError if a step leaves the frame."""
+    phi = geom.anchor_angle(leg)
+    ux, uy = math.cos(phi), math.sin(phi)
+    cx, cy = geom.body_center
+    ax = (cx + geom.body_radius * ux) * (width - 1)
+    ay = (cy + geom.body_radius * uy) * (height - 1)
+    blocks = []
+    r = geom.leg_length * min(width, height) - BLOCK * 0.5
+    while len(blocks) < params.tip_blocks and r > 0:
+        px, py = ax + r * ux, ay + r * uy
+        # As floats: int() truncates (-1, 0) to 0; inf and nan fail the test.
+        if not (-1 < px < width and -1 < py < height):
+            raise ValueError(f"leg {leg}'s foot site at ({px:.4g}, {py:.4g}) lies "
+                             f"outside the {width}x{height} frame")
+        block = (int(px) // BLOCK, int(py) // BLOCK)
+        if block not in blocks:
+            blocks.append(block)
+        r -= BLOCK * 0.5
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -279,8 +292,7 @@ def validate(cfg: RunConfig) -> None:
     if p.dt >= min(p.tau_ge, p.tau_v):  # an Euler decay factor 1 - dt/tau <= 0
         raise ConfigError(f"[events]/[neuron]: window_ms / 1000 = {p.dt} s must be "
                           "below tau_ge and tau_v")
-    cfg.geometry()
-    cfg.render_params()
+    geom, params = cfg.geometry(), cfg.render_params()
     cfg.train_schedule()
     cfg.energy_model()
     segment = s["frames_per_cycle"] + s["gap_frames"]
@@ -298,6 +310,12 @@ def validate(cfg: RunConfig) -> None:
     if 8 * weights > WORK_BYTES:
         raise ConfigError(f"[scene]: the I10 weight map would take {weights:,} doubles; "
                           f"the work budget allows {WORK_BYTES // 8:,}")
+    # Last: the weight-map budget bounds the frame, so each march is short.
+    for leg in range(1, N_LEGS + 1):
+        try:
+            foot_blocks(geom, leg, s["width"], s["height"], params)
+        except ValueError as exc:
+            raise ConfigError(f"[scene]: {exc}") from exc
 
 
 # Comments of the annotated example config.

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import MAX_FRAMES, Point
+from .config import MAX_FRAMES
 from .errors import DataError, DimensionError, EmptyFrameError
 
 
@@ -234,9 +234,10 @@ def popcount(frame: BinaryFrame) -> int:
     return int(frame.bits.sum())
 
 
-def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
-    """Mean coordinate of the set bits of a width x height frame, given by
-    their flat indices `cells` (y * width + x), normalized to [0,1] per axis.
+def cell_centroid(cells: np.ndarray, width: int, height: int) -> tuple:
+    """Mean coordinate (x, y) of the set bits of a width x height frame,
+    given by their flat indices `cells` (y * width + x), normalized to
+    [0,1] per axis.
 
     Each axis is divided by (dimension - 1) so a single-bit frame maps the
     bit's pixel coordinates exactly; resolution-independent by design.
@@ -246,4 +247,4 @@ def cell_centroid(cells: np.ndarray, width: int, height: int) -> Point:
     rows, cols = np.divmod(cells, width)
     x = float(cols.mean()) / (width - 1) if width > 1 else 0.0
     y = float(rows.mean()) / (height - 1) if height > 1 else 0.0
-    return Point(x, y)
+    return x, y

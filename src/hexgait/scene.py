@@ -7,17 +7,16 @@ is what survives the 10x10 AND pool and feeds the network.
 
 Salt noise sets single pixels independently, drawn by `noise.salt` as
 geometric gaps from a hash of (seed, frame); the 10x10 AND pool removes
-it. Frames are built as flat pixel indices, never as dense grids.
+it. Frames are built as flat pixel keys in one buffer, never as dense grids.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (ANCHOR_DEG, BLOCK, N_LEGS,  # noqa: F401 (ANCHOR_DEG re-exported)
-                     HexapodGeometry, RenderParams)
+                     HexapodGeometry, RenderParams, foot_blocks)
 from .errors import DataError
 from .frames import FrameStream
 from .noise import salt
@@ -57,37 +56,13 @@ class GaitSchedule:
         return cls(tuple(steps))
 
 
-def _foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
-                 params: RenderParams):
-    """Grid-aligned 10x10 block indices of the fixed foot site of one leg."""
-    phi = geom.anchor_angle(leg)
-    ux, uy = math.cos(phi), math.sin(phi)
-    c = geom.body_center
-    ax = (c.x + geom.body_radius * ux) * (width - 1)
-    ay = (c.y + geom.body_radius * uy) * (height - 1)
-    leg_px = geom.leg_length * min(width, height)
-    blocks = []
-    r = leg_px - BLOCK * 0.5
-    # March inward until tip_blocks distinct grid blocks are collected, so
-    # every leg presents the same number of pooled pixels to the network.
-    while len(blocks) < params.tip_blocks and r > 0:
-        px, py = ax + r * ux, ay + r * uy
-        bx, by = int(px) // BLOCK, int(py) // BLOCK
-        bx = min(max(bx, 0), width // BLOCK - 1)
-        by = min(max(by, 0), height // BLOCK - 1)
-        if (bx, by) not in blocks:
-            blocks.append((bx, by))
-        r -= BLOCK * 0.5
-    return blocks
-
-
 def _leg_pixels(geom: HexapodGeometry, leg: int, width: int, height: int,
                 params: RenderParams) -> np.ndarray:
     """Flat indices y * width + x of the foot-site pixels of one leg."""
+    bx, by = np.array(foot_blocks(geom, leg, width, height, params),
+                      dtype=np.int64).reshape(-1, 2).T
     block = (np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)).ravel()
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        by * BLOCK * width + bx * BLOCK + block
-        for bx, by in _foot_blocks(geom, leg, width, height, params)])
+    return (BLOCK * (by * width + bx)[:, None] + block).ravel()
 
 
 def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
@@ -114,18 +89,18 @@ def render_expert_sequence(geom: HexapodGeometry, schedule: GaitSchedule,
     seg_len = frames_per_cycle + params.gap_frames
     active = min(params.active_frames, frames_per_cycle)
     area = width * height
-    keys = []
+    keys = bytearray()
     for step_idx, (_, legs) in enumerate(schedule.entries):
-        feet = [_leg_pixels(geom, leg, width, height, params) for leg in sorted(legs)]
+        feet = np.concatenate([_leg_pixels(geom, leg, width, height, params)
+                               for leg in sorted(legs)])
         for j in range(seg_len):
             k = step_idx * seg_len + j
-            parts = [np.empty(0, dtype=np.int64)]
             if j < active:
-                parts.extend(feet)
+                keys.extend(feet + k * area)
             if noise_density > 0.0:
-                parts.append(salt(area, noise_density, seed, k))
-            keys.append(np.concatenate(parts) + k * area)
-    return FrameStream.from_keys(np.concatenate(keys), len(keys), width, height)
+                keys.extend(salt(area, noise_density, seed, k) + k * area)
+    return FrameStream.from_keys(np.frombuffer(keys, dtype=np.int64),
+                                 len(schedule.entries) * seg_len, width, height)
 
 
 def leg_region_mask(geom: HexapodGeometry, leg: int, frames_per_cycle: int,

@@ -49,9 +49,9 @@ def _estimate(leg_cells: np.ndarray, width: int, height: int,
     their centroid to `HexapodGeometry.body_center`, the point the priors
     aim at. Returns (leg, theta).
     """
-    c = HexapodGeometry.body_center
-    l = cell_centroid(leg_cells, width, height)
-    theta = math.atan2(c.y - l.y, c.x - l.x)
+    cx, cy = HexapodGeometry.body_center
+    lx, ly = cell_centroid(leg_cells, width, height)
+    theta = math.atan2(cy - ly, cx - lx)
     return classify_angle(theta, priors), theta
 
 

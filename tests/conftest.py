@@ -7,8 +7,7 @@ from hexgait import events
 from hexgait.config import default_config
 from hexgait.errors import DimensionError, EventBoundsError
 from hexgait.events import centered_crop
-from hexgait.frames import (BinaryFrame, FrameStream, Point, _check_frame_count,
-                            cell_centroid)
+from hexgait.frames import BinaryFrame, FrameStream, _check_frame_count, cell_centroid
 from hexgait.neurons import NeuronParams, NeuronState, WeightMap, step_neuron
 from hexgait.scene import GaitSchedule, render_expert_sequence
 from hexgait.training import calibrate_priors, train
@@ -49,8 +48,8 @@ def random_frame(rng, width, height, density=0.5):
     return BinaryFrame(rng.random((height, width)) < density)
 
 
-def centroid(frame: BinaryFrame) -> Point:
-    """cell_centroid of a dense frame."""
+def centroid(frame: BinaryFrame) -> tuple:
+    """cell_centroid (x, y) of a dense frame."""
     return cell_centroid(np.flatnonzero(frame.bits), frame.width, frame.height)
 
 

@@ -156,6 +156,24 @@ def test_repro_runs_on_a_frame_of_whole_10x10_tiles(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "repro"]) == 0
 
 
+def test_config_off_frame_foot_site_exits_2(tmp_path, capsys):
+    # A leg whose foot site leaves the frame is a config error, found before
+    # anything renders: at 0.4 leg 2 reaches past the left edge, and the
+    # larger lengths put every tip far out or at infinity.
+    path, out = tmp_path / "leg.ini", tmp_path / "out"
+    for value in ("0.4", "1e6", "1e300", "1e306"):
+        path.write_text(f"[scene]\nleg_length = {value}\n")
+        with pytest.raises(ConfigError, match=r"leg [1-6]'s foot site at .* lies "
+                                              r"outside the 600x600 frame"):
+            load_config(path)
+    path.write_text("[scene]\nleg_length = 0.4\n")
+    assert main(["--config", str(path), "--out", str(out), "synth"]) == 2
+    assert "config error: [scene]: leg 2's foot site" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text("[scene]\nleg_length = 0.3\n")  # every tip inside
+    load_config(path)
+
+
 def test_config_frame_cap_boundary(tmp_path):
     # The tripod stream spans 2 * tripod_repeats segments of 25 + 11 frames.
     path = tmp_path / "cap.ini"
@@ -788,15 +806,16 @@ assert main(repro) == 0
 
 @pytest.mark.parametrize("argv,code", [
     ([], 0), (["example-config"], 0), (["--help"], 0),
-    (["--config", "{bad}", "synth"], 2)])
+    (["--config", "{bad}", "synth"], 2), (["--config", "{leg}", "synth"], 2)])
 def test_start_up_imports_no_numpy(tmp_path, argv, code):
     # Only a command that computes imports the pipeline, and only once its
-    # config is valid; only --config imports configparser; a later command
-    # in the same process still runs.
-    bad, cfg = tmp_path / "bad.ini", tmp_path / "small.ini"
+    # config is valid, its foot sites included; only --config imports
+    # configparser; a later command in the same process still runs.
+    bad, leg, cfg = tmp_path / "bad.ini", tmp_path / "leg.ini", tmp_path / "small.ini"
     bad.write_text("[neuron]\ntau_v = -1\n")
+    leg.write_text("[scene]\nleg_length = 0.4\n")
     cfg.write_text(_FUZZ_CFG)
-    argv = [a.format(bad=bad) for a in argv]
+    argv = [a.format(bad=bad, leg=leg) for a in argv]
     repro = ["--config", str(cfg), "--out", str(tmp_path / "out"), "repro"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexgait.__file__)))
     run = subprocess.run([sys.executable, "-c", _START_UP, json.dumps([argv, code, repro])],

@@ -119,23 +119,21 @@ def test_mask_pipeline_disjoint_regions():
 def test_centroid_single_bit_and_corners():
     bits = np.zeros((60, 60), dtype=bool)
     bits[0, 0] = True
-    c = centroid(BinaryFrame(bits))
-    assert (c.x, c.y) == (0.0, 0.0)
+    assert centroid(BinaryFrame(bits)) == (0.0, 0.0)
     corners = np.zeros((60, 60), dtype=bool)
     for y in (0, 59):
         for x in (0, 59):
             corners[y, x] = True
-    c = centroid(BinaryFrame(corners))
-    assert (c.x, c.y) == (0.5, 0.5)
+    assert centroid(BinaryFrame(corners)) == (0.5, 0.5)
 
 
 def test_centroid_two_bits():
     bits = np.zeros((60, 60), dtype=bool)
     bits[20, 10] = True
     bits[40, 20] = True
-    c = centroid(BinaryFrame(bits))
-    assert c.x == pytest.approx(15 / 59)
-    assert c.y == pytest.approx(30 / 59)
+    x, y = centroid(BinaryFrame(bits))
+    assert x == pytest.approx(15 / 59)
+    assert y == pytest.approx(30 / 59)
 
 
 def test_centroid_empty_raises():
@@ -150,8 +148,7 @@ def test_centroid_single_bit_exact_property():
         x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
         bits = np.zeros((h, w), dtype=bool)
         bits[y, x] = True
-        c = centroid(BinaryFrame(bits))
-        assert c.x == x / (w - 1) and c.y == y / (h - 1)
+        assert centroid(BinaryFrame(bits)) == (x / (w - 1), y / (h - 1))
 
 
 def test_popcount():

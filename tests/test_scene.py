@@ -1,8 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hexgait.config import HexapodGeometry, RenderParams, foot_blocks
 from hexgait.frames import andpool, popcount
 from hexgait.scene import (GaitSchedule, leg_region_mask, render_expert_sequence,
                            segment_boundaries, splice_segments)
@@ -65,6 +69,39 @@ def test_render_lights_exactly_the_foot_sites(geom, cfg):
     idle = replace(params, active_frames=0)
     assert not leg_region_mask(geom, 1, FPC, 600, 600, idle).any()
     assert not render_expert_sequence(geom, sched, FPC, 600, 600, params=idle).keys.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, 0.5, exclude_min=True), st.floats(0, 1e308, exclude_min=True),
+       st.integers(1, 6), st.integers(1, 200), st.integers(1, 200), st.integers(0, 30))
+def test_foot_blocks_are_distinct_grid_blocks_or_raise(radius, length, leg, tw, th,
+                                                       tip_blocks):
+    # Up to tip_blocks distinct blocks of the 10x10 grid, or a ValueError
+    # for a leg whose foot site leaves the frame.
+    geom = HexapodGeometry(body_radius=radius, leg_length=length)
+    try:
+        blocks = foot_blocks(geom, leg, 10 * tw, 10 * th,
+                             RenderParams(tip_blocks=tip_blocks))
+    except ValueError:
+        return
+    assert len(set(blocks)) == len(blocks) <= tip_blocks
+    assert all(0 <= bx < tw and 0 <= by < th for bx, by in blocks)
+
+
+def test_render_peak_memory_is_about_its_keys(geom, cfg):
+    # Every frame's keys go to one buffer that `from_keys` sorts in place,
+    # so the render's traced peak stays near the 8 bytes of each key it
+    # returns, however many frames hold noise.
+    tracemalloc.start()
+    try:
+        stream = render_expert_sequence(geom, GaitSchedule.sequential(), FPC, 600,
+                                        600, noise_density=0.02, seed=0,
+                                        params=cfg.render_params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.keys.size > 1.5e6
+    assert peak <= 1.6 * 8 * stream.keys.size
 
 
 def test_render_noise_is_pool_removable(geom, cfg):

@@ -123,15 +123,15 @@ def test_calibrate_priors_idempotent_and_sided(geom):
 def _tip_to_centre(geom):
     """Prior means as the direction from each leg tip back to the body
     centre, the tip a leg length out along the anchor's direction."""
-    c = geom.body_center
+    cx, cy = geom.body_center
     means = []
     for a in ANCHOR_DEG:
-        ax = c.x + geom.body_radius * math.cos(math.radians(a))
-        ay = c.y + geom.body_radius * math.sin(math.radians(a))
-        phi = math.atan2(ay - c.y, ax - c.x)
+        ax = cx + geom.body_radius * math.cos(math.radians(a))
+        ay = cy + geom.body_radius * math.sin(math.radians(a))
+        phi = math.atan2(ay - cy, ax - cx)
         tip_x = ax + geom.leg_length * math.cos(phi)
         tip_y = ay + geom.leg_length * math.sin(phi)
-        means.append(math.atan2(c.y - tip_y, c.x - tip_x))
+        means.append(math.atan2(cy - tip_y, cx - tip_x))
     return means
 
 
@@ -336,8 +336,8 @@ def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
 def _dense_estimate(frame, priors):
     """(leg, theta) of a frame from the dense I10 pool: the labeller's
     reference. Theta runs from the I10 centroid to the body centre."""
-    l = centroid(andpool(frame, 10))
-    theta = math.atan2(0.5 - l.y, 0.5 - l.x)
+    x, y = centroid(andpool(frame, 10))
+    theta = math.atan2(0.5 - y, 0.5 - x)
     return classify_angle(theta, priors), theta
 
 
