@@ -20,12 +20,19 @@ from .frames import FrameStream, _check_frame_count
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):
+def _frame_keys(x, y, t, window_us: int, width: int, height: int, crop, first: int):
     """(keys, n_frames) of the event columns x, y and t, keys None if
-    n_frames is over the cap. An event out of bounds is numbered from
-    `first`; with `first` None, a crop has bounded x and y, and they are
-    not checked."""
-    if first is not None:
+    n_frames is over the cap. With `crop` = (left, top), the events of
+    the width x height region there are kept, rebased to it; without, an
+    event out of bounds is an EventBoundsError, numbered from `first`."""
+    if crop is not None:
+        left, top = crop
+        # Rebased in int64, where a coordinate before the crop reads as a
+        # huge unsigned one.
+        x, y = x - left, y - top
+        rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
+        x, y, t = x[rows], y[rows], t[rows]
+    else:
         outside = np.flatnonzero((x >= width) | (y >= height))
         if outside.size:
             i = int(outside[0])
@@ -40,19 +47,6 @@ def _frame_keys(x, y, t, window_us: int, width: int, height: int, first):
     keys *= width
     keys += x
     return keys, n_frames
-
-
-def _cropped(x, y, t, crop):
-    """(x, y, t) of the events inside `crop` = (left, top, width, height),
-    rebased to it, or of all events if `crop` is None."""
-    if not crop:
-        return x, y, t
-    left, top, width, height = crop
-    # Rebased in int64, where a coordinate before the crop reads as a huge
-    # unsigned one.
-    x, y = x - left, y - top
-    rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
-    return x[rows], y[rows], t[rows]
 
 
 def centered_crop(sensor_w: int, sensor_h: int, width: int, height: int):
@@ -104,9 +98,14 @@ def _parse_lines(path):
 
     The reference parser: it accepts whatever `int()` does and raises
     EventFileError naming the first bad line. `rows` is a record array
-    with int64 fields x, y and t.
+    with int64 fields x, y and t, over one int64 array the events are
+    appended to: 24 bytes per event.
     """
-    rows = []
+    # Imported here, not before numpy: that order raised the peak RSS of
+    # `repro`, which never parses lines, by about 0.1 MB.
+    from array import array
+
+    rows = array("q")
     sensor = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -128,10 +127,10 @@ def _parse_lines(path):
                     raise ValueError(row)
             except ValueError:
                 raise EventFileError(f"line {lineno}: bad event {line!r}")
-            rows.append(tuple(row))
+            rows.extend(row)
     if sensor is None:
         raise EventFileError("missing !sensor WxH header")
-    return np.array(rows, dtype=[(f, "<i8") for f in "xyt"]), sensor
+    return np.frombuffer(rows, dtype=[(f, "i8") for f in "xyt"]), sensor
 
 
 class _Fallback(Exception):
@@ -229,20 +228,20 @@ def _decode(words, ends, lens) -> np.ndarray:
     return values.view(np.int64)
 
 
-def _columns(block: bytes, crop):
-    """`_cropped` (x, y, t) of a block of lines, all three fields decoded
-    in one pass; _Fallback unless they are bare lines, or become so by
-    `_bare`."""
+def _columns(block: bytes):
+    """(x, y, t) of a block of lines, all three fields decoded in one
+    pass; _Fallback unless they are bare lines, or become so by `_bare`.
+    A function of its own, so that `_split`'s temporaries die on return."""
     parts = _split(block) or _split(_bare(block))
     if parts is None:
         raise _Fallback
-    return _cropped(*_decode(*parts).T, crop)
+    return _decode(*parts).T
 
 
-def _decoded(path, region):
-    """Yields the `_cropped` (x, y, t) of each block of about _BLOCK bytes
-    of an event file's events, in file order. crop = region(sensor) is
-    taken once, from the header's sensor (W, H), before the first block.
+def _decoded(path):
+    """Yields an event file's sensor (W, H) from the header, then the
+    (x, y, t) of each block of about _BLOCK bytes of its events, in file
+    order.
 
     Takes the header lines, then `d,d,d` lines with spaces or tabs around
     fields, comments, blank lines and CRLF line ends. Raises _Fallback on
@@ -264,14 +263,9 @@ def _decoded(path, region):
             line = b""
         if sensor is None:
             raise _Fallback
-        try:
-            crop = region(sensor)
-        except DataError:  # after any malformed line, as a whole-file parse
-            for block in _line_blocks(fh, line):
-                _columns(block, None)
-            raise
+        yield sensor
         for block in _line_blocks(fh, line):
-            yield _columns(block, crop)
+            yield _columns(block)
 
 
 def _line_blocks(fh, tail: bytes):
@@ -291,15 +285,15 @@ def _line_blocks(fh, tail: bytes):
         yield rest + b"\n"
 
 
-def _parsed(path, region):
+def _parsed(path):
     """`_decoded` by the line parser, with all events in one block. A file
     not in the locale's encoding is a DataError."""
     try:
         rows, sensor = _parse_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"bad event file {path}: {exc}") from exc
-    crop = region(sensor)
-    yield _cropped(rows["x"], rows["y"], rows["t"], crop)
+    yield sensor
+    yield rows["x"], rows["y"], rows["t"]
 
 
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
@@ -310,40 +304,40 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     and there are ceil((t_max + 1) / window_us) frames for t_max the
     latest kept event, none if no event is kept.
 
-    The block decoder reads the file a block at a time. All three fields
-    of a block are decoded in one pass and then cropped; a crop bounds x
-    and y, so only an uncropped block is checked against the bounds.
-    Each block is checked against the frame cap and its keys are appended
-    to one buffer, so memory follows the kept events, not the size of the
-    file. Any line the decoder cannot take sends the whole file through
-    the line parser, which raises EventFileError with the line number; a
-    file that is not text in the locale's encoding is a DataError. Events
-    are numbered in file order, so an EventBoundsError names the event's
-    place in the file.
+    The readers only read: the block decoder yields the sensor and then
+    the decoded columns of the file a block at a time. Each block is
+    cropped here if the sensor is not the frame size, or else checked
+    against the bounds; it is checked against the frame cap and its keys
+    are appended to one buffer, so memory follows the kept events, not
+    the size of the file. Any line the decoder cannot take sends the
+    whole file through the line parser, which raises EventFileError with
+    the line number; a file that is not text in the locale's encoding is
+    a DataError. A sensor or bounds error is raised only once the rest of
+    the file has been read, so a malformed line anywhere is reported
+    first, as by a parse of the whole file. Events are numbered in file
+    order, so an EventBoundsError names the event's place in the file.
     """
     window_us = _window_us(window_ms)
 
-    crop = None  # of the last sensor read: the line parser's after a fallback
-
-    def region(sensor):
-        nonlocal crop
-        crop = None
-        if sensor != (width, height):
-            crop = (*centered_crop(*sensor, width, height), width, height)
-        return crop
-
     def frames(blocks):
+        sensor = next(blocks)
         keys = bytearray()
         n_frames = first = 0
         try:
+            crop = (None if sensor == (width, height)
+                    else centered_crop(*sensor, width, height))
             for x, y, t in blocks:
                 block_keys, n = _frame_keys(x, y, t, window_us, width, height,
-                                            None if crop else first)
+                                            crop, first)
                 first += x.size
                 n_frames = max(n_frames, n)
                 if n_frames <= MAX_FRAMES:
                     keys.extend(block_keys)
-        except EventBoundsError:  # after any malformed line, as a whole-file parse
+                # Free this block's decoded columns before the next block is
+                # decoded, so the two are never alive at once: the heap is
+                # then not grown and trimmed again for each block.
+                del x, y, t
+        except DataError:  # after any malformed line, as a whole-file parse
             for _ in blocks:
                 pass
             raise
@@ -352,6 +346,6 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
                                      width, height)
 
     try:
-        return frames(_decoded(path, region))
+        return frames(_decoded(path))
     except _Fallback:
-        return frames(_parsed(path, region))
+        return frames(_parsed(path))

@@ -232,6 +232,34 @@ def test_ingest_memory_follows_kept_events(tmp_path, cfg):
     assert peak <= 16 * kept + (1 << 20), f"{peak / n:.1f} B per event"
 
 
+def test_line_parser_memory_per_event(tmp_path):
+    """Allocation peak of `load_frames` per event of a file the block
+    decoder leaves to the line parser.
+
+    50k salt events on an 800x800 sensor, then one `+1,1,1` line, which
+    only `int()` takes. The line parser reads the whole file first, into
+    one int64 array at 24 B per event; the crop and the keys follow. It
+    measured 64 B per event here; a list of one 3-tuple per event
+    measured 167.
+    """
+    n = 50_000
+    path = tmp_path / "signed.txt"
+    _salt_file(path, n, 800)
+    with open(path, "a") as fh:
+        fh.write("+1,1,1\n")
+    warm = tmp_path / "warm.txt"
+    warm.write_text("!sensor 800x800\n+1,1,1\n")
+    load_frames(warm, 40, 600, 600)  # warm up numpy's lazy imports
+    tracemalloc.start()
+    try:
+        stream = load_frames(path, 40, 600, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n // 2 < len(stream.keys) < n
+    assert peak <= 80 * n, f"{peak / n:.1f} B per event"
+
+
 def test_save_events_memory_per_event(tmp_path):
     """Allocation peak of writing an event file, per event written.
 

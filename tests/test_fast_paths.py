@@ -136,14 +136,13 @@ def _decoded_columns(path):
     """(sensor, [x, y, t]) of an event file by the block decoder alone,
     the columns as lists in time order; None if the decoder leaves the
     file to the line parser."""
-    sensors = []
     try:
-        blocks = list(events._decoded(path, sensors.append))
+        sensor, *blocks = events._decoded(path)
     except events._Fallback:
         return None
     cols = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 3
     order = np.argsort(cols[2], kind="stable")
-    return sensors[0], [c[order].tolist() for c in cols]
+    return sensor, [c[order].tolist() for c in cols]
 
 
 def _parsed_columns(path):
