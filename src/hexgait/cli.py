@@ -14,7 +14,7 @@ from .atomic import write_atomic
 from .config import (EXAMPLE_CONFIG, RunConfig, default_config, load_config,
                      validate)
 from .energy import energy_report
-from .errors import ConfigError, DataError, HexgaitError
+from .errors import ConfigError, DataError
 
 # The pipeline's names, bound here by _load_pipeline. Only a command that
 # computes loads them, after its config is valid, so example-config, --help
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (HexgaitError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -296,10 +296,12 @@ def validate(cfg: RunConfig) -> None:
     cfg.train_schedule()
     cfg.energy_model()
     segment = s["frames_per_cycle"] + s["gap_frames"]
-    n_frames = max(N_LEGS, 2 * cfg.values["test"]["tripod_repeats"]) * segment
+    n_frames = max(N_LEGS * max(cfg.values["training"]["repeats"], 1),
+                   2 * cfg.values["test"]["tripod_repeats"]) * segment
     if n_frames > MAX_FRAMES:
-        raise ConfigError(f"[scene]/[test]: the training or tripod stream spans "
-                          f"{n_frames} frames, more than the limit of {MAX_FRAMES}")
+        raise ConfigError(f"[scene]/[training]/[test]: the training run or the tripod "
+                          f"stream spans {n_frames} frames, more than the limit of "
+                          f"{MAX_FRAMES}")
     leg_pixels = BLOCK * BLOCK * s["tip_blocks"]
     pixels = N_LEGS * (segment * s["width"] * s["height"] * s["noise_density"]
                        + s["frames_per_cycle"] * leg_pixels)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import MAX_FRAMES, _window_us
-from .errors import DataError, EventBoundsError, EventFileError
+from .errors import DataError
 from .frames import FrameStream, _check_frame_count
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -24,7 +24,7 @@ def _frame_keys(x, y, t, window_us: int, width: int, height: int, crop, first: i
     """(keys, n_frames) of the event columns x, y and t, keys None if
     n_frames is over the cap. With `crop` = (left, top), the events of
     the width x height region there are kept, rebased to it; without, an
-    event out of bounds is an EventBoundsError, numbered from `first`."""
+    event out of bounds is a DataError, numbered from `first`."""
     if crop is not None:
         left, top = crop
         # Rebased in int64, where a coordinate before the crop reads as a
@@ -36,7 +36,7 @@ def _frame_keys(x, y, t, window_us: int, width: int, height: int, crop, first: i
         outside = np.flatnonzero((x >= width) | (y >= height))
         if outside.size:
             i = int(outside[0])
-            raise EventBoundsError(
+            raise DataError(
                 f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
     keys = t // window_us  # frame index
     n_frames = int(keys.max()) + 1 if keys.size else 0
@@ -96,8 +96,8 @@ def _sensor(line: str):
 def _parse_lines(path):
     """(rows, sensor) of an event file, one line at a time.
 
-    The reference parser: it accepts whatever `int()` does and raises
-    EventFileError naming the first bad line. `rows` is a record array
+    The reference parser: it accepts whatever `int()` does and raises a
+    DataError naming the first bad line. `rows` is a record array
     with int64 fields x, y and t, over one int64 array the events are
     appended to: 24 bytes per event.
     """
@@ -116,20 +116,20 @@ def _parse_lines(path):
                 try:
                     sensor = _sensor(line)
                 except (IndexError, ValueError):
-                    raise EventFileError(f"line {lineno}: bad sensor header {line!r}")
+                    raise DataError(f"line {lineno}: bad sensor header {line!r}")
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise EventFileError(f"line {lineno}: expected x,y,t_us, got {line!r}")
+                raise DataError(f"line {lineno}: expected x,y,t_us, got {line!r}")
             try:
                 row = [int(p) for p in parts]
                 if not all(0 <= v <= _INT64_MAX for v in row):
                     raise ValueError(row)
             except ValueError:
-                raise EventFileError(f"line {lineno}: bad event {line!r}")
+                raise DataError(f"line {lineno}: bad event {line!r}")
             rows.extend(row)
     if sensor is None:
-        raise EventFileError("missing !sensor WxH header")
+        raise DataError("missing !sensor WxH header")
     return np.frombuffer(rows, dtype=[(f, "i8") for f in "xyt"]), sensor
 
 
@@ -310,12 +310,12 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     against the bounds; it is checked against the frame cap and its keys
     are appended to one buffer, so memory follows the kept events, not
     the size of the file. Any line the decoder cannot take sends the
-    whole file through the line parser, which raises EventFileError with
-    the line number; a file that is not text in the locale's encoding is
-    a DataError. A sensor or bounds error is raised only once the rest of
-    the file has been read, so a malformed line anywhere is reported
-    first, as by a parse of the whole file. Events are numbered in file
-    order, so an EventBoundsError names the event's place in the file.
+    whole file through the line parser, which raises a DataError with
+    the line number, as it does for a file that is not text in the
+    locale's encoding. A sensor or bounds error is raised only once the
+    rest of the file has been read, so a malformed line anywhere is
+    reported first, as by a parse of the whole file. Events are numbered in file
+    order, so a bounds error names the event's place in the file.
     """
     window_us = _window_us(window_ms)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import MAX_FRAMES
-from .errors import DataError, DimensionError, EmptyFrameError
+from .errors import DataError
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class BinaryFrame:
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=bool)
         if bits.ndim != 2:
-            raise DimensionError(f"frame must be 2-D, got shape {bits.shape}")
+            raise ValueError(f"frame must be 2-D, got shape {bits.shape}")
         bits = np.ascontiguousarray(bits)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
@@ -107,7 +107,7 @@ class FrameStream:
         _check_frame_count(self.n_frames)
         keys = np.asarray(self.keys, dtype=np.int64)
         if keys.ndim != 1:
-            raise DimensionError(f"keys must be 1-D, got shape {keys.shape}")
+            raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
         if keys.size and (keys[0] < 0 or keys[-1] >= len(self) * self.height * self.width
                           or (keys[1:] <= keys[:-1]).any()):
             raise ValueError("keys must be sorted, distinct and inside the stream")
@@ -131,7 +131,7 @@ class FrameStream:
         frames = tuple(frames)
         for f in frames:
             if f.bits.shape != frames[0].bits.shape:
-                raise DimensionError("frames in a stream must share dimensions")
+                raise ValueError("frames in a stream must share dimensions")
         if not frames:
             return cls(np.empty(0, dtype=np.int64), 0, 0, 0)
         bits = np.stack([f.bits for f in frames])
@@ -176,7 +176,7 @@ def _check_divisible(frame: BinaryFrame, k: int) -> None:
     if k < 1:
         raise ValueError(f"kernel size must be >= 1, got {k}")
     if frame.width % k or frame.height % k:
-        raise DimensionError(
+        raise ValueError(
             f"frame {frame.width}x{frame.height} not divisible by kernel {k}")
 
 
@@ -210,7 +210,7 @@ def pooled_streams(stream: FrameStream) -> FrameStream:
     """
     n, h, w = len(stream), stream.height, stream.width
     if h % 10 or w % 10:
-        raise DimensionError(f"frame {w}x{h} not divisible by kernel 10")
+        raise ValueError(f"frame {w}x{h} not divisible by kernel 10")
     keys, starts = stream.keys, []
     for lo in range(0, keys.size, _POOL_BLOCK):
         last = keys[lo + 9:lo + 9 + _POOL_BLOCK]  # keys[i + 9], up to the stream's end
@@ -243,7 +243,7 @@ def cell_centroid(cells: np.ndarray, width: int, height: int) -> tuple:
     bit's pixel coordinates exactly; resolution-independent by design.
     """
     if cells.size == 0:
-        raise EmptyFrameError("centroid of an empty frame is undefined")
+        raise ValueError("centroid of an empty frame is undefined")
     rows, cols = np.divmod(cells, width)
     x = float(cols.mean()) / (width - 1) if width > 1 else 0.0
     y = float(rows.mean()) / (height - 1) if height > 1 else 0.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import N_LEGS, NeuronParams
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .frames import as_stream
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class WeightMap:
     def __init__(self, w: np.ndarray):
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 3:
-            raise DimensionError(f"weights must be (neurons, h, w), got {w.shape}")
+            raise ValueError(f"weights must be (neurons, h, w), got {w.shape}")
         self.w = w
 
     @classmethod
@@ -208,8 +208,8 @@ def run_network(frames, weights: WeightMap, params: NeuronParams):
     """
     stream = as_stream(frames)
     if len(stream) and (stream.height, stream.width) != weights.w.shape[1:]:
-        raise DimensionError(f"weight grid {weights.w.shape[1:]} != frame "
-                             f"{(stream.height, stream.width)}")
+        raise ValueError(f"weight grid {weights.w.shape[1:]} != frame "
+                         f"{(stream.height, stream.width)}")
     state = NetworkState.resting(params, weights.n_neurons)
     rows = weights.w.reshape(weights.n_neurons, -1)
     steps = []

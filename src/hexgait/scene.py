@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ANCHOR_DEG, BLOCK, N_LEGS,  # noqa: F401 (ANCHOR_DEG re-exported)
-                     HexapodGeometry, RenderParams, foot_blocks)
+from .config import BLOCK, N_LEGS, HexapodGeometry, RenderParams, foot_blocks
 from .errors import DataError
 from .frames import FrameStream
 from .noise import salt

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import N_LEGS, HexapodGeometry, NeuronParams, TrainSchedule
-from .errors import EmptyStreamError
+from .errors import DataError
 from .frames import FrameStream, as_stream, cell_centroid, pooled_streams
 from .neurons import NetworkState, SpikeRaster, WeightMap, step_state
 
@@ -88,7 +88,7 @@ def train(stream: FrameStream, priors: tuple, sched: TrainSchedule,
     """
     n = len(stream)
     if n == 0:
-        raise EmptyStreamError("cannot train on an empty stream")
+        raise DataError("cannot train on an empty stream")
     leg = pooled_streams(stream)
     weights = WeightMap.zeros(leg.width, leg.height)
     rows = weights.w.reshape(weights.n_neurons, -1)  # a view: updates land in weights

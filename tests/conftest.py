@@ -5,7 +5,7 @@ import pytest
 
 from hexgait import events
 from hexgait.config import default_config
-from hexgait.errors import DimensionError, EventBoundsError
+from hexgait.errors import DataError
 from hexgait.events import centered_crop
 from hexgait.frames import BinaryFrame, FrameStream, _check_frame_count, cell_centroid
 from hexgait.neurons import NeuronParams, NeuronState, WeightMap, step_neuron
@@ -57,7 +57,7 @@ def centroid(frame: BinaryFrame) -> tuple:
 def inject(state: NeuronState, weights: np.ndarray, frame: BinaryFrame) -> NeuronState:
     """Add the weight/frame dot product to g_e; refractory neurons discard it."""
     if weights.shape != frame.bits.shape:
-        raise DimensionError(
+        raise ValueError(
             f"weight grid {weights.shape} != frame {frame.bits.shape}")
     if not frame.bits.any():
         return state
@@ -95,7 +95,7 @@ def reference_frames(path, window_ms, width, height) -> FrameStream:
     outside = np.flatnonzero((x >= width) | (y >= height))
     if outside.size:
         i = outside[0]
-        raise EventBoundsError(
+        raise DataError(
             f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
     frame = t // round(window_ms * 1000)
     n_frames = int(frame.max()) + 1 if frame.size else 0

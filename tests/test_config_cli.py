@@ -1,7 +1,9 @@
 import argparse
 import json
+import math
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -101,6 +103,7 @@ _BAD_VALUES = (
     "[scene]\nframes_per_cycle = 1\n",
     "[scene]\nnoise_density = 1.0\n",
     "[training]\nrepeats = -1\n",
+    "[training]\nrepeats = 9223372036854775807\n",  # a training run over MAX_FRAMES
     # Integers too large for a float, which the work budget multiplies in.
     "[scene]\nwidth = 1" + "0" * 400 + "\n",
     "[scene]\ntip_blocks = 1" + "0" * 400 + "\n",
@@ -180,6 +183,12 @@ def test_config_frame_cap_boundary(tmp_path):
     path.write_text(f"[test]\ntripod_repeats = {MAX_FRAMES // 72}\n")
     load_config(path)
     path.write_text(f"[test]\ntripod_repeats = {MAX_FRAMES // 72 + 1}\n")
+    with pytest.raises(ConfigError, match="spans 90072 frames"):
+        load_config(path)
+    # The training run spans repeats plays of 6 segments.
+    path.write_text(f"[training]\nrepeats = {MAX_FRAMES // 216}\n")
+    load_config(path)
+    path.write_text(f"[training]\nrepeats = {MAX_FRAMES // 216 + 1}\n")
     with pytest.raises(ConfigError, match="spans 90072 frames"):
         load_config(path)
 
@@ -454,6 +463,52 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
     assert rc in ((0, 2) if target == "config" else (0, 2, 3))
     if rc:
         assert "error" in capsys.readouterr().err
+
+
+def _fuzz_values(default):
+    """Values, valid and invalid, that the config fuzz draws for a key."""
+    if isinstance(default, float):
+        return (0.0, -1.0, default, 1e300, math.inf, math.nan)
+    if isinstance(default, str):
+        return (default, "elsewhere")  # --out overrides [run] out
+    return (-1, 0, 1, 2, default, 2**63 - 1)
+
+
+# Width and height are always drawn, at most 200, so a valid scene is small.
+_SIDE = st.sampled_from((0, 50, 100, 105, 200))
+_FUZZ_VALUES = {(section, key): _fuzz_values(default)
+                for section, values in _DEFAULTS.items()
+                for key, default in values.items() if key not in ("width", "height")}
+_SETTING = st.sampled_from(sorted(_FUZZ_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_VALUES[key])))
+_REPRO_ARTIFACTS = ["events.txt", "report.txt", "schedule.txt", "seq_raster.txt",
+                    "train_raster.txt", "tripod_raster.txt", "tripod_trace.txt",
+                    "weights.txt"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SIDE, _SIDE, st.lists(_SETTING, max_size=5, unique_by=lambda kv: kv[0]))
+def test_cli_repro_survives_fuzzed_configs(tmp_path, width, height, values):
+    """`repro` under a config of a width x height scene and up to five
+    other keys set: it exits 0, 2 or 4 and raises nothing; a config error
+    writes nothing, and a run writes the 8 artifacts with one file mode.
+    A config that passes validation is small, so this never runs long."""
+    sections = {"scene": [f"width = {width}", f"height = {height}"]}
+    for (section, key), value in values:
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    path, out = tmp_path / "fuzz.ini", tmp_path / "out"
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                            for section, lines in sections.items()))
+    shutil.rmtree(out, ignore_errors=True)
+    rc = main(["--config", str(path), "--out", str(out), "repro"])
+    assert rc in (0, 2, 4), path.read_text()
+    names = sorted(os.listdir(out)) if out.exists() else []
+    if rc == 2:
+        assert names == [], path.read_text()
+        return
+    assert names == _REPRO_ARTIFACTS, path.read_text()
+    assert len({stat.S_IMODE(os.stat(out / name).st_mode) for name in names}) == 1
 
 
 @settings(max_examples=30, deadline=None,

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hexgait.cli import _ingest_events
-from hexgait.errors import EventBoundsError, EventFileError
+from hexgait.errors import DataError
 from hexgait.events import centered_crop, load_frames, save_events
 from hexgait.frames import FrameStream
 
@@ -91,7 +91,7 @@ def test_accumulate_matches_oracle_and_order_invariance(tmp_path, triples, rnd):
 
 
 def test_out_of_bounds_reports_index(tmp_path):
-    with pytest.raises(EventBoundsError, match="event 1 at"):
+    with pytest.raises(DataError, match="event 1 at"):
         load_triples(tmp_path, [(0, 0, 0), (20, 0, 10)], 40, 16, 16)
 
 
@@ -125,10 +125,10 @@ def test_event_file_roundtrip(tmp_path, stream, window_ms):
 def test_event_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("!sensor 10x10\n1,2\n")
-    with pytest.raises(EventFileError, match="line 2:"):
+    with pytest.raises(DataError, match="line 2:"):
         load_frames(path, 40, 10, 10)
     path.write_text("1,2,3\n")
-    with pytest.raises(EventFileError):
+    with pytest.raises(DataError, match="missing !sensor"):
         load_frames(path, 40, 10, 10)  # missing header
 
 
@@ -147,7 +147,7 @@ def test_malformed_line_is_reported_before_a_bounds_or_sensor_error(tmp_path):
     path = tmp_path / "ev.txt"
     path.write_text("!sensor 8x8\n9,1,5\n" + "1,1,5\n" * 20_000 + "1,2\n")
     for size in (8, 16):  # an event out of bounds; a sensor smaller than the frame
-        with pytest.raises(EventFileError, match="line 20003:"):
+        with pytest.raises(DataError, match="line 20003:"):
             load_frames(path, 40, size, size)
 
 

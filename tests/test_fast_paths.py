@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_frames, step_network
 from hexgait import events, frames as frames_module
-from hexgait.errors import DataError, DimensionError
+from hexgait.errors import DataError
 from hexgait.events import load_frames
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             pooled_streams)
@@ -88,7 +88,7 @@ def test_from_keys_equals_np_unique(keys, block):
 def test_tile_pool_divisibility():
     stream = FrameStream.from_frames([BinaryFrame.zeros(30, 20)])
     assert pooled_streams(stream).frames == (BinaryFrame.zeros(3, 2),)
-    with pytest.raises(DimensionError, match="35x20.*10"):
+    with pytest.raises(ValueError, match="35x20.*10"):
         pooled_streams(FrameStream.from_frames([BinaryFrame.zeros(35, 20)]))
 
 

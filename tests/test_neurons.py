@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import inject
-from hexgait.errors import DimensionError
 from hexgait.frames import BinaryFrame
 from hexgait.neurons import (NeuronParams, NeuronState, SpikeRaster, WeightMap,
                              load_weights, run_network, save_raster, save_weights,
@@ -40,7 +39,7 @@ def test_inject_trivial_cases():
 
 
 def test_inject_dimension_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="weight grid"):
         inject(NeuronState(v=-65), np.zeros((3, 3)), BinaryFrame.zeros(4, 4))
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import centroid
 from hexgait.cli import main
-from hexgait.errors import EmptyFrameError
+from hexgait.config import ANCHOR_DEG
+from hexgait.errors import DataError
 from hexgait.frames import BinaryFrame, FrameStream, andpool
-from hexgait.scene import (ANCHOR_DEG, GaitSchedule, HexapodGeometry, RenderParams,
+from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
                            leg_region_mask, render_expert_sequence)
 from hexgait.training import (TrainSchedule, calibrate_priors, classify_angle,
                               estimate_leg, train, wrap_angle)
@@ -100,7 +101,7 @@ def test_estimate_leg_geometric_sweep_across_geometries(body_radius, leg_length,
 def test_estimate_leg_errors(priors):
     with pytest.raises(ValueError):
         estimate_leg([], priors)
-    with pytest.raises(EmptyFrameError):
+    with pytest.raises(ValueError, match="empty frame"):
         estimate_leg([BinaryFrame.zeros(600, 600)], priors)
     # A solid frame's leg centroid is the body centre itself: theta is
     # atan2(0, 0) = 0, and it is labelled like any other frame.
@@ -181,7 +182,7 @@ def test_train_bounds(trained, cfg):
 
 
 def test_train_empty_stream_rejected(priors, cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="empty stream"):
         train(FrameStream.from_frames(()), priors, cfg.train_schedule(),
               cfg.neuron_params())
 
