@@ -61,14 +61,26 @@ def _schedule_text(cfg: RunConfig, schedule: GaitSchedule) -> str:
 
 
 def _load_schedule(path) -> GaitSchedule:
+    """The steps of a schedule file: `step i legs` lines among blank and
+    comment lines and the header lines of _schedule_text. Any other line
+    is a DataError that names it."""
     entries = []
     try:
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
-                if line.startswith("step "):
-                    _, idx, legs = line.split()
-                    entries.append((int(idx), {int(l) for l in legs.split(",")}))
+                key, _, value = line.partition("=")
+                try:
+                    if line.startswith("step "):
+                        _, idx, legs = line.split()
+                        entries.append((int(idx), {int(l) for l in legs.split(",")}))
+                    elif line and key not in ("frames_per_cycle", "gap_frames"):
+                        raise ValueError(line)
+                    elif line:
+                        int(value)
+                except ValueError as exc:
+                    raise DataError(
+                        f"bad schedule file {path}: line {lineno}: {line!r}") from exc
         if not entries:
             raise DataError(f"schedule file {path} has no steps")
         return GaitSchedule(tuple(entries))

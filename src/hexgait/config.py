@@ -270,6 +270,8 @@ def validate(cfg: RunConfig) -> None:
                 raise ConfigError(f"[{section}] {key}: must fit in int64")
     if cfg.seed < 0:
         raise ConfigError("[run]: seed must be >= 0")
+    if not cfg.values["run"]["out"]:
+        raise ConfigError("[run]: out must not be empty")
     s = cfg.values["scene"]
     if s["width"] <= 0 or s["height"] <= 0:
         raise ConfigError("[scene]: width/height must be positive")

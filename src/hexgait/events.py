@@ -4,7 +4,8 @@
 In memory an event stream is only ever a stream's keys. The file is
 plain text, one `x,y,t_us` triple per line, `#` comments, and a sidecar
 header line `!sensor WxH`. `save_events` writes one event per key,
-stamped mid-window; `load_frames` reads a file back into keys.
+stamped mid-window; `load_frames` reads a file back into keys, every
+event checked against the file's sensor and then centre-cropped.
 """
 from __future__ import annotations
 
@@ -20,24 +21,23 @@ from .frames import FrameStream, _check_frame_count
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _frame_keys(x, y, t, window_us: int, width: int, height: int, crop, first: int):
+def _frame_keys(x, y, t, window_us: int, sensor, crop, width: int, height: int,
+                first: int):
     """(keys, n_frames) of the event columns x, y and t, keys None if
-    n_frames is over the cap. With `crop` = (left, top), the events of
-    the width x height region there are kept, rebased to it; without, an
-    event out of bounds is a DataError, numbered from `first`."""
-    if crop is not None:
-        left, top = crop
-        # Rebased in int64, where a coordinate before the crop reads as a
-        # huge unsigned one.
-        x, y = x - left, y - top
-        rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
-        x, y, t = x[rows], y[rows], t[rows]
-    else:
-        outside = np.flatnonzero((x >= width) | (y >= height))
-        if outside.size:
-            i = int(outside[0])
-            raise DataError(
-                f"event {first + i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+    n_frames is over the cap. An event off the sensor (W, H) is a
+    DataError, numbered from `first`; the others are rebased to the
+    width x height region at `crop` = (left, top), and those inside it kept."""
+    # Two maxima, not a mask: a mask is built only to name an event off it.
+    if x.max(initial=0) >= sensor[0] or y.max(initial=0) >= sensor[1]:
+        i = int(np.flatnonzero((x >= sensor[0]) | (y >= sensor[1]))[0])
+        raise DataError(f"event {first + i} at ({x[i]},{y[i]}) outside "
+                        f"{sensor[0]}x{sensor[1]} sensor")
+    left, top = crop
+    # Rebased in int64, where a coordinate before the crop reads as a huge
+    # unsigned one.
+    x, y = x - left, y - top
+    rows = np.flatnonzero((x.view(np.uint64) < width) & (y.view(np.uint64) < height))
+    x, y, t = x[rows], y[rows], t[rows]
     keys = t // window_us  # frame index
     n_frames = int(keys.max()) + 1 if keys.size else 0
     if n_frames > MAX_FRAMES:  # before a wild frame index overflows a key
@@ -305,17 +305,17 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     latest kept event, none if no event is kept.
 
     The readers only read: the block decoder yields the sensor and then
-    the decoded columns of the file a block at a time. Each block is
-    cropped here if the sensor is not the frame size, or else checked
-    against the bounds; it is checked against the frame cap and its keys
-    are appended to one buffer, so memory follows the kept events, not
-    the size of the file. Any line the decoder cannot take sends the
-    whole file through the line parser, which raises a DataError with
-    the line number, as it does for a file that is not text in the
-    locale's encoding. A sensor or bounds error is raised only once the
-    rest of the file has been read, so a malformed line anywhere is
-    reported first, as by a parse of the whole file. Events are numbered in file
-    order, so a bounds error names the event's place in the file.
+    the decoded columns of the file a block at a time. Each block's
+    events are checked against the sensor and then cropped here; the
+    block is checked against the frame cap and its keys are appended to
+    one buffer, so memory follows the kept events, not the size of the
+    file. Any line the decoder cannot take sends the whole file through
+    the line parser, which raises a DataError with the line number, as
+    it does for a file that is not text in the locale's encoding. A
+    sensor or bounds error is raised only once the rest of the file has
+    been read, so a malformed line anywhere is reported first, as by a
+    parse of the whole file. Events are numbered in file order, so a
+    bounds error names the event's place in the file.
     """
     window_us = _window_us(window_ms)
 
@@ -324,11 +324,10 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
         keys = bytearray()
         n_frames = first = 0
         try:
-            crop = (None if sensor == (width, height)
-                    else centered_crop(*sensor, width, height))
+            crop = centered_crop(*sensor, width, height)
             for x, y, t in blocks:
-                block_keys, n = _frame_keys(x, y, t, window_us, width, height,
-                                            crop, first)
+                block_keys, n = _frame_keys(x, y, t, window_us, sensor, crop, width,
+                                            height, first)
                 first += x.size
                 n_frames = max(n_frames, n)
                 if n_frames <= MAX_FRAMES:

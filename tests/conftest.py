@@ -82,21 +82,20 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
 # The whole-array reference that events.load_frames is checked against. It
 # shares no code with the block decoder, its crop or its keys.
 def reference_frames(path, window_ms, width, height) -> FrameStream:
-    """load_frames as the line parser, a crop and a bucketing of whole
-    arrays compute it: events numbered in file order, keys of frame
-    t // window."""
+    """load_frames as the line parser, a check against the sensor, a crop
+    and a bucketing of whole arrays compute it: events numbered in file
+    order, keys of frame t // window."""
     rows, (sensor_w, sensor_h) = events._parse_lines(path)
     x, y, t = rows["x"], rows["y"], rows["t"]
-    if (sensor_w, sensor_h) != (width, height):
-        left, top = centered_crop(sensor_w, sensor_h, width, height)
-        x, y = x - left, y - top
-        inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
-        x, y, t = x[inside], y[inside], t[inside]
-    outside = np.flatnonzero((x >= width) | (y >= height))
+    left, top = centered_crop(sensor_w, sensor_h, width, height)
+    outside = np.flatnonzero((x >= sensor_w) | (y >= sensor_h))
     if outside.size:
         i = outside[0]
         raise DataError(
-            f"event {i} at ({x[i]},{y[i]}) outside {width}x{height} sensor")
+            f"event {i} at ({x[i]},{y[i]}) outside {sensor_w}x{sensor_h} sensor")
+    x, y = x - left, y - top
+    inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    x, y, t = x[inside], y[inside], t[inside]
     frame = t // round(window_ms * 1000)
     n_frames = int(frame.max()) + 1 if frame.size else 0
     _check_frame_count(n_frames)  # before a wild frame index overflows a key

@@ -80,6 +80,7 @@ _BAD_VALUES = (
     "[scene]\nwidth = 605\n",  # not a whole number of 10x10 tiles
     "[neuron]\nv_thresh = -70.0\n",  # below rest
     "[run]\nseed = -1\n",
+    "[run]\nout =\n",
     "[test]\ntripod_repeats = 0\n",
     "[scene]\ngap_frames = -30\n",
     "[scene]\ntip_blocks = -1\n",
@@ -257,6 +258,20 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    """An empty `[run] out` is a config error that writes nothing; an
+    empty `--out` falls back to the config's out."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\nout =\n")
+    assert main(["--config", str(cfg), "synth"]) == 2
+    assert capsys.readouterr().err == "config error: [run]: out must not be empty\n"
+    assert os.listdir(tmp_path) == ["cfg.ini"]
+    cfg.write_text("[run]\nout = elsewhere\n[scene]\nwidth = 100\nheight = 100\n")
+    assert main(["--config", str(cfg), "--out", "", "synth"]) == 0
+    assert sorted(os.listdir(tmp_path / "elsewhere")) == ["events.txt", "schedule.txt"]
+
+
 def test_cli_data_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.events"
     bad.write_text("!sensor 600x600\n1,2\n")
@@ -389,7 +404,10 @@ def test_cli_bad_schedule_exit_3(tmp_path, capsys):
     evts.write_text("!sensor 600x600\n1,1,0\n")
     schedule = tmp_path / "schedule.txt"
     out = tmp_path / "out"
-    for steps in ("step 0 1,7\n", "step 1 1\nstep 0 2\n"):
+    six = "".join(f"step {i} {i + 1}\n" for i in range(6))
+    for steps in ("step 0 1,7\n", "step 1 1\nstep 0 2\n",
+                  six.replace("step 2", "stpe 2"),  # a typo'd step among six
+                  "hello world\nstep 0 1\n", "gap_frames=x\n" + six):
         schedule.write_text("frames_per_cycle=25\n" + steps)
         assert main(["--out", str(out), "test", str(weights), str(evts),
                      "--schedule", str(schedule)]) == 3

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import tracemalloc
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hexgait.cli import _ingest_events
+from hexgait.cli import _ingest_events, main
 from hexgait.errors import DataError
 from hexgait.events import centered_crop, load_frames, save_events
 from hexgait.frames import FrameStream
+from hexgait.neurons import WeightMap, save_weights
 
 
 def load_triples(tmp_path, triples, window_ms, width, height, sensor=None):
@@ -158,6 +160,26 @@ def test_crop(tmp_path):
     stream = load_triples(tmp_path, triples, 40, 600, 600, sensor=(1280, 800))
     assert stream.keys.tolist() == [300 * 600 + 360]
     assert stream.n_frames == 1
+
+
+def test_event_off_a_sensor_larger_than_the_frame_exits_3(tmp_path, capsys):
+    """Every event is checked against its file's sensor, whatever the
+    sensor's size; events are numbered in file order, not time order."""
+    weights = tmp_path / "weights.txt"
+    save_weights(weights, WeightMap.zeros(60, 60))
+    out = tmp_path / "out"
+    for triples, error in (
+            ([(100, 100, 0), (800, 10, 40000)], "event 1 at (800,10)"),
+            ([(300, 300, 80000), (5000, 150, 20000), (800, 10, 5)],
+             "event 1 at (5000,150)")):
+        message = f"{error} outside 800x800 sensor"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_triples(tmp_path, triples, 40, 600, 600, sensor=(800, 800))
+        path = str(tmp_path / "ev.txt")
+        for argv in (["energy", path], ["test", str(weights), path]):
+            assert main(["--out", str(out), *argv]) == 3, argv
+            assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (out / "test_raster.txt").exists()
 
 
 def test_frames_to_events_roundtrip(tmp_path):

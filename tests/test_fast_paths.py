@@ -237,6 +237,9 @@ _TIMES = st.one_of(st.integers(0, 120), st.sampled_from([899_999, 900_000, 10**7
          ordered=True, line_parser=False, block_size=1)  # header only
 @example(width=2, height=2, extra_w=4, extra_h=3, triples=[(-1, 0, 5), (2, 1, 7)],
          duplicate=True, ordered=False, line_parser=True, block_size=1)  # all cropped
+@example(width=2, height=2, extra_w=1, extra_h=0, triples=[(0, 0, 5), (3, 1, 7)],
+         duplicate=False, ordered=True, line_parser=False,
+         block_size=4)  # one event just past the sensor's edge
 def test_load_frames_equals_the_whole_array_chain(
         tmp_path, monkeypatch, width, height, extra_w, extra_h, triples, duplicate,
         ordered, line_parser, block_size):
