@@ -20,8 +20,9 @@ N_LEGS = 6
 # by it.
 MAX_FRAMES = 90_000
 
-# Longest frame window, in us, that keeps MAX_FRAMES frames' stamps in int64.
-_MAX_WINDOW_US = (2**63 - 1) // MAX_FRAMES
+# Longest frame window, in us, that keeps MAX_FRAMES frames' stamps within
+# the 16 digits of an event file's field, so every saved file loads back.
+_MAX_WINDOW_US = (10**16 - 1) // MAX_FRAMES
 
 
 def _window_us(window_ms: float) -> int:

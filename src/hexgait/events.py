@@ -1,11 +1,20 @@
 """Event streams on disk: the event file, written from and read into
 `FrameStream` keys.
 
-In memory an event stream is only ever a stream's keys. The file is
-plain text, one `x,y,t_us` triple per line, `#` comments, and a sidecar
-header line `!sensor WxH`. `save_events` writes one event per key,
-stamped mid-window; `load_frames` reads a file back into keys, every
-event checked against the file's sensor and then centre-cropped.
+In memory an event stream is only ever a stream's keys. `save_events`
+writes one event per key, stamped mid-window; `load_frames` reads a file
+back into keys, every event checked against the file's sensor and then
+centre-cropped. The block decoder alone reads the file, whose format is:
+1. A comment runs from `#` to the end of its line and may hold any byte.
+2. Outside comments, a line holds only printable ASCII and tabs, and may
+   end in CR+LF; a last line without a newline gets one.
+3. Blank and comment lines may come before the header. The first other
+   line is `!sensor WxH`: W and H ASCII digits up to int64, `x` or `X`
+   between them. Else `line N: bad sensor header '<text>'` if the line
+   begins `!sensor`, or `missing !sensor WxH header`.
+4. After it, each line is blank, a comment, or `x,y,t`: 1 to 16 ASCII
+   digits per field, spaces or tabs around fields. Else `line N:
+   expected x,y,t_us, got '<text>'`, non-ASCII bytes escaped.
 """
 from __future__ import annotations
 
@@ -83,61 +92,8 @@ def save_events(path, keys, width: int, height: int, window_ms: float) -> None:
     write_atomic(path, chunks())
 
 
-def _sensor(line: str):
-    """(W, H) of a `!sensor WxH` line; IndexError or ValueError if malformed
-    or beyond int64, where crop offsets no longer fit a column."""
-    dims = line.split(None, 1)[1]
-    w, h = (int(v) for v in dims.lower().split("x"))
-    if max(w, h) > _INT64_MAX:
-        raise ValueError(dims)
-    return w, h
-
-
-def _parse_lines(path):
-    """(rows, sensor) of an event file, one line at a time.
-
-    The reference parser: it accepts whatever `int()` does and raises a
-    DataError naming the first bad line. `rows` is a record array
-    with int64 fields x, y and t, over one int64 array the events are
-    appended to: 24 bytes per event.
-    """
-    # Imported here, not before numpy: that order raised the peak RSS of
-    # `repro`, which never parses lines, by about 0.1 MB.
-    from array import array
-
-    rows = array("q")
-    sensor = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("!sensor"):
-                try:
-                    sensor = _sensor(line)
-                except (IndexError, ValueError):
-                    raise DataError(f"line {lineno}: bad sensor header {line!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"line {lineno}: expected x,y,t_us, got {line!r}")
-            try:
-                row = [int(p) for p in parts]
-                if not all(0 <= v <= _INT64_MAX for v in row):
-                    raise ValueError(row)
-            except ValueError:
-                raise DataError(f"line {lineno}: bad event {line!r}")
-            rows.extend(row)
-    if sensor is None:
-        raise DataError("missing !sensor WxH header")
-    return np.frombuffer(rows, dtype=[(f, "i8") for f in "xyt"]), sensor
-
-
-class _Fallback(Exception):
-    """The block decoder cannot read the file: the line parser decides."""
-
-
 _BLOCK = 1 << 16  # bytes of an event file read at a time by the block decoder
+_HEADER = re.compile(rb"!sensor[ \t]+0*([0-9]{1,19})[xX]0*([0-9]{1,19})")
 _TEXT = bytes(range(32, 127)) + b"\t\n\r"  # printable ASCII, tab, line ends
 _COMMENT = re.compile(rb"#[^\n]*")
 _SPLIT_FIELD = re.compile(rb"[0-9][ \t]+[0-9]")
@@ -145,22 +101,32 @@ _BLANK_LINES = re.compile(rb"\n+")
 _PAD = bytes(16)
 
 
-def _plain(text: bytes) -> bool:
-    """Whether `text` reads the same in any ASCII-compatible text mode:
-    printable ASCII and tabs, every CR in a CRLF (a lone CR ends a line)."""
-    return not text.translate(None, _TEXT) and text.count(b"\r") == text.count(b"\r\n")
+def _sensor(text: bytes):
+    """(W, H) of a `!sensor WxH` header text; None if it is anything else
+    or beyond int64, where crop offsets no longer fit a column."""
+    match = _HEADER.fullmatch(text)
+    dims = match and tuple(map(int, match.groups()))
+    return dims if dims and max(dims) <= _INT64_MAX else None
 
 
-def _bare(block: bytes) -> bytes:
+def _text(line: bytes) -> bytes:
+    """A line's text: without its LF or CRLF, its comment and the spaces
+    and tabs around it."""
+    line = line.removesuffix(b"\n").removesuffix(b"\r")
+    return line.split(b"#", 1)[0].strip(b" \t")
+
+
+def _bare(block: bytes):
     """`block`, whole lines, with comments, blank lines and the spaces,
-    tabs and CRs around fields removed; _Fallback if it is not plain text
-    or if whitespace splits a field."""
-    if not _plain(block):
-        raise _Fallback
-    block = _COMMENT.sub(b"", block)
-    if _SPLIT_FIELD.search(block):
-        raise _Fallback
-    return _BLANK_LINES.sub(b"\n", block.translate(None, b" \t\r")).lstrip(b"\n")
+    tabs and CRs around fields removed; None if, outside its comments, it
+    is not printable ASCII and tabs with every CR before an LF, or if
+    whitespace splits a field."""
+    # A comment leaves its "#", so that a CR before it is no CRLF.
+    block = _COMMENT.sub(b"#", block)
+    if (block.translate(None, _TEXT) or block.count(b"\r") != block.count(b"\r\n")
+            or _SPLIT_FIELD.search(block)):
+        return None
+    return _BLANK_LINES.sub(b"\n", block.translate(None, b" \t\r#")).lstrip(b"\n")
 
 
 def _split(block: bytes):
@@ -230,49 +196,47 @@ def _decode(words, ends, lens) -> np.ndarray:
 
 def _columns(block: bytes):
     """(x, y, t) of a block of lines, all three fields decoded in one
-    pass; _Fallback unless they are bare lines, or become so by `_bare`.
+    pass; None unless they are bare lines, or become so by `_bare`.
     A function of its own, so that `_split`'s temporaries die on return."""
-    parts = _split(block) or _split(_bare(block))
-    if parts is None:
-        raise _Fallback
-    return _decode(*parts).T
+    parts = _split(block)
+    if parts is None and (block := _bare(block)) is not None:
+        parts = _split(block)
+    return None if parts is None else _decode(*parts).T
 
 
 def _decoded(path):
-    """Yields an event file's sensor (W, H) from the header, then the
+    """Yields an event file's sensor (W, H) from its header, then the
     (x, y, t) of each block of about _BLOCK bytes of its events, in file
-    order.
-
-    Takes the header lines, then `d,d,d` lines with spaces or tabs around
-    fields, comments, blank lines and CRLF line ends. Raises _Fallback on
-    anything else, which the line parser has to decide.
-    """
+    order. A DataError names the first line outside the format of the
+    module docstring, or the missing header."""
     with open(path, "rb") as fh:
-        sensor, line = None, b""
-        for line in fh:  # the header, a line at a time
-            text = line.split(b"#", 1)[0].strip()
-            if text and not text.startswith(b"!sensor"):
+        for lineno, line in enumerate(fh, start=1):  # up to the header
+            if text := _text(line):
                 break
-            if not _plain(line):
-                raise _Fallback
-            if text:
-                try:
-                    sensor = _sensor(text.decode())
-                except (IndexError, ValueError):
-                    raise _Fallback
-            line = b""
+        else:
+            text = b""
+        sensor = _sensor(text)
         if sensor is None:
-            raise _Fallback
+            if text.startswith(b"!sensor"):
+                raise DataError(f"line {lineno}: bad sensor header "
+                                f"{ascii(text.decode('latin-1'))}")
+            raise DataError("missing !sensor WxH header")
         yield sensor
-        for block in _line_blocks(fh, line):
-            yield _columns(block)
+        offset = fh.tell()
+        for block in _line_blocks(fh):
+            columns = _columns(block)
+            if columns is None:
+                raise _bad_line(fh, offset, block)
+            yield columns
+            del columns  # before the next block is decoded
+            offset += len(block)
 
 
-def _line_blocks(fh, tail: bytes):
-    """Blocks of whole lines, `tail` then the rest of binary file `fh`, read
-    _BLOCK bytes at a time; a last line without a newline gets one. A line
+def _line_blocks(fh):
+    """Blocks of whole lines of the rest of binary file `fh`, read _BLOCK
+    bytes at a time; a last line without a newline gets one. A line
     longer than a block is joined from its pieces once."""
-    pieces = [tail]
+    pieces = []
     while block := fh.read(_BLOCK):
         cut = block.rfind(b"\n") + 1
         if cut:
@@ -285,15 +249,18 @@ def _line_blocks(fh, tail: bytes):
         yield rest + b"\n"
 
 
-def _parsed(path):
-    """`_decoded` by the line parser, with all events in one block. A file
-    not in the locale's encoding is a DataError."""
-    try:
-        rows, sensor = _parse_lines(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"bad event file {path}: {exc}") from exc
-    yield sensor
-    yield rows["x"], rows["y"], rows["t"]
+def _bad_line(fh, offset: int, block: bytes) -> DataError:
+    """The error naming the first line of `block`, at byte `offset` of
+    binary file `fh`, that `_columns` does not take. Only here are lines
+    counted: the newlines before the block, read _BLOCK bytes at a time."""
+    fh.seek(0)
+    lineno = 1
+    for start in range(0, offset, _BLOCK):
+        lineno += fh.read(min(_BLOCK, offset - start)).count(b"\n")
+    for lineno, line in enumerate(block.split(b"\n"), start=lineno):
+        if _columns(line + b"\n") is None:
+            return DataError(f"line {lineno}: expected x,y,t_us, got "
+                             f"{ascii(_text(line).decode('latin-1'))}")
 
 
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
@@ -304,47 +271,39 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     and there are ceil((t_max + 1) / window_us) frames for t_max the
     latest kept event, none if no event is kept.
 
-    The readers only read: the block decoder yields the sensor and then
-    the decoded columns of the file a block at a time. Each block's
-    events are checked against the sensor and then cropped here; the
-    block is checked against the frame cap and its keys are appended to
-    one buffer, so memory follows the kept events, not the size of the
-    file. Any line the decoder cannot take sends the whole file through
-    the line parser, which raises a DataError with the line number, as
-    it does for a file that is not text in the locale's encoding. A
-    sensor or bounds error is raised only once the rest of the file has
+    The block decoder only reads: it yields the sensor and then the
+    decoded columns of the file a block at a time, and raises a DataError
+    naming the first line that is not in the format. Each block's events
+    are checked against the sensor and then cropped here; the block is
+    checked against the frame cap and its keys are appended to one
+    buffer, so memory follows the kept events, not the size of the file.
+    A sensor or bounds error is raised only once the rest of the file has
     been read, so a malformed line anywhere is reported first, as by a
     parse of the whole file. Events are numbered in file order, so a
     bounds error names the event's place in the file.
     """
     window_us = _window_us(window_ms)
-
-    def frames(blocks):
-        sensor = next(blocks)
-        keys = bytearray()
-        n_frames = first = 0
-        try:
-            crop = centered_crop(*sensor, width, height)
-            for x, y, t in blocks:
-                block_keys, n = _frame_keys(x, y, t, window_us, sensor, crop, width,
-                                            height, first)
-                first += x.size
-                n_frames = max(n_frames, n)
-                if n_frames <= MAX_FRAMES:
-                    keys.extend(block_keys)
-                # Free this block's decoded columns before the next block is
-                # decoded, so the two are never alive at once: the heap is
-                # then not grown and trimmed again for each block.
-                del x, y, t
-        except DataError:  # after any malformed line, as a whole-file parse
-            for _ in blocks:
-                pass
-            raise
-        _check_frame_count(n_frames)  # after every bounds check
-        return FrameStream.from_keys(np.frombuffer(keys, dtype=np.int64), n_frames,
-                                     width, height)
-
+    blocks = _decoded(path)
+    sensor = next(blocks)
+    keys = bytearray()
+    n_frames = first = 0
     try:
-        return frames(_decoded(path))
-    except _Fallback:
-        return frames(_parsed(path))
+        crop = centered_crop(*sensor, width, height)
+        for x, y, t in blocks:
+            block_keys, n = _frame_keys(x, y, t, window_us, sensor, crop, width,
+                                        height, first)
+            first += x.size
+            n_frames = max(n_frames, n)
+            if n_frames <= MAX_FRAMES:
+                keys.extend(block_keys)
+            # Free this block's decoded columns before the next block is
+            # decoded, so the two are never alive at once: the heap is
+            # then not grown and trimmed again for each block.
+            del x, y, t
+    except DataError:  # after any malformed line, as a whole-file parse
+        for _ in blocks:
+            pass
+        raise
+    _check_frame_count(n_frames)  # after every bounds check
+    return FrameStream.from_keys(np.frombuffer(keys, dtype=np.int64), n_frames,
+                                 width, height)

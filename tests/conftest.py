@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hexgait import events
 from hexgait.config import default_config
 from hexgait.errors import DataError
 from hexgait.events import centered_crop
@@ -79,14 +80,64 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
     return tuple(new_states), spiked
 
 
-# The whole-array reference that events.load_frames is checked against. It
-# shares no code with the block decoder, its crop or its keys.
+# The line-by-line reference that the block decoder of `events` is checked
+# against, written from the format's rules. It shares no code with the
+# decoder, its crop or its keys.
+_REF_BLANK = re.compile(rb"[ \t]*")
+_REF_HEADER = re.compile(rb"[ \t]*!sensor[ \t]+([0-9]+)[xX]([0-9]+)[ \t]*")
+_REF_EVENT = re.compile(rb"[ \t]*([0-9]{1,16})[ \t]*,[ \t]*([0-9]{1,16})[ \t]*,"
+                        rb"[ \t]*([0-9]{1,16})[ \t]*")
+
+
+def _ref_shown(text: bytes) -> str:
+    """A line's text outside its comment, for a message: stripped of
+    spaces and tabs, non-ASCII bytes escaped."""
+    return ascii(text.strip(b" \t").decode("latin-1"))
+
+
+def _ref_dimension(digits: bytes):
+    """The value of a run of digits, or None past int64."""
+    digits = digits.lstrip(b"0") or b"0"
+    return int(digits) if len(digits) <= 19 and int(digits) < 2**63 else None
+
+
+def reference_events(path):
+    """(sensor, x, y, t) of an event file, one line at a time, the
+    columns int64 arrays in file order; a DataError as `events` words it."""
+    data = Path(path).read_bytes()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"  # a last line without a newline gets one
+    sensor, rows = None, []
+    for lineno, line in enumerate(data.split(b"\n")[:-1], start=1):
+        if line.endswith(b"\r"):  # CR+LF
+            line = line[:-1]
+        text = line.split(b"#", 1)[0]  # a comment may hold any byte
+        if _REF_BLANK.fullmatch(text):
+            continue
+        if sensor is not None:
+            event = _REF_EVENT.fullmatch(text)
+            if event is None:
+                raise DataError(
+                    f"line {lineno}: expected x,y,t_us, got {_ref_shown(text)}")
+            rows.append([int(v) for v in event.groups()])
+            continue
+        header = _REF_HEADER.fullmatch(text)
+        sensor = header and tuple(map(_ref_dimension, header.groups()))
+        if not sensor or None in sensor:
+            if text.strip(b" \t").startswith(b"!sensor"):
+                raise DataError(f"line {lineno}: bad sensor header {_ref_shown(text)}")
+            raise DataError("missing !sensor WxH header")
+    if sensor is None:
+        raise DataError("missing !sensor WxH header")
+    x, y, t = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return sensor, x, y, t
+
+
 def reference_frames(path, window_ms, width, height) -> FrameStream:
-    """load_frames as the line parser, a check against the sensor, a crop
-    and a bucketing of whole arrays compute it: events numbered in file
-    order, keys of frame t // window."""
-    rows, (sensor_w, sensor_h) = events._parse_lines(path)
-    x, y, t = rows["x"], rows["y"], rows["t"]
+    """load_frames as the line reference, a check against the sensor, a
+    crop and a bucketing of whole arrays compute it: events numbered in
+    file order, keys of frame t // window."""
+    (sensor_w, sensor_h), x, y, t = reference_events(path)
     left, top = centered_crop(sensor_w, sensor_h, width, height)
     outside = np.flatnonzero((x >= sensor_w) | (y >= sensor_h))
     if outside.size:

@@ -691,8 +691,8 @@ def fast_run(fast_cfg_path, tmp_path_factory):
 def test_cli_test_is_unchanged_by_a_larger_sensor(fast_cfg_path, fast_run, tmp_path,
                                                  sensor_w, sensor_h):
     """The scene centred in a larger sensor, with events outside the crop,
-    gives the artifacts of the uncropped recording. Columns wider than
-    int32 take the line parser."""
+    gives the artifacts of the uncropped recording, also with columns
+    wider than int32."""
     rows = np.loadtxt(fast_run / "events.txt", delimiter=",", dtype=np.int64,
                       skiprows=1, ndmin=2)
     left, top = (sensor_w - 600) // 2, (sensor_h - 600) // 2

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hexgait.cli import _ingest_events, main
+from hexgait.config import MAX_FRAMES, _MAX_WINDOW_US, _window_us
 from hexgait.errors import DataError
 from hexgait.events import centered_crop, load_frames, save_events
 from hexgait.frames import FrameStream
@@ -49,8 +50,9 @@ def test_single_event(tmp_path):
 
 def test_window_under_one_microsecond_rejected(tmp_path):
     # Timestamps are whole microseconds: such a window would divide by 0,
-    # or stamp every event t = 0. Past INT64_MAX // MAX_FRAMES us, the
-    # timestamps of a long stream would overflow int64. A writer rejects
+    # or stamp every event t = 0. Past (10**16 - 1) // MAX_FRAMES us, the
+    # timestamps of a long stream would outgrow a field's 16 digits, and
+    # far past it overflow int64. A writer rejects
     # the window before it opens a temp file, so it leaves no file behind.
     stream = load_triples(tmp_path, [(1, 1, 5)], 0.001, 4, 4)
     path = tmp_path / "out" / "events.txt"
@@ -129,15 +131,19 @@ def test_event_file_errors(tmp_path):
     path.write_text("!sensor 10x10\n1,2\n")
     with pytest.raises(DataError, match="line 2:"):
         load_frames(path, 40, 10, 10)
+    path.write_bytes(b"!sensor 10x10\n1,2,3 caf\xe9\n")  # non-ASCII outside a comment
+    with pytest.raises(DataError, match=r"line 2: .* got '1,2,3 caf\\xe9'"):
+        load_frames(path, 40, 10, 10)
     path.write_text("1,2,3\n")
     with pytest.raises(DataError, match="missing !sensor"):
         load_frames(path, 40, 10, 10)  # missing header
 
 
 def test_event_file_comments_and_sorting(tmp_path):
-    """Comments are skipped, and events out of time order give sorted keys."""
+    """Comments, which may hold any byte, are skipped, and events out of
+    time order give sorted keys."""
     path = tmp_path / "ev.txt"
-    path.write_text("# comment\n!sensor 8x8\n3,3,500\n1,1,100  # inline\n")
+    path.write_bytes(b"# caf\xc3\xa9\n!sensor 8x8\n3,3,500\n1,1,100  # caf\xe9\xff\n")
     stream = load_frames(path, 0.1, 8, 8)  # frames 5 and 1
     assert stream.keys.tolist() == [64 + 8 + 1, 5 * 64 + 3 * 8 + 3]
     assert stream.n_frames == 6
@@ -151,6 +157,49 @@ def test_malformed_line_is_reported_before_a_bounds_or_sensor_error(tmp_path):
     for size in (8, 16):  # an event out of bounds; a sensor smaller than the frame
         with pytest.raises(DataError, match="line 20003:"):
             load_frames(path, 40, size, size)
+
+
+def test_largest_window_round_trips(tmp_path):
+    """At the largest window, the last stamp of the longest stream fits a
+    field's 16 digits, so the file loads back; one us more is rejected."""
+    window_ms = _MAX_WINDOW_US / 1000
+    stream = FrameStream(np.array([0, 4 * MAX_FRAMES - 1]), MAX_FRAMES, 2, 2)
+    path = tmp_path / "ev.txt"
+    save_events(path, stream.keys, 2, 2, window_ms)
+    assert path.read_text().splitlines()[-1] == "1,1,9999944444434444"
+    loaded = load_frames(path, window_ms, 2, 2)
+    assert np.array_equal(loaded.keys, stream.keys)
+    assert loaded.n_frames == MAX_FRAMES
+    with pytest.raises(ValueError, match="at most"):
+        _window_us((_MAX_WINDOW_US + 1) / 1000)
+
+
+def test_one_sensor_header_per_file(tmp_path, capsys):
+    """The first line that is not blank or a comment is the one header; a
+    later `!sensor` line is a malformed event line, not a second header
+    that re-crops every event. A header's sizes are plain digits."""
+    path = tmp_path / "ev.txt"
+    path.write_text("!sensor 600x600\n1,1,0\n!sensor 800x800\n700,700,5\n")
+    assert main(["--out", str(tmp_path / "out"), "energy", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: line 3: expected x,y,t_us, got '!sensor 800x800'\n")
+    for header in ("!sensor +8x8", "!sensor 8 x 8", "!sensor 8_0x8"):
+        path.write_text(f"# recorded\n{header}\n1,1,0\n")
+        message = f"line 2: bad sensor header '{header}'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_frames(path, 40, 8, 8)
+
+
+def test_a_cr_ends_a_line_only_before_its_lf(tmp_path):
+    """A CR is half a CR+LF, also at the end of a file, where a last line
+    without a newline gets one; a CR before a comment is a lone CR."""
+    path = tmp_path / "ev.txt"
+    path.write_bytes(b"!sensor 8x8\r\n1,2,3 # c\r\n3,4,5\r")
+    assert load_frames(path, 40, 8, 8).keys.tolist() == [2 * 8 + 1, 4 * 8 + 3]
+    path.write_bytes(b"!sensor 8x8\n1,2,3\r# c\n")
+    message = r"line 2: expected x,y,t_us, got '1,2,3\r'"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_frames(path, 40, 8, 8)
 
 
 def test_crop(tmp_path):
@@ -254,32 +303,32 @@ def test_ingest_memory_follows_kept_events(tmp_path, cfg):
     assert peak <= 16 * kept + (1 << 20), f"{peak / n:.1f} B per event"
 
 
-def test_line_parser_memory_per_event(tmp_path):
-    """Allocation peak of `load_frames` per event of a file the block
-    decoder leaves to the line parser.
+def test_bad_last_line_memory_per_event(tmp_path):
+    """Allocation peak of an ingest that ends at a malformed last line.
 
-    50k salt events on an 800x800 sensor, then one `+1,1,1` line, which
-    only `int()` takes. The line parser reads the whole file first, into
-    one int64 array at 24 B per event; the crop and the keys follow. It
-    measured 64 B per event here; a list of one 3-tuple per event
-    measured 167.
+    100k salt events on an 800x800 sensor, then one `+1,1,1` line, which
+    is outside the format. The blocks before it are ingested as in
+    `test_ingest_memory_per_event`, and the line is counted by a second
+    read of the file, a block at a time. It measured 14.6 B per event
+    here; reading the whole file into one int64 array first, at 24 B per
+    event, measured 64.0.
     """
-    n = 50_000
+    n = 100_000
     path = tmp_path / "signed.txt"
     _salt_file(path, n, 800)
     with open(path, "a") as fh:
         fh.write("+1,1,1\n")
     warm = tmp_path / "warm.txt"
-    warm.write_text("!sensor 800x800\n+1,1,1\n")
+    warm.write_text("!sensor 800x800\n1,1,1\n")
     load_frames(warm, 40, 600, 600)  # warm up numpy's lazy imports
     tracemalloc.start()
     try:
-        stream = load_frames(path, 40, 600, 600)
+        with pytest.raises(DataError, match=r"line 100002: expected x,y,t_us, got '\+1"):
+            load_frames(path, 40, 600, 600)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert n // 2 < len(stream.keys) < n
-    assert peak <= 80 * n, f"{peak / n:.1f} B per event"
+    assert peak <= 16 * n, f"{peak / n:.1f} B per event"
 
 
 def test_save_events_memory_per_event(tmp_path):

@@ -1,8 +1,9 @@
 """The fast paths against their references.
 
 Row-run pooling (`pooled_streams`) in blocks of several sizes against
-the dense `andpool`, the event-file block decoder against the line parser,
-the block-wise ingest (`load_frames`) against the line parser, crop and
+the dense `andpool`, the event-file block decoder against the line-by-line
+reference of the file format (`reference_events` of conftest), the
+block-wise ingest (`load_frames`) against that reference, crop and
 bucketing of whole arrays (`reference_frames` of conftest), the repeated
 I10 of one tripod period against the I10 of the whole splice, the
 array-state network step (`step_state`) against the scalar
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_frames, step_network
+from conftest import reference_events, reference_frames, step_network
 from hexgait import events, frames as frames_module
 from hexgait.errors import DataError
 from hexgait.events import load_frames
@@ -101,9 +102,9 @@ def test_stream_length_is_capped(tmp_path):
         FrameStream(np.empty(0, dtype=np.int64), MAX_FRAMES + 1, 600, 600)
 
 
-# Field tokens: mostly plain digits, plus what int() takes and the block
-# decoder leaves to it (signs, underscores, full-width and other Unicode
-# digits, odd whitespace, line breaks, BOM and NUL) and what both reject.
+# Field tokens: mostly plain digits, plus what the format rejects and int()
+# would take (signs, underscores, full-width and other Unicode digits, odd
+# whitespace, line breaks, BOM and NUL) and what both reject.
 _GOOD = st.integers(0, 10**6).map(str)
 _ODD = st.sampled_from([
     "+5", "1_000", "１２", "٥", " 7 ", "\t8", "-3", "-0", "",
@@ -115,13 +116,15 @@ _OTHER = st.sampled_from([
     "", "   ", "\t", "# comment", "   # indented comment", "!sensor 8x8",
     "!sensor 10X12 # inline", "!sensor bad", "!sensor", "1,2,3 # inline !",
     "\f", "\v", "\f\v # page", "\ufeff!sensor 8x8", "\ufeff1,2,3", "\x00",
-    "1,2,3\r4,5,6", "# caf\udce9 (latin-1, not UTF-8)"])
-# Lines the block decoder takes: it must agree with the line parser on these.
+    "1,2,3\r4,5,6", "# caf\udce9 (latin-1, not UTF-8)", "!sensor +8x8",
+    "!sensor 8 x 8", "!sensor 8_0x8", "# caf\u00e9 \u2603 (UTF-8)", "1,2,3\r# c",
+    "1,2,3\r"])
+# Lines in the format, with no header among them.
 _PLAIN = st.one_of(
     st.tuples(_GOOD, _GOOD, _GOOD).map(",".join),
     st.tuples(_GOOD, _GOOD, _GOOD).map(lambda f: f" {f[0]} ,\t{f[1]}, {f[2]} # c"),
     st.sampled_from(["", "# comment", "1,2,3#"]))
-# A negative value is an error for the line parser.
+# A negative value is outside the format.
 _NEGATIVE = st.tuples(_GOOD, st.integers(-9, -1).map(str), _GOOD).map(",".join)
 _LINES = st.one_of(
     st.lists(_PLAIN, max_size=12),
@@ -134,51 +137,53 @@ _HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", "",
 
 def _decoded_columns(path):
     """(sensor, [x, y, t]) of an event file by the block decoder alone,
-    the columns as lists in time order; None if the decoder leaves the
-    file to the line parser."""
+    the columns as lists in file order, or the message of its error."""
     try:
         sensor, *blocks = events._decoded(path)
-    except events._Fallback:
-        return None
+    except DataError as exc:
+        return str(exc)
     cols = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 3
-    order = np.argsort(cols[2], kind="stable")
-    return sensor, [c[order].tolist() for c in cols]
+    return sensor, [c.tolist() for c in cols]
 
 
 def _parsed_columns(path):
-    """_decoded_columns by the line parser."""
-    rows, sensor = events._parse_lines(path)
-    rows = rows[np.argsort(rows["t"], kind="stable")]
-    return sensor, [rows[f].tolist() for f in "xyt"]
+    """_decoded_columns by the line-by-line reference."""
+    try:
+        sensor, *cols = reference_events(path)
+    except DataError as exc:
+        return str(exc)
+    return sensor, [c.tolist() for c in cols]
 
 
 def _outcome(fn, *args):
-    """fn(*args) as keys and frame count, or as the error the CLI reports."""
+    """fn(*args) as keys and frame count, or as the message the CLI reports."""
     try:
         stream = fn(*args)
-    except (DataError, UnicodeDecodeError) as exc:  # the exit code follows the class
-        cause = exc.__cause__ or exc
-        return type(cause), str(cause)
+    except DataError as exc:
+        return str(exc)
     return stream.keys.tolist(), stream.n_frames
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]))
+@given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
+       st.one_of(st.integers(1, 40), st.just(events._BLOCK)))
 @example(head="!sensor 800x800", lines=["1,2,3", "!sensor 600x600", "700,1,5"],
-         newline="\n")  # the line parser's sensor, not the decoder's, sets the crop
-def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline):
-    """The events of a file the block decoder takes are the line parser's;
-    the frames of any file, or its error, are the reference's."""
+         newline="\n", final_newline=True,
+         block_size=events._BLOCK)  # one header: a second `!sensor` is no event
+def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline, final_newline,
+                                      block_size):
+    """The events of any file, or its error, are the line reference's; so
+    are its frames, or their error, in blocks of any size."""
     path = tmp_path / "events.txt"
     # Lone surrogates in the text stand for bytes that are not UTF-8.
-    text = newline.join([head] + lines) + "\n"
+    text = newline.join([head] + lines) + ("\n" if final_newline else "")
     path.write_bytes(text.encode(errors="surrogateescape"))
-    decoded = _decoded_columns(path)
-    if decoded is not None:
-        assert decoded == _parsed_columns(path)
     args = (path, 40, 600, 600)
-    assert _outcome(load_frames, *args) == _outcome(reference_frames, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events, "_BLOCK", block_size)
+        got = _decoded_columns(path), _outcome(load_frames, *args)
+    assert got == (_parsed_columns(path), _outcome(reference_frames, *args))
 
 
 def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
@@ -192,7 +197,7 @@ def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
     (tmp_path / "http:" / "host").mkdir(parents=True)
     text = "# recorded\n!sensor 800x800\n3,4,40000\n1,2,5\n"
     names = ["ev.gz", "ev.bz2", "ev.xz", "ev.lzma", "http://host/ev.txt"]
-    columns = (800, 800), [[1, 3], [2, 4], [5, 40000]]
+    columns = (800, 800), [[3, 1], [4, 2], [40000, 5]]
     frames = [2 * 800 + 1, 800 * 800 + 4 * 800 + 3], 2
     for name in names:
         (tmp_path / name).write_text(text)
@@ -206,16 +211,14 @@ def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
                           st.integers(0, 10**9)), max_size=40))
 def test_plain_files_never_reach_the_line_parser(tmp_path, triples):
+    """Comments and whitespace are in the format: such a file loads."""
     path = tmp_path / "events.txt"
     path.write_text("# recorded\n!sensor 800x800\n"
                     + "".join(f"{x},{y},{t}  # ok\n" for x, y, t in triples))
     args = (path, 40, 800, 800)
     expected = _parsed_columns(path), _outcome(reference_frames, *args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(events, "_parse_lines", None)
-        got = _decoded_columns(path), _outcome(load_frames, *args)
     assert expected[0][0] == (800, 800)
-    assert got == expected
+    assert (_decoded_columns(path), _outcome(load_frames, *args)) == expected
 
 
 # 10 us windows: t = 899_999 is in the last frame MAX_FRAMES allow, 900_000
@@ -253,7 +256,7 @@ def test_load_frames_equals_the_whole_array_chain(
     rows += rows if duplicate else []
     if ordered:
         rows.sort(key=lambda r: r[2])
-    # int() takes "+5" and "0_5"; the block decoder leaves both to it.
+    # "+5" and "0_5", which int() takes, are outside the format.
     line = "+{},{},{}\n" if line_parser else "{},{},{}\n"
     stamp = (lambda t: "_".join(f"{t:02d}")) if line_parser else str
     body = "".join(line.format(x, y, stamp(t)) for x, y, t in rows)
@@ -264,8 +267,7 @@ def test_load_frames_equals_the_whole_array_chain(
     assert _outcome(load_frames, *args) == _outcome(reference_frames, *args)
 
 
-# Fields of up to 16 digits are decoded in blocks; 17 digits go to the
-# line parser.
+# Fields of up to 16 digits are in the format; 17 digits are an error.
 _WIDE = st.one_of(st.integers(0, 999), st.integers(0, 999),
                   st.integers(10**15, 10**16 - 1), st.integers(10**16, 10**17 - 1))
 
@@ -279,21 +281,17 @@ _WIDE = st.one_of(st.integers(0, 999), st.integers(0, 999),
 def test_block_edges_equal_the_line_parser_and_whole_array_chain(
         tmp_path_factory, rows, newline, final_newline, crop, block_size):
     """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere, and
-    carry the tail of each block over to the next. A file with no field
-    over 16 digits never reaches the line parser."""
+    carry the tail of each block over to the next; a line over 16 digits
+    is named by its number, counted a block at a time."""
     lines = [r if isinstance(r, str) else "{},{},{}{}".format(*r) for r in rows]
     text = newline.join(["!sensor 1000x1000"] + lines)
     path = tmp_path_factory.mktemp("blocks") / "events.txt"
     path.write_bytes((text + newline if final_newline else text).encode())
     size = 600 if crop else 1000
     args = (path, 40, size, size)
-    plain = all(v < 10**16 for r in rows if isinstance(r, tuple) for v in r[:3])
-    expected = (_parsed_columns(path) if plain else None,
-                _outcome(reference_frames, *args))
+    expected = _parsed_columns(path), _outcome(reference_frames, *args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_BLOCK", block_size)
-        if plain:
-            mp.setattr(events, "_parse_lines", None)
         got = _decoded_columns(path), _outcome(load_frames, *args)
     assert got == expected
 
