@@ -278,9 +278,10 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     checked against the frame cap and its keys are appended to one
     buffer, so memory follows the kept events, not the size of the file.
     A sensor or bounds error is raised only once the rest of the file has
-    been read, so a malformed line anywhere is reported first, as by a
-    parse of the whole file. Events are numbered in file order, so a
-    bounds error names the event's place in the file.
+    been read, so a malformed line anywhere is reported first: which error
+    a file gets must not depend on where its blocks end, and the tests
+    check this from 1-byte blocks up. Events are numbered in file order,
+    so a bounds error names the event's place in the file.
     """
     window_us = _window_us(window_ms)
     blocks = _decoded(path)
@@ -300,7 +301,7 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
             # decoded, so the two are never alive at once: the heap is
             # then not grown and trimmed again for each block.
             del x, y, t
-    except DataError:  # after any malformed line, as a whole-file parse
+    except DataError:  # after any malformed line, wherever blocks end
         for _ in blocks:
             pass
         raise

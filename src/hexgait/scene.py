@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BLOCK, N_LEGS, HexapodGeometry, RenderParams, foot_blocks
-from .errors import DataError
 from .frames import FrameStream
 from .noise import salt
 
@@ -133,15 +132,15 @@ def splice_segments(stream: FrameStream, boundaries, new_schedule: GaitSchedule)
     """
     boundaries = tuple((int(a), int(b)) for a, b in boundaries)
     if len(boundaries) != N_LEGS:
-        raise DataError(f"need {N_LEGS} boundary ranges, got {len(boundaries)}")
+        raise ValueError(f"need {N_LEGS} boundary ranges, got {len(boundaries)}")
     covered = sorted(boundaries)
     pos = 0
     for a, b in covered:
         if a != pos or b <= a:
-            raise DataError(f"boundaries {boundaries} do not partition the stream")
+            raise ValueError(f"boundaries {boundaries} do not partition the stream")
         pos = b
     if pos != len(stream):
-        raise DataError(
+        raise ValueError(
             f"boundaries cover {pos} frames but stream has {len(stream)}")
     area = stream.width * stream.height
     pieces = []  # (a view of one segment's keys, its shift)

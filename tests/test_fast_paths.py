@@ -1,16 +1,18 @@
 """The fast paths against their references.
 
 Row-run pooling (`pooled_streams`) in blocks of several sizes against
-the dense `andpool`, the event-file block decoder against the line-by-line
-reference of the file format (`reference_events` of conftest), the
-block-wise ingest (`load_frames`) against that reference, crop and
-bucketing of whole arrays (`reference_frames` of conftest), the repeated
-I10 of one tripod period against the I10 of the whole splice, the
-array-state network step (`step_state`) against the scalar
-`step_network` of conftest, the frozen replay of a pooled stream
-against that of its dense frames, and the one-template weight writer
-against per-value formatting.
+the dense `andpool`; the event reader (the block decoder and
+`load_frames`) against the line-by-line reference of the file format
+and a crop and bucketing of whole arrays (`reference_events` and
+`reference_frames` of conftest), all through one harness, `_read`, in
+blocks from 1 byte up, since which error a file gets must not depend
+on where its blocks end; the repeated I10 of one tripod period against
+the I10 of the whole splice; the array-state network step
+(`step_state`) against the scalar `step_network` of conftest; the
+frozen replay of a pooled stream against that of its dense frames; and
+the one-template weight writer against per-value formatting.
 """
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -119,71 +121,128 @@ _OTHER = st.sampled_from([
     "1,2,3\r4,5,6", "# caf\udce9 (latin-1, not UTF-8)", "!sensor +8x8",
     "!sensor 8 x 8", "!sensor 8_0x8", "# caf\u00e9 \u2603 (UTF-8)", "1,2,3\r# c",
     "1,2,3\r"])
-# Lines in the format, with no header among them.
-_PLAIN = st.one_of(
-    st.tuples(_GOOD, _GOOD, _GOOD).map(",".join),
-    st.tuples(_GOOD, _GOOD, _GOOD).map(lambda f: f" {f[0]} ,\t{f[1]}, {f[2]} # c"),
-    st.sampled_from(["", "# comment", "1,2,3#"]))
+
+_SHORT = st.integers(0, 999).map(str)
+_WS = st.sampled_from(["", "", " ", "\t", " \t"])
+
+
+def _shaped(widths):
+    """Lines of the format's shape, blank, a comment or an event: each
+    event's t of a width drawn from `widths`, and its x and y mostly
+    short, so that events land on the sensor; spaces and tabs around
+    fields, and a trailing comment."""
+    digits = st.builds(lambda n, digits: str(digits)[:n], st.sampled_from(widths),
+                       st.integers(10**16, 10**17 - 1))
+    xy = st.builds("{}{}{}".format, _WS, st.one_of(digits, _SHORT, _SHORT), _WS)
+    t = st.builds("{}{}{}".format, _WS, digits, _WS)
+    return st.one_of(
+        st.builds("{},{},{}{}".format, xy, xy, t, st.sampled_from(["", " # c", "# 1,2", "#"])),
+        st.sampled_from(["", "  ", "# c", "\t# c"]))
+
+
+# Fields of 1 to 16 digits are in the format; 17, drawn less often, are not.
+_PLAIN = _shaped(range(1, 17))
+_SHAPED = _shaped([*range(1, 17)] * 3 + [17])
 # A negative value is outside the format.
 _NEGATIVE = st.tuples(_GOOD, st.integers(-9, -1).map(str), _GOOD).map(",".join)
-_LINES = st.one_of(
-    st.lists(_PLAIN, max_size=12),
-    st.tuples(st.lists(_PLAIN, max_size=8), _NEGATIVE, st.lists(_PLAIN, max_size=4))
-    .map(lambda parts: parts[0] + [parts[1]] + parts[2]),
-    st.lists(st.one_of(_PLAIN, _PLAIN, _EVENT, _OTHER), max_size=12))
-_HEAD = st.sampled_from(["!sensor 600x600", "# made by hand\n!sensor 16x9", "",
-                         "\ufeff!sensor 600x600", "# \udcff\n!sensor 600x600"])
+_SOUP = st.lists(st.one_of(_SHAPED, _SHAPED, _EVENT, _OTHER, _NEGATIVE), max_size=12)
+_SENSORS = ["!sensor 600x600", "# made by hand\n!sensor 16x9",
+            "# \udcff\n!sensor 600x600", "!sensor 1000x1000"]
+_HEAD = st.sampled_from(_SENSORS + ["", "\ufeff!sensor 600x600"])
+_SIZE = st.sampled_from([9, 600, 1000])
+_BLOCKS = st.one_of(st.integers(1, 64), st.just(events._BLOCK))
 
 
-def _decoded_columns(path):
-    """(sensor, [x, y, t]) of an event file by the block decoder alone,
-    the columns as lists in file order, or the message of its error."""
+def _decoder_events(path):
+    """reference_events by the block decoder: its blocks' columns joined."""
+    sensor, *blocks = events._decoded(path)
+    return (sensor, *np.hstack([np.empty((3, 0), np.int64), *blocks]))
+
+
+def _outcome(read, *args):
+    """read(*args) as lists, the sensor and the x, y and t of events in
+    file order, or a stream's keys and frame count; or the message of
+    its DataError, as the CLI reports it."""
     try:
-        sensor, *blocks = events._decoded(path)
+        result = read(*args)
     except DataError as exc:
         return str(exc)
-    cols = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 3
-    return sensor, [c.tolist() for c in cols]
+    if isinstance(result, FrameStream):
+        return result.keys.tolist(), result.n_frames
+    sensor, *columns = result
+    return sensor, [c.tolist() for c in columns]
 
 
-def _parsed_columns(path):
-    """_decoded_columns by the line-by-line reference."""
-    try:
-        sensor, *cols = reference_events(path)
-    except DataError as exc:
-        return str(exc)
-    return sensor, [c.tolist() for c in cols]
-
-
-def _outcome(fn, *args):
-    """fn(*args) as keys and frame count, or as the message the CLI reports."""
-    try:
-        stream = fn(*args)
-    except DataError as exc:
-        return str(exc)
-    return stream.keys.tolist(), stream.n_frames
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_HEAD, _LINES, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
-       st.one_of(st.integers(1, 40), st.just(events._BLOCK)))
-@example(head="!sensor 800x800", lines=["1,2,3", "!sensor 600x600", "700,1,5"],
-         newline="\n", final_newline=True,
-         block_size=events._BLOCK)  # one header: a second `!sensor` is no event
-def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline, final_newline,
-                                      block_size):
-    """The events of any file, or its error, are the line reference's; so
-    are its frames, or their error, in blocks of any size."""
-    path = tmp_path / "events.txt"
-    # Lone surrogates in the text stand for bytes that are not UTF-8.
-    text = newline.join([head] + lines) + ("\n" if final_newline else "")
-    path.write_bytes(text.encode(errors="surrogateescape"))
-    args = (path, 40, 600, 600)
+def _read(path, window_ms, width, height, block=events._BLOCK):
+    """(reader, reference): the `_outcome` of event file `path`'s events
+    and of its frames, by the block decoder and `load_frames` reading
+    `block` bytes at a time, and by `reference_events` and
+    `reference_frames`."""
+    args = (path, window_ms, width, height)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(events, "_BLOCK", block_size)
-        got = _decoded_columns(path), _outcome(load_frames, *args)
-    assert got == (_parsed_columns(path), _outcome(reference_frames, *args))
+        mp.setattr(events, "_BLOCK", block)
+        reader = _outcome(_decoder_events, path), _outcome(load_frames, *args)
+    return reader, (_outcome(reference_events, path), _outcome(reference_frames, *args))
+
+
+def _read_lines(tmp_path, head, lines, newline, final_newline, size, block):
+    """The reader's outcome of a file of `head` and `lines`, asserted
+    equal to the reference's; lone surrogates in the text stand for
+    bytes that are not UTF-8."""
+    text = newline.join([head] + lines) + (newline if final_newline else "")
+    path = tmp_path / "events.txt"
+    path.write_bytes(text.encode(errors="surrogateescape"))
+    reader, reference = _read(path, 40, size, size, block)
+    assert reader == reference
+    return reader
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=_HEAD, lines=_SOUP, newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       final_newline=st.booleans(), size=_SIZE, block=_BLOCKS)
+@example(head="!sensor 800x800", lines=["1,2,3", "!sensor 600x600", "700,1,5"],
+         newline="\n", final_newline=True, size=600,
+         block=events._BLOCK)  # one header: a second `!sensor` is no event
+def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline, final_newline,
+                                      size, block):
+    """The events and frames of any file, or its error, are those of the
+    line-by-line reference, in blocks of any size."""
+    _read_lines(tmp_path, head, lines, newline, final_newline, size, block)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(_SENSORS), lines=st.lists(_PLAIN, max_size=10),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
+       size=_SIZE, block=_BLOCKS)
+@example(head="!sensor 1000x1000", lines=["1,2,3", "4,5,123456789", "6,7,87654321"],
+         newline="\n", final_newline=True, size=1000, block=8)  # 9 digits, then 8
+@example(head="!sensor 1000x1000",
+         lines=["7,8,987654321012 # c", "912345678901,9123456789012,91234567890123",
+                "912345678901234\t, 9123456789012345,0"],
+         newline="\r\n", final_newline=False, size=600, block=5)  # 12 to 16 digits
+def test_plain_files_never_reach_the_line_parser(tmp_path, head, lines, newline,
+                                                 final_newline, size, block):
+    """A file in the format loads, with the reference's events and
+    frames: fields of every width from 1 to 16 digits, comments and
+    whitespace."""
+    reader = _read_lines(tmp_path, head, lines, newline, final_newline, size, block)
+    assert not isinstance(reader[0], str), reader[0]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(_SENSORS), lines=st.lists(_SHAPED, max_size=10),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
+       size=_SIZE, block=st.integers(1, 64))
+def test_block_edges_equal_the_line_parser_and_whole_array_chain(
+        tmp_path, head, lines, newline, final_newline, size, block):
+    """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere,
+    and carry the tail of each block over to the next; a line with a
+    field of 17 digits is named by its number, counted a block at a
+    time, as the line-by-line reference names it."""
+    _read_lines(tmp_path, head, lines, newline, final_newline, size, block)
 
 
 def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
@@ -201,26 +260,12 @@ def test_compressed_suffixes_and_url_shaped_names_load_as_plain_text(
     frames = [2 * 800 + 1, 800 * 800 + 4 * 800 + 3], 2
     for name in names:
         (tmp_path / name).write_text(text)
-        assert _decoded_columns(name) == _parsed_columns(name) == columns, name
-        args = (name, 40, 800, 800)
-        assert _outcome(load_frames, *args) == _outcome(reference_frames, *args) == frames
+        assert _read(name, 40, 800, 800) == ((columns, frames),) * 2, name
 
 
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
-                          st.integers(0, 10**9)), max_size=40))
-def test_plain_files_never_reach_the_line_parser(tmp_path, triples):
-    """Comments and whitespace are in the format: such a file loads."""
-    path = tmp_path / "events.txt"
-    path.write_text("# recorded\n!sensor 800x800\n"
-                    + "".join(f"{x},{y},{t}  # ok\n" for x, y, t in triples))
-    args = (path, 40, 800, 800)
-    expected = _parsed_columns(path), _outcome(reference_frames, *args)
-    assert expected[0][0] == (800, 800)
-    assert (_decoded_columns(path), _outcome(load_frames, *args)) == expected
-
-
+# Event lines in the format: bare, with spaces and tabs around fields,
+# with a trailing comment, and ending in CR+LF.
+_STYLES = ["{},{},{}\n", " {}\t, {} ,\t{}\t\n", "{},{},{} # c\n", "{},{},{}\r\n"]
 # 10 us windows: t = 899_999 is in the last frame MAX_FRAMES allow, 900_000
 # in the first beyond.
 _WINDOW_MS = 0.01
@@ -231,69 +276,45 @@ _TIMES = st.one_of(st.integers(0, 120), st.sampled_from([899_999, 900_000, 10**7
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(width=st.integers(1, 5), height=st.integers(1, 5),
        extra_w=st.sampled_from([0, 0, -1, 1, 4, 2**32]),
-       extra_h=st.sampled_from([0, 0, 1, 3]),
+       extra_h=st.sampled_from([0, 0, 1, 3, 4, 5]),
        triples=st.lists(st.tuples(st.integers(-3, 7), st.integers(-3, 7), _TIMES),
                         max_size=30),
-       duplicate=st.booleans(), ordered=st.booleans(), line_parser=st.booleans(),
-       block_size=st.integers(1, 40))
+       duplicate=st.booleans(), ordered=st.booleans(), off_sensor=st.booleans(),
+       style=st.sampled_from(_STYLES), block=st.integers(1, 40))
 @example(width=2, height=2, extra_w=0, extra_h=0, triples=[], duplicate=False,
-         ordered=True, line_parser=False, block_size=1)  # header only
+         ordered=True, off_sensor=False, style=_STYLES[0], block=1)  # header only
 @example(width=2, height=2, extra_w=4, extra_h=3, triples=[(-1, 0, 5), (2, 1, 7)],
-         duplicate=True, ordered=False, line_parser=True, block_size=1)  # all cropped
+         duplicate=True, ordered=False, off_sensor=False, style=_STYLES[1],
+         block=1)  # all cropped
 @example(width=2, height=2, extra_w=1, extra_h=0, triples=[(0, 0, 5), (3, 1, 7)],
-         duplicate=False, ordered=True, line_parser=False,
-         block_size=4)  # one event just past the sensor's edge
+         duplicate=False, ordered=True, off_sensor=True, style=_STYLES[0],
+         block=4)  # one event just past the sensor's edge
+@example(width=2, height=2, extra_w=0, extra_h=0, triples=[(1, 1, 899_999)],
+         duplicate=False, ordered=True, off_sensor=False, style=_STYLES[2],
+         block=40)  # kept in the last frame: exactly MAX_FRAMES frames
+@example(width=3, height=2, extra_w=1, extra_h=4, triples=[(0, 0, 5), (2, 1, 7), (1, -1, 9)],
+         duplicate=False, ordered=True, off_sensor=False, style=_STYLES[3],
+         block=3)  # top = 2
 def test_load_frames_equals_the_whole_array_chain(
-        tmp_path, monkeypatch, width, height, extra_w, extra_h, triples, duplicate,
-        ordered, line_parser, block_size):
+        tmp_path, width, height, extra_w, extra_h, triples, duplicate, ordered,
+        off_sensor, style, block):
     """Equal keys and frame count, or the same error and message, also in
     a file out of time order: both number events in file order. Events
-    are placed relative to the crop region; blocks of a few bytes hit
-    their edges."""
+    are placed relative to the crop region, and kept on the sensor unless
+    `off_sensor`; blocks of a few bytes hit their edges."""
     sensor_w, sensor_h = width + extra_w, height + extra_h
     left, top = max(extra_w, 0) // 2, extra_h // 2
-    rows = [(max(left + x, 0), max(top + y, 0), t) for x, y, t in triples]
+    right, bottom = sensor_w - 1 + off_sensor, sensor_h - 1 + off_sensor
+    rows = [(max(min(left + x, right), 0), max(min(top + y, bottom), 0), t)
+            for x, y, t in triples]
     rows += rows if duplicate else []
     if ordered:
         rows.sort(key=lambda r: r[2])
-    # "+5" and "0_5", which int() takes, are outside the format.
-    line = "+{},{},{}\n" if line_parser else "{},{},{}\n"
-    stamp = (lambda t: "_".join(f"{t:02d}")) if line_parser else str
-    body = "".join(line.format(x, y, stamp(t)) for x, y, t in rows)
+    body = "".join(style.format(*row) for row in rows)
     path = tmp_path / "events.txt"
     path.write_text(f"!sensor {sensor_w}x{sensor_h}\n{body}")
-    monkeypatch.setattr(events, "_BLOCK", block_size)
-    args = (path, _WINDOW_MS, width, height)
-    assert _outcome(load_frames, *args) == _outcome(reference_frames, *args)
-
-
-# Fields of up to 16 digits are in the format; 17 digits are an error.
-_WIDE = st.one_of(st.integers(0, 999), st.integers(0, 999),
-                  st.integers(10**15, 10**16 - 1), st.integers(10**16, 10**17 - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.one_of(
-           st.tuples(_WIDE, _WIDE, _WIDE, st.sampled_from(["", " # c", "# c", "\t"])),
-           st.sampled_from(["", "# c", "  "])), max_size=10),
-       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
-       crop=st.booleans(), block_size=st.integers(1, 64))
-def test_block_edges_equal_the_line_parser_and_whole_array_chain(
-        tmp_path_factory, rows, newline, final_newline, crop, block_size):
-    """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere, and
-    carry the tail of each block over to the next; a line over 16 digits
-    is named by its number, counted a block at a time."""
-    lines = [r if isinstance(r, str) else "{},{},{}{}".format(*r) for r in rows]
-    text = newline.join(["!sensor 1000x1000"] + lines)
-    path = tmp_path_factory.mktemp("blocks") / "events.txt"
-    path.write_bytes((text + newline if final_newline else text).encode())
-    size = 600 if crop else 1000
-    args = (path, 40, size, size)
-    expected = _parsed_columns(path), _outcome(reference_frames, *args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(events, "_BLOCK", block_size)
-        got = _decoded_columns(path), _outcome(load_frames, *args)
-    assert got == expected
+    reader, reference = _read(path, _WINDOW_MS, width, height, block)
+    assert reader == reference
 
 
 @settings(max_examples=50, deadline=None)

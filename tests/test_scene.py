@@ -10,7 +10,6 @@ from hexgait.config import HexapodGeometry, RenderParams, foot_blocks
 from hexgait.frames import andpool, popcount
 from hexgait.scene import (GaitSchedule, leg_region_mask, render_expert_sequence,
                            segment_boundaries, splice_segments)
-from hexgait.errors import DataError
 
 FPC = 25
 
@@ -159,7 +158,7 @@ def test_splice_repeated_leg(train_stream, cfg):
 
 
 def test_splice_bad_boundaries(train_stream):
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         splice_segments(train_stream, [(0, 10)] * 6, GaitSchedule.sequential())
 
 
