@@ -10,16 +10,15 @@ import importlib
 import os
 import sys
 
-from .atomic import write_atomic
 from .config import (EXAMPLE_CONFIG, RunConfig, default_config, load_config,
                      validate)
-from .energy import energy_report
 from .errors import ConfigError, DataError
 
 # The pipeline's names, bound here by _load_pipeline. Only a command that
 # computes loads them, after its config is valid, so example-config, --help
-# and a config error import no numpy.
+# and a config error import no numpy and nothing but config and errors.
 _PIPELINE = {
+    "atomic": ("write_atomic",), "energy": ("energy_report",),
     "frames": ("as_stream", "pooled_streams"),
     "gait": ("format_sequence", "format_trace", "is_tripod", "label_sequence",
              "sequence_accuracy", "spikes_to_gait"),

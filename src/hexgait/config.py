@@ -1,16 +1,15 @@
 """Run configuration: one key=value file with a section per subsystem.
 
-Unknown sections or keys are rejected; config owns the parameter classes
-and their invariants, and every value is checked against them at load
-time. A key's type is the type of its default. This module imports no
-numpy, so a command that only reads its config never loads the pipeline.
+Unknown sections or keys are rejected; config owns the parameter classes,
+`EnergyModel` among them, their invariants and `Record`, the base of every
+value class, and every value is checked against them at load time. A key's
+type is the type of its default. This module imports no numpy, so a
+command that only reads its config never loads the pipeline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
 
-from .energy import EnergyModel
 from .errors import ConfigError
 
 N_LEGS = 6
@@ -33,8 +32,50 @@ def _window_us(window_ms: float) -> int:
     return int(round(window_ms * 1000))
 
 
-@dataclass(frozen=True)
-class NeuronParams:
+class Record:
+    """Base of the value classes: a subclass's fields are its annotated names, in
+    order, each defaulting to the class attribute of that name. Instances are frozen
+    and compare and hash by their fields, unless `eq=False`: then by identity."""
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        # dict(**a, **b) is a TypeError when a field is given twice.
+        values = {**self._defaults, **dict(**dict(zip(self._fields, args)), **kwargs)}
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        if hasattr(self, "__post_init__"):  # the class's checks
+            self.__post_init__()
+
+    def replace(self, **changes):
+        """A copy with `changes` to its fields, checked as a new instance is."""
+        return type(self)(**{**self._items(), **changes})
+
+    def _items(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._items().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._items() == other._items() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._items().values()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+
+class NeuronParams(Record):
     """LIF constants. Voltages in mV, times in seconds."""
 
     tau_v: float = 4.0
@@ -67,8 +108,7 @@ BLOCK = 10
 ANCHOR_DEG = (135.0, 180.0, -135.0, 45.0, 0.0, -45.0)
 
 
-@dataclass(frozen=True)
-class HexapodGeometry:
+class HexapodGeometry(Record):
     """Planar hexapod layout in normalized [0,1]^2 coordinates; the leg
     anchors sit on the body's rim in the ANCHOR_DEG directions."""
 
@@ -86,8 +126,7 @@ class HexapodGeometry:
         return math.radians(ANCHOR_DEG[leg - 1])
 
 
-@dataclass(frozen=True)
-class RenderParams:
+class RenderParams(Record):
     """Knobs for the synthetic renderer: foot-site size in 10x10 blocks,
     cycle timing in frames."""
 
@@ -96,9 +135,9 @@ class RenderParams:
     active_frames: int = 8       # cycle frames dense enough to light the foot site
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+        for name, value in self._items().items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
@@ -126,8 +165,7 @@ def foot_blocks(geom: HexapodGeometry, leg: int, width: int, height: int,
     return blocks
 
 
-@dataclass(frozen=True)
-class TrainSchedule:
+class TrainSchedule(Record):
     """Exponentially decaying potentiation/depression schedule."""
 
     alpha: float = 0.01      # 1/s, potentiation decay rate
@@ -148,8 +186,17 @@ class TrainSchedule:
         return self.sigma_d * math.exp(-self.beta * t_sec)
 
 
-# A key owned by a dataclass takes its default from there. The frame
-# window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
+class EnergyModel(Record):
+    energy_per_spike: float = 1.7e-9        # joules per event spike
+    andpool_energy_per_frame: float = 2.5e-9  # joules per filter application
+
+    def __post_init__(self):
+        if self.energy_per_spike < 0 or self.andpool_energy_per_frame < 0:
+            raise ValueError("energies must be >= 0")
+
+
+# A key owned by a parameter class takes its default from the class. The
+# frame window is the network step dt, in ms: 0.04 * 1000 == 40.0 exactly.
 _DEFAULTS = {
     "run": {"seed": 0, "out": "out"},
     "scene": {
@@ -161,8 +208,8 @@ _DEFAULTS = {
         "active_frames": RenderParams.active_frames,
     },
     "events": {"window_ms": NeuronParams.dt * 1000},
-    "neuron": {k: v for k, v in asdict(NeuronParams()).items() if k != "dt"},
-    "training": {**asdict(TrainSchedule()), "repeats": 10},
+    "neuron": {k: v for k, v in NeuronParams._defaults.items() if k != "dt"},
+    "training": {**TrainSchedule._defaults, "repeats": 10},
     "energy": {
         "energy_per_spike_nj": EnergyModel.energy_per_spike * 1e9,
         "andpool_energy_per_frame_nj": EnergyModel.andpool_energy_per_frame * 1e9,
@@ -171,8 +218,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     values: dict
 
     def __getitem__(self, section):
@@ -186,7 +232,7 @@ class RunConfig:
         """`owner` from the keys of [section] named after its fields, plus
         `converted`; its ValueError becomes a ConfigError."""
         values = self.values[section]
-        named = {f.name: values[f.name] for f in fields(owner) if f.name in values}
+        named = {name: values[name] for name in owner._fields if name in values}
         try:
             return owner(**named, **converted)
         except ValueError as exc:

@@ -11,23 +11,12 @@ is one leg event, not three.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .config import EnergyModel, Record
 
 NOMINAL_PER_LEG_J = 10e-9
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    energy_per_spike: float = 1.7e-9        # joules per event spike
-    andpool_energy_per_frame: float = 2.5e-9  # joules per filter application
-
-    def __post_init__(self):
-        if self.energy_per_spike < 0 or self.andpool_energy_per_frame < 0:
-            raise ValueError("energies must be >= 0")
-
-
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     items: tuple          # (label, count, unit_cost_j, subtotal_j)
     total_j: float
     per_leg_event_j: float

@@ -9,17 +9,15 @@ from the runs of 10 consecutive keys that fill a tile row. The dense
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import MAX_FRAMES
+from .config import MAX_FRAMES, Record
 from .errors import DataError
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryFrame:
+class BinaryFrame(Record):
     """Immutable boolean grid."""
 
     bits: np.ndarray
@@ -86,8 +84,7 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
     return keys[:size]
 
 
-@dataclass(frozen=True, eq=False)
-class FrameStream:
+class FrameStream(Record, eq=False):
     """Ordered binary frames of one size.
 
     Only the set pixels are stored: `keys` holds their sorted, distinct

@@ -18,17 +18,15 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atomic import write_atomic
-from .config import N_LEGS, NeuronParams
+from .config import N_LEGS, NeuronParams, Record
 from .errors import DataError
 from .frames import as_stream
 
-@dataclass(frozen=True)
-class NeuronState:
+class NeuronState(Record):
     """Membrane potential, excitatory conductance, refractory deadline."""
 
     v: float
@@ -40,8 +38,7 @@ class NeuronState:
         return cls(v=params.v_rest)
 
 
-@dataclass(eq=False)
-class NetworkState:
+class NetworkState(Record, eq=False):
     """The state of every neuron as n doubles, one array("d") per field of
     NeuronState; `step_state` updates them in place. For six neurons a step
     is a few dozen float operations: fewer than the numpy calls it would
@@ -115,8 +112,7 @@ def load_weights(path) -> WeightMap:
     return WeightMap(values.reshape(n, h, w))
 
 
-@dataclass(frozen=True)
-class SpikeRaster:
+class SpikeRaster(Record):
     """Spiking steps only: ordered (time_s, set of neuron labels) pairs.
 
     `n_steps` records the total simulated step count, including silent steps.
@@ -152,7 +148,7 @@ def step_neuron(state: NeuronState, params: NeuronParams, now: float):
         g_e = 0.0
     if now < state.refractory_until:
         # Held at rest; conductance still decays.
-        return replace(state, v=params.v_rest, g_e=g_e), False
+        return NeuronState(params.v_rest, g_e, state.refractory_until), False
     dv = (-(state.v - params.v_rest) - state.g_e * (state.v - params.v_exc))
     v = state.v + params.dt / params.tau_v * dv
     if v >= params.v_thresh:

@@ -11,17 +11,14 @@ it. Frames are built as flat pixel keys in one buffer, never as dense grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import BLOCK, N_LEGS, HexapodGeometry, RenderParams, foot_blocks
+from .config import BLOCK, N_LEGS, HexapodGeometry, Record, RenderParams, foot_blocks
 from .frames import FrameStream
 from .noise import salt
 
 
-@dataclass(frozen=True)
-class GaitSchedule:
+class GaitSchedule(Record):
     """Ordered (step index, set of leg labels) entries."""
 
     entries: tuple

@@ -10,11 +10,10 @@ decay exponentially with simulated time, so training freezes on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import N_LEGS, HexapodGeometry, NeuronParams, TrainSchedule
+from .config import N_LEGS, HexapodGeometry, NeuronParams, Record, TrainSchedule
 from .errors import DataError
 from .frames import FrameStream, as_stream, cell_centroid, pooled_streams
 from .neurons import NetworkState, SpikeRaster, WeightMap, step_state
@@ -70,12 +69,14 @@ def calibrate_priors(geom: HexapodGeometry) -> tuple:
                  for leg in range(1, N_LEGS + 1))
 
 
-@dataclass
-class TrainResult:
+class TrainResult(Record):
     weights: WeightMap
     raster: SpikeRaster
-    log: list = field(default_factory=list)
+    log: list = None  # a new empty list by default
     skipped: int = 0  # always 0; read by perfbench and report.txt's skip line
+
+    def __post_init__(self):
+        object.__setattr__(self, "log", [] if self.log is None else self.log)
 
 
 def train(stream: FrameStream, priors: tuple, sched: TrainSchedule,

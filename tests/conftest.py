@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +61,7 @@ def inject(state: NeuronState, weights: np.ndarray, frame: BinaryFrame) -> Neuro
             f"weight grid {weights.shape} != frame {frame.bits.shape}")
     if not frame.bits.any():
         return state
-    return replace(state, g_e=state.g_e + float(weights[frame.bits].sum()))
+    return state.replace(g_e=state.g_e + float(weights[frame.bits].sum()))
 
 
 def step_network(states, weights: WeightMap, frame: BinaryFrame,

@@ -873,6 +873,9 @@ if argv:
         assert exc.code == code
 print("numpy imported:", "numpy" in sys.modules)
 print("configparser imported:", "configparser" in sys.modules)
+print("also imported:", *sorted({"dataclasses", "inspect", "hexgait.energy",
+                                 "hexgait.atomic"} & set(sys.modules)))
+print("hexgait modules:", *sorted(m for m in sys.modules if m.startswith("hexgait")))
 assert main(repro) == 0
 """
 
@@ -882,8 +885,10 @@ assert main(repro) == 0
     (["--config", "{bad}", "synth"], 2), (["--config", "{leg}", "synth"], 2)])
 def test_start_up_imports_no_numpy(tmp_path, argv, code):
     # Only a command that computes imports the pipeline, and only once its
-    # config is valid, its foot sites included; only --config imports
-    # configparser; a later command in the same process still runs.
+    # config is valid, its foot sites included; until then no hexgait
+    # module but cli, config and errors is loaded, nor dataclasses and
+    # inspect. Only --config imports configparser; a later command in the
+    # same process still runs.
     bad, leg, cfg = tmp_path / "bad.ini", tmp_path / "leg.ini", tmp_path / "small.ini"
     bad.write_text("[neuron]\ntau_v = -1\n")
     leg.write_text("[scene]\nleg_length = 0.4\n")
@@ -894,9 +899,12 @@ def test_start_up_imports_no_numpy(tmp_path, argv, code):
     run = subprocess.run([sys.executable, "-c", _START_UP, json.dumps([argv, code, repro])],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert "numpy imported: False" in run.stdout.splitlines()
+    lines = run.stdout.splitlines()
+    assert "numpy imported: False" in lines
     uses_config = "--config" in argv
-    assert f"configparser imported: {uses_config}" in run.stdout.splitlines()
+    assert f"configparser imported: {uses_config}" in lines
+    assert "also imported:" in lines
+    assert "hexgait modules: hexgait hexgait.cli hexgait.config hexgait.errors" in lines
 
 
 # The key-liveness table: for each config key but [run] out, one valid

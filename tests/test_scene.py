@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ def test_render_lights_exactly_the_foot_sites(geom, cfg):
             expect = np.flatnonzero(union) if j < min(params.active_frames, FPC) else []
             assert np.array_equal(frames[step * seg_len + j], expect), (step, j)
     # A cycle with no active frame lights nothing.
-    idle = replace(params, active_frames=0)
+    idle = params.replace(active_frames=0)
     assert not leg_region_mask(geom, 1, FPC, 600, 600, idle).any()
     assert not render_expert_sequence(geom, sched, FPC, 600, 600, params=idle).keys.size
 
