@@ -83,7 +83,7 @@ def _load_schedule(path) -> GaitSchedule:
         if not entries:
             raise DataError(f"schedule file {path} has no steps")
         return GaitSchedule(tuple(entries))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad schedule file {path}: {exc}") from exc
 
 
@@ -301,12 +301,11 @@ def main(argv=None) -> int:
         if args.command == "repro":
             return cmd_repro(cfg, out)
         raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, DataError, OSError) as exc:
+        kind, code = ("config", 2) if isinstance(exc, ConfigError) else ("data", 3)
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"{kind} error: {message}", file=sys.stderr)  # one line
+        return code
 
 
 if __name__ == "__main__":

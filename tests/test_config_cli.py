@@ -63,94 +63,10 @@ def test_config_overrides_and_derived_values(fast_cfg_path):
     assert cfg.group_gap_s() == pytest.approx(0.5)
 
 
-def test_config_unknown_key_rejected(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text("[scene]\nwdith = 600\n")
-    with pytest.raises(ConfigError, match="wdith"):
-        load_config(path)
-    path.write_text("[scnee]\nwidth = 600\n")
-    with pytest.raises(ConfigError, match="scnee"):
-        load_config(path)
-
-
-# Config files with one bad value each: load_config rejects each one, so
-# the CLI exits 2 before it renders or writes anything.
-_BAD_VALUES = (
-    "[scene]\nwidth = many\n",
-    "[scene]\nwidth = 605\n",  # not a whole number of 10x10 tiles
-    "[neuron]\nv_thresh = -70.0\n",  # below rest
-    "[run]\nseed = -1\n",
-    "[run]\nout =\n",
-    "[test]\ntripod_repeats = 0\n",
-    "[scene]\ngap_frames = -30\n",
-    "[scene]\ntip_blocks = -1\n",
-    "[scene]\nactive_frames = -1\n",
-    "[events]\nwindow_ms = inf\n",
-    "[scene]\nleg_length = inf\n",
-    "[neuron]\ntau_v = nan\n",
-    "[energy]\nenergy_per_spike_nj = -1.0\n",
-    "[events]\nwindow_ms = 0.0001\n",  # rounds to 0 us
-    "[events]\nwindow_ms = 5e13\n",  # timestamps beyond int64
-    "[events]\nwindow_ms = 1e16\n",
-    "[scene]\nbody_radius = 0.0\n",  # all six anchors coincide
-    "[scene]\nbody_radius = 0.6\n",  # anchors outside [0,1]^2
-    "[scene]\nleg_length = 0.0\n",
-    "[scene]\nframes_per_cycle = 15000\n",  # over MAX_FRAMES when rendered
-    "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n",  # when spliced
-    "[events]\nwindow_ms = 1200\n",  # dt = tau_ge: Euler's g_e decay factor is 0
-    "[events]\nwindow_ms = 1300\n",  # dt > tau_ge: the factor is negative
-    "[neuron]\ntau_ge = 0.04\n",  # tau_ge = dt
-    "[scene]\nwidth = 0\n",
-    "[scene]\nframes_per_cycle = 1\n",
-    "[scene]\nnoise_density = 1.0\n",
-    "[training]\nrepeats = -1\n",
-    "[training]\nrepeats = 9223372036854775807\n",  # a training run over MAX_FRAMES
-    # Integers too large for a float, which the work budget multiplies in.
-    "[scene]\nwidth = 1" + "0" * 400 + "\n",
-    "[scene]\ntip_blocks = 1" + "0" * 400 + "\n",
-)
-
-
-# Configs over the work budget: 1.1e12 expected set pixels and a 4.8 GB
-# weight map; the weight map alone; the noise alone.
-_OVER_BUDGET = (
-    "[scene]\nwidth = 100000\nheight = 100000\nnoise_density = 0.5\n",
-    "[scene]\nwidth = 30000\nheight = 30000\nnoise_density = 0.0\n",
-    "[scene]\nnoise_density = 0.9\n",
-)
-
-
 def test_config_percent_is_literal(tmp_path):
     path = tmp_path / "pct.ini"
     path.write_text("[run]\nout = runs/50%(seed)s %%\n")
     assert load_config(path)["run"]["out"] == "runs/50%(seed)s %%"
-
-
-def test_config_over_the_work_budget_exits_2_without_rendering(tmp_path, capsys,
-                                                               monkeypatch):
-    def render(*args, **kwargs):
-        raise AssertionError("rendered a config over the work budget")
-
-    monkeypatch.setattr(cli, "render_expert_sequence", render)
-    path, out = tmp_path / "big.ini", tmp_path / "out"
-    for text in _OVER_BUDGET:
-        path.write_text(text)
-        assert main(["--config", str(path), "--out", str(out), "repro"]) == 2, text
-        assert "the work budget allows" in capsys.readouterr().err
-    assert not out.exists()
-    # Just inside: 216 frames at p = 0.5 set 38.9M of the 40.5M pixels.
-    path.write_text("[scene]\nnoise_density = 0.5\n")
-    load_config(path)
-
-
-def test_config_bad_value_rejected(tmp_path):
-    path = tmp_path / "bad.ini"
-    for text in _BAD_VALUES:
-        path.write_text(text)
-        with pytest.raises(ConfigError):
-            load_config(path)
-    with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.ini")
 
 
 def test_repro_runs_on_a_frame_of_whole_10x10_tiles(tmp_path):
@@ -158,24 +74,6 @@ def test_repro_runs_on_a_frame_of_whole_10x10_tiles(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text("[scene]\nwidth = 110\nheight = 130\n")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "repro"]) == 0
-
-
-def test_config_off_frame_foot_site_exits_2(tmp_path, capsys):
-    # A leg whose foot site leaves the frame is a config error, found before
-    # anything renders: at 0.4 leg 2 reaches past the left edge, and the
-    # larger lengths put every tip far out or at infinity.
-    path, out = tmp_path / "leg.ini", tmp_path / "out"
-    for value in ("0.4", "1e6", "1e300", "1e306"):
-        path.write_text(f"[scene]\nleg_length = {value}\n")
-        with pytest.raises(ConfigError, match=r"leg [1-6]'s foot site at .* lies "
-                                              r"outside the 600x600 frame"):
-            load_config(path)
-    path.write_text("[scene]\nleg_length = 0.4\n")
-    assert main(["--config", str(path), "--out", str(out), "synth"]) == 2
-    assert "config error: [scene]: leg 2's foot site" in capsys.readouterr().err
-    assert not out.exists()
-    path.write_text("[scene]\nleg_length = 0.3\n")  # every tip inside
-    load_config(path)
 
 
 def test_config_frame_cap_boundary(tmp_path):
@@ -218,201 +116,266 @@ def test_cli_example_config(capsys):
     assert "[neuron]" in capsys.readouterr().out
 
 
-# Files configparser itself rejects, or that are not UTF-8.
-_MALFORMED_FILES = (
-    b"[scene]\nwidth = 100\nwidth = 200\n",  # a repeated key
-    b"[scene]\nwidth = 100\n[scene]\nheight = 100\n",  # a repeated section
-    b"width = 100\n[scene]\n",  # a key before any section
-    b"[scene]\nnoise_density = 0.1%\n",  # a bad value, not an interpolation
-    b"[run]\nout = \xff\n",
-)
+def _fails(id, argv, code, pattern, out, **files):
+    """A row of _FAILURES: `main(argv)`, run in a directory that holds
+    only `files`, exits `code` with a message that matches `pattern`, and
+    leaves the directory `out` "absent" or "empty"."""
+    files = {name: data if isinstance(data, bytes) else data.encode()
+             for name, data in files.items()}
+    return pytest.param(files, argv.split(), code, pattern, out, id=id)
 
 
-def test_cli_config_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[nope]\nx = 1\n")
-    assert main(["--config", str(bad), "example-config"]) == 2
-    assert "config error" in capsys.readouterr().err
-    bad.write_text("[gait]\nperiod_s = 1.0\n")
-    assert main(["--config", str(bad), "example-config"]) == 2
-    assert "unknown config section [gait]" in capsys.readouterr().err
-    for text in ("[DEFAULT]\nseed = 5\n",
-                 "[DEFAULT]\nwidth = 100\n[scene]\n",  # spread into [scene]
-                 "[DEFAULT]\nwidth = 100\n[run]\n"):
-        bad.write_text(text)
-        assert main(["--config", str(bad), "example-config"]) == 2, text
-        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
-    out = tmp_path / "out"
-    for text in _BAD_VALUES:
-        bad.write_text(text)
-        assert main(["--config", str(bad), "--out", str(out), "repro"]) == 2, text
-        assert "config error:" in capsys.readouterr().err
-    for data in _MALFORMED_FILES:
-        bad.write_bytes(data)
-        assert main(["--config", str(bad), "--out", str(out), "repro"]) == 2, data
-        assert "config error:" in capsys.readouterr().err
-    assert main(["--seed", "-1", "--out", str(out), "repro"]) == 2
-    assert "config error:" in capsys.readouterr().err
-    assert main(["--seed", str(2**63), "--out", str(out), "repro"]) == 2
-    assert "[run] seed: must fit in int64" in capsys.readouterr().err
-    assert not out.exists()
+def _config(id, text, pattern, command="repro"):
+    return _fails(id, f"--config cfg --out out {command}", 2, pattern, "absent", cfg=text)
 
 
-def test_cli_empty_out_exits_2(tmp_path, capsys, monkeypatch):
-    """An empty `[run] out` is a config error that writes nothing; an
-    empty `--out` falls back to the config's out."""
+def _data(id, argv, pattern, out="empty", **files):
+    return _fails(id, "--out out " + argv, 3, pattern, out, **files)
+
+
+def _weights(n=6, h=60, w=60, last="0"):
+    """A weight file of zeros, but for its last value."""
+    row = "0 " * (w - 1)
+    return f"{n} {h} {w}\n" + (row + "0\n") * (n * h - 1) + row + last + "\n"
+
+
+_EVENTS = "!sensor 600x600\n1,1,0\n"
+_SIX = "".join(f"step {i} {i + 1}\n" for i in range(6))
+_BUDGET = "the work budget allows 40,500,000$"
+_NO_FILE = r": \[Errno 2\] No such file or directory: '{}'$"
+
+# The exit-code contract, one row per failure, in the order of README's
+# "Exit codes" list. A pattern need not repeat the `config error: ` or
+# `data error: ` that check_failure requires.
+_FAILURES = [
+    # Exit 2: a config file that cannot be read, is not well-formed INI or
+    # is not UTF-8.
+    _fails("config-missing", "--config absent.ini repro", 2,
+           ": cannot read config file absent.ini$", "absent"),
+    _config("repeated-key", "[scene]\nwidth = 100\nwidth = 200\n",
+            r": bad config file cfg: While reading from 'cfg' \[line  3\]: "
+            "option 'width' in section 'scene' already exists$"),
+    _config("repeated-section", "[scene]\nwidth = 100\n[scene]\nheight = 100\n",
+            r"\[line  3\]: section 'scene' already exists$"),
+    _config("key-before-section", "width = 100\n[scene]\n",
+            r": bad config file cfg: File contains no section headers\. "
+            r"file: 'cfg', line: 1 'width = 100\\n'$"),
+    _config("line-without-value", "[scene]\nwidth = 100\nfoo\n",
+            r": bad config file cfg: Source contains parsing errors: 'cfg' "
+            r"\[line  3\]: 'foo\\n'$"),
+    _config("not-utf-8", b"[run]\nout = \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    # An unknown section or key, among them [DEFAULT] and keys that earlier
+    # versions read.
+    *(_config(f"section-{name}", text, rf": unknown config section \[{name}\]$",
+              "example-config")
+      for name, text in (("scnee", "[scnee]\nwidth = 600\n"), ("nope", "[nope]\nx = 1\n"),
+                         ("gait", "[gait]\nperiod_s = 1.0\n"),
+                         ("DEFAULT", "[DEFAULT]\nseed = 5\n"))),
+    *(_config(f"section-DEFAULT-{into}", f"[DEFAULT]\nwidth = 100\n[{into}]\n",
+              r": unknown config section \[DEFAULT\]$", "example-config")
+      for into in ("scene", "run")),  # spread into each section
+    *(_config(f"key-{key}", f"[{section}]\n{key} = 600\n",
+              rf": unknown key '{key}' in section \[{section}\]$", "example-config")
+      for section, key in (("scene", "wdith"), ("events", "sensor_width"),
+                           ("events", "sensor_height"), ("energy", "gates"),
+                           ("neuron", "dt"), ("scene", "shaft_clusters"),
+                           ("scene", "sweep_angle_deg"), ("training", "prior_std_deg"))),
+    # A bad value.
+    _config("width-many", "[scene]\nwidth = many\n",
+            r": \[scene\] width='many': expected int$"),
+    _config("width-605", "[scene]\nwidth = 605\n",  # not whole 10x10 tiles
+            r": \[scene\]: width/height must divide the 10x10 pool$"),
+    _config("width-0", "[scene]\nwidth = 0\n",
+            r": \[scene\]: width/height must be positive$"),
+    # Integers too large for a float, which the work budget multiplies in.
+    *(_config(f"{key}-1e400", f"[scene]\n{key} = 1{'0' * 400}\n",
+              rf": \[scene\] {key}: must fit in int64$")
+      for key in ("width", "tip_blocks")),
+    _config("frames_per_cycle-1", "[scene]\nframes_per_cycle = 1\n",
+            r": \[scene\]: frames_per_cycle must be >= 2$"),
+    _config("noise_density-1", "[scene]\nnoise_density = 1.0\n",
+            r": \[scene\]: noise_density must be in \[0, 1\)$"),
+    _config("noise_density-percent", "[scene]\nnoise_density = 0.1%\n",  # no interpolation
+            r": \[scene\] noise_density='0\.1%': expected float$"),
+    *(_config(f"{key}-negative", f"[scene]\n{key} = {v}\n",
+              rf": \[scene\]: {key} must be >= 0, got {v}$")
+      for key, v in (("gap_frames", -30), ("tip_blocks", -1), ("active_frames", -1))),
+    # All six anchors at one point, anchors outside [0,1]^2, no legs.
+    *(_config(f"{key}-{v}", f"[scene]\n{key} = {v}\n",
+              r": \[scene\]: body_radius must be in \(0, 0\.5\] and leg_length > 0$")
+      for key, v in (("body_radius", 0.0), ("body_radius", 0.6), ("leg_length", 0.0))),
+    *(_config(f"{key}-{v}", f"[{section}]\n{key} = {v}\n",
+              rf": \[{section}\] {key}={v}: must be finite$")
+      for section, key, v in (("scene", "leg_length", "inf"),
+                              ("events", "window_ms", "inf"), ("neuron", "tau_v", "nan"))),
+    # A window that rounds to 0 us, or puts timestamps beyond int64.
+    *(_config(f"window_ms-{v}", f"[events]\nwindow_ms = {v}\n",
+              r": \[events\]: window_ms must be finite, at least 1 us and at most "
+              rf"111111111111 us, got {got}$")
+      for v, got in (("0.0001", r"0\.0001"), ("5e13", r"50000000000000\.0"),
+                     ("1e16", r"1e\+16"))),
+    # A step of tau_ge or more: Euler's g_e decay factor is 0 or negative.
+    *(_config(f"{key}-{v}", f"[{section}]\n{key} = {v}\n",
+              rf": \[events\]/\[neuron\]: window_ms / 1000 = {dt} s must be below "
+              "tau_ge and tau_v$")
+      for section, key, v, dt in (("events", "window_ms", 1200, "1.2"),
+                                  ("events", "window_ms", 1300, "1.3"),
+                                  ("neuron", "tau_ge", 0.04, "0.04"))),
+    _config("v_thresh-below-rest", "[neuron]\nv_thresh = -70.0\n",
+            r": \[neuron\]: require v_rest < v_thresh, got -65\.0 >= -70\.0$"),
+    _config("energy-negative", "[energy]\nenergy_per_spike_nj = -1.0\n",
+            r": \[energy\]: energies must be >= 0$"),
+    _config("seed-negative", "[run]\nseed = -1\n", r": \[run\]: seed must be >= 0$"),
+    _fails("out-empty", "--config cfg synth", 2, r": \[run\]: out must not be empty$",
+           "absent", cfg="[run]\nout =\n"),
+    _config("repeats-negative", "[training]\nrepeats = -1\n",
+            r": \[training\]: repeats must be >= 0$"),
+    _config("tripod_repeats-0", "[test]\ntripod_repeats = 0\n",
+            r": \[test\]: tripod_repeats must be >= 1$"),
+    # A leg whose foot site falls off the frame: at 0.4 leg 2 reaches past
+    # the left edge, and the larger lengths put every tip far out.
+    _config("leg_length-0.4", "[scene]\nleg_length = 0.4\n",
+            r": \[scene\]: leg 2's foot site at \(-43\.32, 299\.5\) lies outside the "
+            "600x600 frame$", "synth"),
+    *(_config(f"leg_length-{v}", f"[scene]\nleg_length = {v}\n",
+              r": \[scene\]: leg 1's foot site at .* lies outside the 600x600 frame$")
+      for v in ("1e6", "1e300", "1e306")),
+    # A training run or tripod stream over the frame cap, or a scene over
+    # the work budget: 1.1e12 expected set pixels and a 4.8 GB weight map,
+    # the weight map alone, the noise alone.
+    *(_config(id, text, rf"the tripod stream spans {n} frames, more than the limit of "
+              "90000$")
+      for id, text, n in (
+          ("frames_per_cycle-15000", "[scene]\nframes_per_cycle = 15000\n", 900660),
+          ("tripod_repeats-1300",
+           "[scene]\nnoise_density = 0.0\n[test]\ntripod_repeats = 1300\n", 93600),
+          ("repeats-2**63-1", f"[training]\nrepeats = {2**63 - 1}\n", r"\d+"))),
+    _config("budget-both",
+            "[scene]\nwidth = 100000\nheight = 100000\nnoise_density = 0.5\n",
+            r"would set about 1\.08e\+12 pixels; " + _BUDGET),
+    _config("budget-weights",
+            "[scene]\nwidth = 30000\nheight = 30000\nnoise_density = 0.0\n",
+            "would take 54,000,000 doubles; " + _BUDGET),
+    _config("budget-noise", "[scene]\nnoise_density = 0.9\n",
+            r"would set about 7e\+07 pixels; " + _BUDGET),
+    # A bad flag value.
+    _fails("flag-seed--1", "--seed -1 --out out repro", 2, r": \[run\]: seed must be >= 0$",
+           "absent"),
+    _fails("flag-seed-2**63", f"--seed {2**63} --out out repro", 2,
+           r": \[run\] seed: must fit in int64$", "absent"),
+    # Exit 3: in an event file, a line that is not an event, a blank or
+    # comment line or the one header, named by its number.
+    _data("events-short-line", "train events", ": line 2: expected x,y,t_us, got '1,2'$",
+          events="!sensor 600x600\n1,2\n"),
+    _data("energy-short-line", "energy events", ": line 3: expected x,y,t_us, got '1,2'$",
+          "absent", events=_EVENTS + "1,2\n"),
+    _data("events-sensor-2**70", "train events",
+          f": line 1: bad sensor header '!sensor {2**70}x600'$",
+          events=f"!sensor {2**70}x600\n1,2,3\n"),
+    _data("events-not-text", "train events",
+          r": line 3: expected x,y,t_us, got '\\xff\\xfe,\\x80,0'$",
+          events=b"!sensor 600x600\n1,1,0\n\xff\xfe,\x80,0\n"),
+    # An event outside its file's sensor; a sensor smaller than the frame.
+    _data("event-off-sensor", "train events",
+          r": event 1 at \(600,1\) outside 600x600 sensor$",
+          events=_EVENTS + "600,1,0\n"),
+    _data("sensor-100x100", "train events",
+          ": sensor 100x100 is smaller than the 600x600 frame$",
+          events="!sensor 100x100\n1,1,0\n"),
+    # No events left to train on: none recorded, all outside the crop, or
+    # a crop offset beyond the int32 columns.
+    *(_data(id, "train events", ": cannot train on an empty stream$", events=text)
+      for id, text in (("no-events", "!sensor 600x600\n# nothing recorded\n"),
+                       ("events-off-crop", "!sensor 800x800\n5,5,0\n790,400,40000\n"),
+                       ("events-off-wide-crop", "!sensor 5000000000x600\n5,5,0\n"))),
+    # A stream longer than 90,000 frames.
+    _data("stream-2500000-frames", "train events",
+          ": stream spans 2500000 frames, more than the limit of 90000$",
+          events="!sensor 600x600\n1,1,99999999999\n"),
+    # A malformed weight file, or one with other than 6 neurons, with a
+    # non-finite weight, or with another grid, found before the events.
+    _data("weights-abc", "test weights events", ": bad weight file weights: .*'abc'",
+          weights="1 2 2\n0.1 0.2\nabc 0.4\n", events=_EVENTS),
+    _data("weights-no-body", "test weights events",
+          r": bad weight file weights: header 6 10 10 wants 60 rows of 10, got \(0, 1\)$",
+          weights="6 10 10\n", events=_EVENTS),
+    *(_data(f"weights-{n}-neurons", "test weights events",
+            f": bad weight file weights: {n} neurons, need 6$",
+            weights=_weights(n), events=_EVENTS) for n in (5, 7)),
+    *(_data(f"weights-{v}", "test weights events",
+            ": bad weight file weights: non-finite weight$",
+            weights=_weights(last=v), events=_EVENTS) for v in ("nan", "inf", "-inf")),
+    _data("weights-grid", "test weights absent.txt",
+          r": weight file weights: grid \(10, 10\) != the I10 grid \(60, 60\) of the "
+          "configured frame$", weights=_weights(h=10, w=10)),
+    # A malformed schedule file, its bad line named by its number.
+    *(_data(f"schedule-{id}", "test weights events --schedule schedule",
+            ": bad schedule file schedule: " + pattern, weights=_weights(),
+            events=_EVENTS, schedule="frames_per_cycle=25\n" + steps)
+      for id, steps, pattern in (
+          ("leg-7", "step 0 1,7\n", r"schedule step 0: leg labels \[7\] outside 1\.\.6$"),
+          ("out-of-order", "step 1 1\nstep 0 2\n",
+           "schedule entries must be ordered by step index$"),
+          ("typo", _SIX.replace("step 2", "stpe 2"), "line 4: 'stpe 2 3'$"),
+          ("not-a-step", "hello world\nstep 0 1\n", "line 2: 'hello world'$"),
+          ("bad-gap", "gap_frames=x\n" + _SIX, "line 2: 'gap_frames=x'$"))),
+    # An OS error, such as a missing file.
+    _data("train-missing-events", "train absent.txt", _NO_FILE.format("absent.txt")),
+    _data("energy-missing-events", "energy absent.txt", _NO_FILE.format("absent.txt"),
+          "absent"),
+    _data("test-missing-schedule", "test weights events --schedule absent.txt",
+          _NO_FILE.format("absent.txt"), weights=_weights(), events=_EVENTS),
+]
+
+
+def check_failure(captured, code, pattern=""):
+    """`main`'s report of exit `code`: nothing on stdout and one line on
+    stderr, `config error: …` for 2 or `data error: …` for 3, that
+    matches `pattern`."""
+    assert captured.out == ""
+    line = captured.err[:-1]
+    assert captured.err == line + "\n" and line.splitlines() == [line], captured.err
+    assert line.startswith({2: "config error: ", 3: "data error: "}[code]), line
+    assert re.search(pattern, line), line
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+@pytest.mark.parametrize("files, argv, code, pattern, out", _FAILURES)
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, files, argv, code, pattern, out):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == code
+    check_failure(capsys.readouterr(), code, pattern)
+    # The inputs are untouched and nothing is written. `out` is made only
+    # by a command that writes artifacts and gets past its config.
+    left = {p.name: os.listdir(p) if p.is_dir() else p.read_bytes()
+            for p in tmp_path.iterdir()}
+    assert left == {**files, **({"out": []} if out == "empty" else {})}
+
+
+def test_config_just_inside_the_limits_loads(tmp_path):
+    # 216 frames at p = 0.5 set 38.9M of the 40.5M pixels the work budget
+    # allows; at leg_length 0.3 every foot site lies inside the frame.
+    path = tmp_path / "ok.ini"
+    for text in ("[scene]\nnoise_density = 0.5\n", "[scene]\nleg_length = 0.3\n"):
+        path.write_text(text)
+        load_config(path)
+
+
+def test_cli_empty_out_falls_back_to_the_configs_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[run]\nout =\n")
-    assert main(["--config", str(cfg), "synth"]) == 2
-    assert capsys.readouterr().err == "config error: [run]: out must not be empty\n"
-    assert os.listdir(tmp_path) == ["cfg.ini"]
     cfg.write_text("[run]\nout = elsewhere\n[scene]\nwidth = 100\nheight = 100\n")
     assert main(["--config", str(cfg), "--out", "", "synth"]) == 0
     assert sorted(os.listdir(tmp_path / "elsewhere")) == ["events.txt", "schedule.txt"]
 
 
-def test_cli_data_error_exit_3(tmp_path, capsys):
-    bad = tmp_path / "bad.events"
-    bad.write_text("!sensor 600x600\n1,2\n")
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "train", str(bad)]) == 3
-    assert "line 2" in capsys.readouterr().err
-    bad.write_text(f"!sensor {2**70}x600\n1,2,3\n")
-    assert main(["--out", str(out), "train", str(bad)]) == 3
-    assert "line 1: bad sensor header" in capsys.readouterr().err
-    assert main(["--out", str(out), "train", str(tmp_path / "absent")]) == 3
-
-
-def test_cli_sensor_smaller_than_frame_exit_3(tmp_path, capsys):
-    small = tmp_path / "small.events"
-    small.write_text("!sensor 100x100\n1,1,0\n")
-    assert main(["--out", str(tmp_path / "out"), "train", str(small)]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "100x100" in err
-
-
-def test_cli_train_on_no_events_exit_3(tmp_path, capsys):
-    header_only = tmp_path / "header.events"
-    header_only.write_text("!sensor 600x600\n# nothing recorded\n")
-    border_only = tmp_path / "border.events"  # every event outside the crop
-    border_only.write_text("!sensor 800x800\n5,5,0\n790,400,40000\n")
-    wide = tmp_path / "wide.events"  # a crop offset beyond the int32 columns
-    wide.write_text("!sensor 5000000000x600\n5,5,0\n")
-    for path in (header_only, border_only, wide):
-        assert main(["--out", str(tmp_path / "out"), "train", str(path)]) == 3
-        assert "data error: cannot train on an empty stream" in capsys.readouterr().err
-
-
-def test_cli_wild_timestamp_exit_3(tmp_path, capsys):
-    wild = tmp_path / "wild.events"
-    wild.write_text("!sensor 600x600\n1,1,99999999999\n")
-    assert main(["--out", str(tmp_path / "out"), "train", str(wild)]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "2500000 frames" in err
-
-
-def test_cli_energy_bad_events_exit_3(tmp_path, capsys):
-    bad = tmp_path / "bad.events"
-    bad.write_text("!sensor 600x600\n1,1,0\n1,2\n")
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "energy", str(bad)]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "line 3" in err
-    assert main(["--out", str(out), "energy", str(tmp_path / "absent")]) == 3
-    assert "data error:" in capsys.readouterr().err
-
-
-def test_cli_energy_makes_no_out_directory(tmp_path, capsys):
+def test_cli_energy_makes_no_out_directory(tmp_path):
     evts = tmp_path / "events.txt"
-    evts.write_text("!sensor 600x600\n1,1,0\n")
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "energy", str(evts)]) == 0
-    assert main(["--out", str(out), "energy", str(tmp_path / "missing.txt")]) == 3
-    assert "data error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_test_non_numeric_weights_exit_3(tmp_path, capsys):
-    weights = tmp_path / "weights.txt"
-    weights.write_text("1 2 2\n0.1 0.2\nabc 0.4\n")
-    evts = tmp_path / "events.txt"
-    evts.write_text("!sensor 600x600\n1,1,0\n")
-    assert main(["--out", str(tmp_path / "out"), "test", str(weights),
-                 str(evts)]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "abc" in err
-    for value in (np.nan, np.inf, -np.inf):
-        w = np.zeros((6, 60, 60))
-        w[2, 30, 40] = value
-        save_weights(weights, WeightMap(w))
-        assert main(["--out", str(tmp_path / "out"), "test", str(weights),
-                     str(evts)]) == 3, value
-        assert "data error:" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "test_raster.txt").exists()
-
-
-@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
-def test_cli_test_weight_body_mismatch_exit_3(tmp_path, capsys):
-    weights = tmp_path / "weights.txt"
-    weights.write_text("6 10 10\n")
-    evts = tmp_path / "events.txt"
-    evts.write_text("!sensor 600x600\n1,1,0\n")
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "test", str(weights), str(evts)]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "Warning" not in err
-    assert not (out / "test_raster.txt").exists()
-
-
-def test_cli_test_weight_neuron_count_exit_3(tmp_path, capsys):
-    evts = tmp_path / "events.txt"
-    evts.write_text("!sensor 600x600\n1,1,0\n")
-    weights = tmp_path / "weights.txt"
-    out = tmp_path / "out"
-    for n in (5, 7):
-        save_weights(weights, WeightMap(np.zeros((n, 60, 60))))
-        assert main(["--out", str(out), "test", str(weights), str(evts)]) == 3, n
-        assert "data error:" in capsys.readouterr().err
-        assert not (out / "test_raster.txt").exists()
-
-
-def test_cli_test_weight_grid_mismatch_exit_3(tmp_path, capsys):
-    # A 100x100 scene's weights against the default 600x600 frame: rejected
-    # from the weight file alone, before the events are read.
-    weights = tmp_path / "weights.txt"
-    save_weights(weights, WeightMap.zeros(10, 10))
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "test", str(weights),
-                 str(tmp_path / "absent.txt")]) == 3
-    err = capsys.readouterr().err
-    assert "data error:" in err and "grid (10, 10)" in err
-    assert not (out / "test_raster.txt").exists()
-
-
-def test_cli_train_non_text_events_exit_3(tmp_path, capsys):
-    evts = tmp_path / "events.txt"
-    evts.write_bytes(b"!sensor 600x600\n1,1,0\n\xff\xfe,\x80,0\n")
-    assert main(["--out", str(tmp_path / "out"), "train", str(evts)]) == 3
-    assert "data error:" in capsys.readouterr().err
-
-
-def test_cli_bad_schedule_exit_3(tmp_path, capsys):
-    weights = tmp_path / "weights.txt"
-    save_weights(weights, WeightMap.zeros(60, 60))
-    evts = tmp_path / "events.txt"
-    evts.write_text("!sensor 600x600\n1,1,0\n")
-    schedule = tmp_path / "schedule.txt"
-    out = tmp_path / "out"
-    six = "".join(f"step {i} {i + 1}\n" for i in range(6))
-    for steps in ("step 0 1,7\n", "step 1 1\nstep 0 2\n",
-                  six.replace("step 2", "stpe 2"),  # a typo'd step among six
-                  "hello world\nstep 0 1\n", "gap_frames=x\n" + six):
-        schedule.write_text("frames_per_cycle=25\n" + steps)
-        assert main(["--out", str(out), "test", str(weights), str(evts),
-                     "--schedule", str(schedule)]) == 3
-        assert "data error" in capsys.readouterr().err
-        assert not (out / "test_raster.txt").exists()
+    evts.write_text(_EVENTS)
+    assert main(["--out", str(tmp_path / "out"), "energy", str(evts)]) == 0
+    assert not (tmp_path / "out").exists()
 
 
 # Small valid inputs for the parser fuzz: a 100x100 scene, so the weight
@@ -477,10 +440,11 @@ def test_cli_parsers_survive_mutated_files(fuzz_inputs, capsys, target, edits, c
     mutated.write_bytes(data)
     config = str(mutated) if target == "config" else p["config"]
     argv = ["--config", config, "--out", str(root / "out")]
+    capsys.readouterr()
     rc = main(argv + _fuzz_argv(target, str(mutated), p))
     assert rc in ((0, 2) if target == "config" else (0, 2, 3))
     if rc:
-        assert "error" in capsys.readouterr().err
+        check_failure(capsys.readouterr(), rc)
 
 
 def _fuzz_values(default):
@@ -507,10 +471,11 @@ _REPRO_ARTIFACTS = ["events.txt", "report.txt", "schedule.txt", "seq_raster.txt"
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_SIDE, _SIDE, st.lists(_SETTING, max_size=5, unique_by=lambda kv: kv[0]))
-def test_cli_repro_survives_fuzzed_configs(tmp_path, width, height, values):
+def test_cli_repro_survives_fuzzed_configs(tmp_path, capsys, width, height, values):
     """`repro` under a config of a width x height scene and up to five
     other keys set: it exits 0, 2 or 4 and raises nothing; a config error
-    writes nothing, and a run writes the 8 artifacts with one file mode.
+    is one line and writes nothing, and a run writes the 8 artifacts with
+    one file mode.
     A config that passes validation is small, so this never runs long."""
     sections = {"scene": [f"width = {width}", f"height = {height}"]}
     for (section, key), value in values:
@@ -519,12 +484,14 @@ def test_cli_repro_survives_fuzzed_configs(tmp_path, width, height, values):
     path.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
                             for section, lines in sections.items()))
     shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
     rc = main(["--config", str(path), "--out", str(out), "repro"])
     assert rc in (0, 2, 4), path.read_text()
-    names = sorted(os.listdir(out)) if out.exists() else []
     if rc == 2:
-        assert names == [], path.read_text()
+        check_failure(capsys.readouterr(), 2)
+        assert not out.exists(), path.read_text()
         return
+    names = sorted(os.listdir(out))
     assert names == _REPRO_ARTIFACTS, path.read_text()
     assert len({stat.S_IMODE(os.stat(out / name).st_mode) for name in names}) == 1
 
@@ -553,20 +520,6 @@ def test_cli_energy_of_a_saved_stream_is_repros_accounting(tmp_path, capsys, til
     n_spikes, n_events = cli._leg_event_counts(pooled_streams(stream))
     assert capsys.readouterr().out == energy_report(
         n_spikes, n_events, n_events, cfg.energy_model()).format()
-
-
-@pytest.mark.parametrize("section,key", [("events", "sensor_width"),
-                                         ("events", "sensor_height"),
-                                         ("energy", "gates"),
-                                         ("neuron", "dt"),
-                                         ("scene", "shaft_clusters"),
-                                         ("scene", "sweep_angle_deg"),
-                                         ("training", "prior_std_deg")])
-def test_cli_removed_keys_exit_2(tmp_path, capsys, section, key):
-    cfg = tmp_path / "old.ini"
-    cfg.write_text(f"[{section}]\n{key} = 600\n")
-    assert main(["--config", str(cfg), "example-config"]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, code", [
