@@ -248,8 +248,16 @@ def cmd_repro(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are config errors, so that
+    `main` prints them on one line and exits 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexgait",
         description="Imitation gait learning on synthetic event-camera footage")
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
@@ -278,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg.values["run"]["seed"] = args.seed

@@ -73,21 +73,48 @@ def save_events(path, keys, width: int, height: int, window_ms: float) -> None:
     """Write the event file of the keys of a width x height stream: one
     event per key, stamped mid-window, on a width x height sensor.
 
-    Each block of keys is split into its `x`, `y` and `t` columns by
-    `divmod`, with `t` built in place over the frame index, and formatted
-    at once. Only one block's columns, ints and text are alive at a time.
+    No integer is formatted per event. Python formats tables of strings
+    once per call: `"v,"` for v below 1000, then the same zero-padded to
+    3 digits, and the thousands of the longer side, whose count follows
+    max(width, height) // 1000, not the side. Each block of keys is split
+    into its x, y and frame columns by `divmod`. A coordinate's text is
+    gathered from the first table, its thousands put in front only where
+    they are nonzero. Each run of keys in one frame shares one stamp
+    text. numpy gathers the references into an (n, 3) object array, and
+    one join writes the block. Only one block's columns and text are
+    alive at a time.
     """
     window_us = _window_us(window_ms)  # before a temp file is opened
+    below = np.array([f"{v}," for v in range(1000)] + [f"{v:03d}," for v in range(1000)],
+                     dtype=object)
+    thousands = np.array([str(k) for k in range(max(width, height) // 1000 + 1)],
+                         dtype=object)
+
+    def coordinates(v, out):
+        """The texts `"v,"` of coordinates v, into object column `out`."""
+        high, low = np.divmod(v, 1000)
+        big = np.flatnonzero(high)
+        low[big] += 1000  # zero-padded after its thousands
+        below.take(low, out=out)
+        out[big] = thousands.take(high[big]) + out[big]
 
     def chunks():
         yield f"!sensor {width}x{height}\n"
         for lo in range(0, len(keys), _SAVE_BLOCK):
-            t, x = np.divmod(keys[lo:lo + _SAVE_BLOCK], width)  # t holds rows
-            t, y = np.divmod(t, height, out=(t, None))  # t holds frames
-            t *= window_us
-            t += window_us // 2
-            block = np.column_stack((x, y, t))
-            yield ("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+            frame, x = np.divmod(keys[lo:lo + _SAVE_BLOCK], width)  # frame holds rows
+            frame, y = np.divmod(frame, height, out=(frame, None))
+            text = np.empty((len(frame), 3), dtype=object)
+            coordinates(x, text[:, 0])
+            coordinates(y, text[:, 1])
+            starts = np.empty(len(frame), dtype=bool)  # where a run of one frame starts
+            starts[:1] = True
+            np.not_equal(frame[1:], frame[:-1], out=starts[1:])
+            stamps = np.array([f"{f * window_us + window_us // 2}\n"
+                               for f in frame[starts].tolist()], dtype=object)
+            run = np.cumsum(starts)
+            run -= 1
+            stamps.take(run, out=text[:, 2])
+            yield "".join(text.ravel().tolist())
 
     write_atomic(path, chunks())
 
@@ -281,9 +308,18 @@ def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:
     been read, so a malformed line anywhere is reported first: which error
     a file gets must not depend on where its blocks end, and the tests
     check this from 1-byte blocks up. Events are numbered in file order,
-    so a bounds error names the event's place in the file.
+    so a bounds error names the event's place in the file. Each of these
+    errors reads `bad event file P: ` and then the problem.
     """
     window_us = _window_us(window_ms)
+    try:
+        return _read_frames(path, window_us, width, height)
+    except DataError as exc:
+        raise DataError(f"bad event file {path}: {exc}") from exc
+
+
+def _read_frames(path, window_us: int, width: int, height: int) -> FrameStream:
+    """load_frames at a window of window_us, its errors not yet naming the file."""
     blocks = _decoded(path)
     sensor = next(blocks)
     keys = bytearray()

@@ -135,7 +135,14 @@ def reference_events(path):
 def reference_frames(path, window_ms, width, height) -> FrameStream:
     """load_frames as the line reference, a check against the sensor, a
     crop and a bucketing of whole arrays compute it: events numbered in
-    file order, keys of frame t // window."""
+    file order, keys of frame t // window, a DataError naming the file."""
+    try:
+        return _reference_frames(path, window_ms, width, height)
+    except DataError as exc:
+        raise DataError(f"bad event file {path}: {exc}") from exc
+
+
+def _reference_frames(path, window_ms, width, height) -> FrameStream:
     (sensor_w, sensor_h), x, y, t = reference_events(path)
     left, top = centered_crop(sensor_w, sensor_h, width, height)
     outside = np.flatnonzero((x >= sensor_w) | (y >= sensor_h))
@@ -151,3 +158,16 @@ def reference_frames(path, window_ms, width, height) -> FrameStream:
     _check_frame_count(n_frames)  # before a wild frame index overflows a key
     return FrameStream(np.unique((frame * height + y) * width + x), n_frames,
                        width, height)
+
+
+def reference_event_text(keys, width, height, window_us) -> str:
+    """The event file that `save_events` writes, one f-string per key, as
+    README step 1 words it: a `!sensor WxH` header, then `x,y,t` for key
+    (frame * H + y) * W + x, stamped mid-window. It shares no code with
+    the writer."""
+    lines = [f"!sensor {width}x{height}\n"]
+    for key in keys.tolist():
+        frame, pixel = divmod(key, width * height)
+        y, x = divmod(pixel, width)
+        lines.append(f"{x},{y},{frame * window_us + window_us // 2}\n")
+    return "".join(lines)

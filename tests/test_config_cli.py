@@ -258,29 +258,35 @@ _FAILURES = [
             "would take 54,000,000 doubles; " + _BUDGET),
     _config("budget-noise", "[scene]\nnoise_density = 0.9\n",
             r"would set about 7e\+07 pixels; " + _BUDGET),
-    # A bad flag value.
+    # A bad flag value, one that argparse rejects, or no command.
     _fails("flag-seed--1", "--seed -1 --out out repro", 2, r": \[run\]: seed must be >= 0$",
            "absent"),
     _fails("flag-seed-2**63", f"--seed {2**63} --out out repro", 2,
            r": \[run\] seed: must fit in int64$", "absent"),
+    _fails("flag-seed-abc", "--seed abc --out out synth", 2,
+           "^config error: argument --seed: invalid int value: 'abc'$", "absent"),
+    _fails("no-command", "--out out", 2,
+           "^config error: the following arguments are required: command$", "absent"),
     # Exit 3: in an event file, a line that is not an event, a blank or
     # comment line or the one header, named by its number.
-    _data("events-short-line", "train events", ": line 2: expected x,y,t_us, got '1,2'$",
+    _data("events-short-line", "train events",
+          ": bad event file events: line 2: expected x,y,t_us, got '1,2'$",
           events="!sensor 600x600\n1,2\n"),
-    _data("energy-short-line", "energy events", ": line 3: expected x,y,t_us, got '1,2'$",
+    _data("energy-short-line", "energy events",
+          ": bad event file events: line 3: expected x,y,t_us, got '1,2'$",
           "absent", events=_EVENTS + "1,2\n"),
     _data("events-sensor-2**70", "train events",
-          f": line 1: bad sensor header '!sensor {2**70}x600'$",
+          f": bad event file events: line 1: bad sensor header '!sensor {2**70}x600'$",
           events=f"!sensor {2**70}x600\n1,2,3\n"),
     _data("events-not-text", "train events",
-          r": line 3: expected x,y,t_us, got '\\xff\\xfe,\\x80,0'$",
+          r": bad event file events: line 3: expected x,y,t_us, got '\\xff\\xfe,\\x80,0'$",
           events=b"!sensor 600x600\n1,1,0\n\xff\xfe,\x80,0\n"),
     # An event outside its file's sensor; a sensor smaller than the frame.
     _data("event-off-sensor", "train events",
-          r": event 1 at \(600,1\) outside 600x600 sensor$",
+          r": bad event file events: event 1 at \(600,1\) outside 600x600 sensor$",
           events=_EVENTS + "600,1,0\n"),
     _data("sensor-100x100", "train events",
-          ": sensor 100x100 is smaller than the 600x600 frame$",
+          ": bad event file events: sensor 100x100 is smaller than the 600x600 frame$",
           events="!sensor 100x100\n1,1,0\n"),
     # No events left to train on: none recorded, all outside the crop, or
     # a crop offset beyond the int32 columns.
@@ -290,7 +296,8 @@ _FAILURES = [
                        ("events-off-wide-crop", "!sensor 5000000000x600\n5,5,0\n"))),
     # A stream longer than 90,000 frames.
     _data("stream-2500000-frames", "train events",
-          ": stream spans 2500000 frames, more than the limit of 90000$",
+          ": bad event file events: stream spans 2500000 frames, more than the limit "
+          "of 90000$",
           events="!sensor 600x600\n1,1,99999999999\n"),
     # A malformed weight file, or one with other than 6 neurons, with a
     # non-finite weight, or with another grid, found before the events.

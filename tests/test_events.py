@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_event_text
 from hexgait.cli import _ingest_events, main
 from hexgait.config import MAX_FRAMES, _MAX_WINDOW_US, _window_us
 from hexgait.errors import DataError
-from hexgait.events import centered_crop, load_frames, save_events
+from hexgait.events import _SAVE_BLOCK, centered_crop, load_frames, save_events
 from hexgait.frames import FrameStream
 from hexgait.neurons import WeightMap, save_weights
 
@@ -126,6 +127,67 @@ def test_event_file_roundtrip(tmp_path, stream, window_ms):
     assert loaded.n_frames == stream.n_frames
 
 
+# Sides below 10**4, whose coordinates reach every entry of the writer's
+# 2,000-string table, and sides of 10**6 and more.
+_SIDES = st.one_of(st.integers(1, 9999), st.integers(10**6, 10**7))
+
+
+@st.composite
+def written_keys(draw):
+    """(keys, width, height): sorted, distinct keys of up to 4 frames, any
+    of them empty and the frames between them too. A frame holds a few
+    drawn pixels and 0, 5 or about a block of random ones, so a frame can
+    straddle the writer's blocks of _SAVE_BLOCK keys."""
+    width, height = draw(_SIDES), draw(_SIDES)
+    area = width * height
+    frames = draw(st.sets(st.integers(0, min(MAX_FRAMES, (2**63 - 1) // area) - 1),
+                          max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [np.empty(0, dtype=np.int64)]
+    for frame in frames:
+        pixels = draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                         st.integers(0, height - 1)), max_size=3))
+        parts.append(np.array([(frame * height + y) * width + x for x, y in pixels],
+                              dtype=np.int64))
+        n = draw(st.sampled_from([0, 5, _SAVE_BLOCK - 3, _SAVE_BLOCK + 1]))
+        parts.append(frame * area + rng.integers(0, area, n))
+    return np.unique(np.concatenate(parts)), width, height
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(written_keys(), st.integers(1, _MAX_WINDOW_US))
+@example((np.array([1007, 2000 * 1007 + 999]), 2000, 1100), 40_000)
+@example((np.array([], dtype=np.int64), 1, 1), 1)
+def test_save_events_writes_the_reference_text(tmp_path, stream, window_us):
+    """The writer's file is the reference's, byte for byte, for any side,
+    block layout and window, the stamps up to 16 digits."""
+    keys, width, height = stream
+    path = tmp_path / "ev.txt"
+    save_events(path, keys, width, height, window_us / 1000)
+    assert path.read_text() == reference_event_text(keys, width, height, window_us)
+
+
+def test_save_events_tables_follow_the_side_over_1000(tmp_path):
+    """Two keys of a frame with a side of 10**6: the writer's tables grow
+    with the side / 1000, not the side. A table over the whole side would
+    take about 60 MB."""
+    path = tmp_path / "ev.txt"
+    for width, height in ((10, 10**6), (10**6, 10)):
+        x = np.array([min(1007, width - 1), width - 1])
+        y = np.array([min(1007, height - 1), height - 1])
+        keys = y * width + x
+        save_events(path, keys, width, height, 40)  # warm up numpy's lazy imports
+        tracemalloc.start()
+        try:
+            save_events(path, keys, width, height, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == reference_event_text(keys, width, height, 40_000)
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_event_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("!sensor 10x10\n1,2\n")
@@ -183,7 +245,8 @@ def test_one_sensor_header_per_file(tmp_path, capsys):
     path.write_text("!sensor 600x600\n1,1,0\n!sensor 800x800\n700,700,5\n")
     assert main(["--out", str(tmp_path / "out"), "energy", str(path)]) == 3
     assert capsys.readouterr().err == (
-        "data error: line 3: expected x,y,t_us, got '!sensor 800x800'\n")
+        f"data error: bad event file {path}: line 3: expected x,y,t_us, "
+        "got '!sensor 800x800'\n")
     for header in ("!sensor +8x8", "!sensor 8 x 8", "!sensor 8_0x8"):
         path.write_text(f"# recorded\n{header}\n1,1,0\n")
         message = f"line 2: bad sensor header '{header}'"
@@ -228,7 +291,8 @@ def test_event_off_a_sensor_larger_than_the_frame_exits_3(tmp_path, capsys):
         path = str(tmp_path / "ev.txt")
         for argv in (["energy", path], ["test", str(weights), path]):
             assert main(["--out", str(out), *argv]) == 3, argv
-            assert capsys.readouterr().err == f"data error: {message}\n"
+            assert capsys.readouterr().err == (
+                f"data error: bad event file {path}: {message}\n")
     assert not (out / "test_raster.txt").exists()
 
 
@@ -323,8 +387,9 @@ def test_bad_last_line_memory_per_event(tmp_path):
 def test_save_events_memory_per_event(tmp_path):
     """Allocation peak of writing an event file, per event written.
 
-    100k keys of a 432-frame stream. The peak is one block's: its x, y
-    and t columns, their Python ints, tuple and text, about 1.2 MB
+    100k keys of a 432-frame stream. The peak is the string tables and
+    one block's: its x, y and frame columns, its (n, 3) object array of
+    text references, the list of them and the joined text, about 0.9 MB
     whatever the event count. A full (n, 3) int64 `column_stack` of the
     columns before the blocks measured 34.4 B per event (29.2 at 200k).
     """
