@@ -90,6 +90,7 @@ def save_weights(path, weights: WeightMap) -> None:
 
 
 def load_weights(path) -> WeightMap:
+    w = None  # the header's width, once it is read
     try:
         with open(path) as fh:
             header = fh.readline().split()
@@ -101,7 +102,9 @@ def load_weights(path) -> WeightMap:
                 warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
     except ValueError as exc:
-        raise DataError(f"bad weight file {path}: {exc}") from exc
+        # numpy numbers the rows it failed on its own way; name the line.
+        bad = exc if w is None else _first_bad_line(path, w) or exc
+        raise DataError(f"bad weight file {path}: {bad}") from exc
     if values.shape != (n * h, w):
         raise DataError(f"bad weight file {path}: header {n} {h} {w} wants "
                         f"{n * h} rows of {w}, got {values.shape}")
@@ -110,6 +113,24 @@ def load_weights(path) -> WeightMap:
     if not np.isfinite(values).all():
         raise DataError(f"bad weight file {path}: non-finite weight")
     return WeightMap(values.reshape(n, h, w))
+
+
+def _first_bad_line(path, w: int):
+    """`line N: …` for the first body line of a weight file that is not `w`
+    numbers as np.loadtxt reads them, N counted from 1; or None."""
+    with open(path, errors="surrogateescape") as fh:
+        next(fh, None)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                if np.loadtxt([text], dtype=np.float64, ndmin=1).size == w:
+                    continue
+            except ValueError:
+                pass
+            return f"line {lineno}: expected {w} numbers, got {text!r}"
+    return None
 
 
 class SpikeRaster(Record):

@@ -1,16 +1,18 @@
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hexgait.config import default_config
+from hexgait.config import N_LEGS, HexapodGeometry, default_config
 from hexgait.errors import DataError
 from hexgait.events import centered_crop
-from hexgait.frames import BinaryFrame, FrameStream, _check_frame_count, cell_centroid
-from hexgait.neurons import NeuronParams, NeuronState, WeightMap, step_neuron
+from hexgait.frames import (BinaryFrame, FrameStream, _check_frame_count, andpool,
+                            cell_centroid)
+from hexgait.neurons import NeuronParams, NeuronState, SpikeRaster, WeightMap, step_neuron
 from hexgait.scene import GaitSchedule, render_expert_sequence
-from hexgait.training import calibrate_priors, train
+from hexgait.training import TrainResult, calibrate_priors, classify_angle, train
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +79,39 @@ def step_network(states, weights: WeightMap, frame: BinaryFrame,
             spiked.add(i + 1)
         new_states.append(state)
     return tuple(new_states), spiked
+
+
+def reference_train(frames, priors, sched, params, repeats) -> TrainResult:
+    """`train` played on dense frames, one step at a time, as its
+    docstring and the paper word it: pool the frame to I10, step the
+    network at gt * dt on the weights so far, then label a frame with set
+    cells by the direction from their centroid to the body centre, and
+    move that leg's weights +p at the cells, -m elsewhere, into
+    [0, w_max]. It shares no code with train's streams, its labeller or
+    its in-place update."""
+    i10 = [andpool(frame, 10) for frame in frames]
+    weights = WeightMap.zeros(i10[0].width, i10[0].height)
+    w = weights.w  # updated in place, so step_network sees each update
+    states = (NeuronState.resting(params),) * N_LEGS
+    cx, cy = HexapodGeometry.body_center
+    steps, log = [], []
+    for gt in range(repeats * len(i10)):
+        frame = i10[gt % len(i10)]
+        now = gt * params.dt
+        states, spiked = step_network(states, weights, frame, params, now)
+        if spiked:
+            steps.append((now, spiked))
+        if not frame.bits.any():
+            continue
+        x, y = centroid(frame)
+        theta = math.atan2(cy - y, cx - x)
+        leg = classify_angle(theta, priors)
+        p, m = sched.potentiation(now), sched.depression(now)
+        w[leg - 1] = np.clip(np.where(frame.bits, w[leg - 1] + p, w[leg - 1] - m),
+                             0.0, sched.w_max)
+        log.append(f"{now:.3f} {leg} {theta:.6f} {p:.9g} {m:.9g} {frame.bits.sum()}")
+    raster = SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=repeats * len(i10))
+    return TrainResult(weights=weights, raster=raster, log=log)
 
 
 # The line-by-line reference that the block decoder of `events` is checked

@@ -301,8 +301,10 @@ _FAILURES = [
           events="!sensor 600x600\n1,1,99999999999\n"),
     # A malformed weight file, or one with other than 6 neurons, with a
     # non-finite weight, or with another grid, found before the events.
-    _data("weights-abc", "test weights events", ": bad weight file weights: .*'abc'",
-          weights="1 2 2\n0.1 0.2\nabc 0.4\n", events=_EVENTS),
+    *(_data(f"weights-{id}", "test weights events",
+            f": bad weight file weights: line 3: expected 2 numbers, got '{line}'$",
+            weights=f"1 2 2\n0.1 0.2\n{line}\n", events=_EVENTS)
+      for id, line in (("abc", "abc 0.4"), ("ragged", "0.3 0.4 0.5"))),
     _data("weights-no-body", "test weights events",
           r": bad weight file weights: header 6 10 10 wants 60 rows of 10, got \(0, 1\)$",
           weights="6 10 10\n", events=_EVENTS),

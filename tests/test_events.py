@@ -27,17 +27,6 @@ def load_triples(tmp_path, triples, window_ms, width, height, sensor=None):
     return load_frames(path, window_ms, width, height)
 
 
-def brute_bucket(triples, window_us, width, height):
-    """Direct bucketing oracle for the frames of (x, y, t) triples."""
-    if not triples:
-        return []
-    n = max(t for _, _, t in triples) // window_us + 1
-    frames = [np.zeros((height, width), dtype=bool) for _ in range(n)]
-    for x, y, t in triples:
-        frames[t // window_us][y, x] = True
-    return frames
-
-
 def test_empty_stream(tmp_path):
     assert len(load_triples(tmp_path, [], 40, 10, 10)) == 0
 
@@ -67,32 +56,6 @@ def test_window_under_one_microsecond_rejected(tmp_path):
     assert len(stream) == 6
     save_events(path, stream.keys, 4, 4, 0.001)
     assert path.read_text() == "!sensor 4x4\n1,1,5\n"
-
-
-def test_window_boundary(tmp_path):
-    triples = [(3, 3, 0), (3, 3, 39_999), (3, 3, 40_000)]
-    stream = load_triples(tmp_path, triples, 40, 8, 8)
-    expected = brute_bucket(triples, 40_000, 8, 8)
-    assert len(stream) == len(expected) == 2
-    for frame, exp in zip(stream.frames, expected):
-        assert np.array_equal(frame.bits, exp)
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
-                          st.integers(0, 200_000)), max_size=60),
-       st.randoms())
-def test_frames_equal_brute_bucketing_in_any_event_order(tmp_path, triples, rnd):
-    stream = load_triples(tmp_path, triples, 40, 16, 16)
-    expected = brute_bucket(triples, 40_000, 16, 16)
-    assert len(stream) == len(expected)
-    for frame, exp in zip(stream.frames, expected):
-        assert np.array_equal(frame.bits, exp)
-    shuffled = list(triples)
-    rnd.shuffle(shuffled)
-    stream2 = load_triples(tmp_path, shuffled, 40, 16, 16)
-    assert stream.frames == stream2.frames
 
 
 def test_out_of_bounds_reports_index(tmp_path):

@@ -9,8 +9,9 @@ blocks from 1 byte up, since which error a file gets must not depend
 on where its blocks end; the repeated I10 of one tripod period against
 the I10 of the whole splice; the array-state network step
 (`step_state`) against the scalar `step_network` of conftest; the
-frozen replay of a pooled stream against that of its dense frames; and
-the one-template weight writer against per-value formatting.
+frozen replay of a pooled stream against that of its dense frames; the
+one-template weight writer against per-value formatting; and `train`
+against the dense step-by-step `reference_train` of conftest.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_events, reference_frames, step_network
+from conftest import reference_events, reference_frames, reference_train, step_network
 from hexgait import events, frames as frames_module
 from hexgait.errors import DataError
 from hexgait.events import load_frames
@@ -29,6 +30,7 @@ from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
 from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
                            render_expert_sequence, segment_boundaries,
                            splice_segments)
+from hexgait.training import TrainSchedule, train
 
 
 def _frame(rng, w, h, p_tile, density):
@@ -204,8 +206,8 @@ def _read_lines(tmp_path, head, lines, newline, final_newline, size, block):
 @example(head="!sensor 800x800", lines=["1,2,3", "!sensor 600x600", "700,1,5"],
          newline="\n", final_newline=True, size=600,
          block=events._BLOCK)  # one header: a second `!sensor` is no event
-def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline, final_newline,
-                                      size, block):
+def test_any_file_reads_as_the_reference(tmp_path, head, lines, newline, final_newline,
+                                         size, block):
     """The events and frames of any file, or its error, are those of the
     line-by-line reference, in blocks of any size."""
     _read_lines(tmp_path, head, lines, newline, final_newline, size, block)
@@ -222,8 +224,11 @@ def test_bulk_load_equals_line_parser(tmp_path, head, lines, newline, final_newl
          lines=["7,8,987654321012 # c", "912345678901,9123456789012,91234567890123",
                 "912345678901234\t, 9123456789012345,0"],
          newline="\r\n", final_newline=False, size=600, block=5)  # 12 to 16 digits
-def test_plain_files_never_reach_the_line_parser(tmp_path, head, lines, newline,
-                                                 final_newline, size, block):
+@example(head="!sensor 600x600", lines=["3,3,0", "3,3,39999", "3,3,40000"],
+         newline="\n", final_newline=True, size=600,
+         block=events._BLOCK)  # a 40 ms window's edges: frames 0, 0 and 1
+def test_files_in_the_format_load_as_the_reference(tmp_path, head, lines, newline,
+                                                   final_newline, size, block):
     """A file in the format loads, with the reference's events and
     frames: fields of every width from 1 to 16 digits, comments and
     whitespace."""
@@ -236,7 +241,7 @@ def test_plain_files_never_reach_the_line_parser(tmp_path, head, lines, newline,
 @given(head=st.sampled_from(_SENSORS), lines=st.lists(_SHAPED, max_size=10),
        newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
        size=_SIZE, block=st.integers(1, 64))
-def test_block_edges_equal_the_line_parser_and_whole_array_chain(
+def test_lines_cut_at_any_block_edge_read_as_the_reference(
         tmp_path, head, lines, newline, final_newline, size, block):
     """Blocks of 1 to 64 bytes cut lines, CRLFs and comments anywhere,
     and carry the tail of each block over to the next; a line with a
@@ -391,6 +396,75 @@ def test_run_network_on_pooled_stream_matches_dense_frames(seed, tw, th, n, p_ti
     assert raster == dense_raster and raster.n_steps == n
     for field in ("v", "g_e", "refractory_until"):
         assert getattr(state, field).tobytes() == getattr(dense_state, field).tobytes()
+
+
+def _tile_frame(w, h, tiles):
+    """A w x h frame of the full 10x10 tiles at I10 cells (row, col)."""
+    bits = np.zeros((h, w), dtype=bool)
+    for row, col in tiles:
+        bits[10 * row:10 * row + 10, 10 * col:10 * col + 10] = True
+    return BinaryFrame(bits)
+
+
+def _scene(seed, tw, th, noise, fpc):
+    """The frames of a rendered sequential-leg scene."""
+    return render_expert_sequence(HexapodGeometry(), GaitSchedule.sequential(), fpc,
+                                  10 * tw, 10 * th, noise, seed, RenderParams()).frames
+
+
+def _tile_stream(seed, tw, th, kinds, p_tile):
+    """One frame per kind: 0 blank, 1 a lone full tile, 2 random full
+    tiles (`_frame`). A leg lights the same I10 cells on every frame of a
+    scene, so only tiles that move show depression."""
+    rng = np.random.default_rng(seed)
+    w, h = 10 * tw, 10 * th
+    frames = []
+    for kind in kinds:
+        if kind == 0:
+            frames.append(BinaryFrame.zeros(w, h))
+        elif kind == 1:
+            frames.append(_tile_frame(w, h, [(rng.integers(th), rng.integers(tw))]))
+        else:
+            frames.append(_frame(rng, w, h, p_tile, 0.02))
+    return tuple(frames)
+
+
+# Scenes of 100x100 to 200x200 pixels under salt noise up to 0.1, and
+# streams of random tiles on grids of 2x2 to 8x8 cells.
+_SCENES = st.builds(_scene, st.integers(0, 2**32 - 1), st.integers(10, 20),
+                    st.integers(10, 20), st.floats(0, 0.1), st.integers(2, 6))
+_TILE_STREAMS = st.builds(_tile_stream, st.integers(0, 2**32 - 1), st.integers(2, 8),
+                          st.integers(2, 8),
+                          st.lists(st.sampled_from([0, 1, 2, 2]), min_size=3, max_size=30),
+                          st.floats(0.2, 0.6))
+# The default schedule; one whose first update reaches w_max; one that
+# decays fast, so that depression shows before any weight saturates.
+_FAST = TrainSchedule(alpha=5.0, beta=1.0, sigma_d=0.01)
+_TRAIN_SCHEDULES = st.sampled_from([TrainSchedule(), TrainSchedule(omega=0.5), _FAST])
+_A, _B = [(4, 8), (5, 8)], [(5, 8), (5, 9)]  # overlapping cells of one label
+_BLANK = BinaryFrame.zeros(600, 600)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.one_of(_SCENES, _TILE_STREAMS), sched=_TRAIN_SCHEDULES,
+       params=st.one_of(st.just(NeuronParams()), _PARAMS), repeats=st.integers(1, 3))
+@example(frames=tuple(_tile_frame(100, 100, cells) for cells in (_A, _B, [], _A, _B)),
+         sched=_FAST, params=NeuronParams(),
+         repeats=3)  # one label's weights potentiated and depressed, none at w_max
+@example(frames=_scene(0, 60, 60, 0.001, 25)[:8] + (
+    _BLANK, _tile_frame(600, 600, [(30, 20)]), *(_BLANK,) * 13,
+    _tile_frame(600, 600, [(10, 40)])), sched=TrainSchedule(omega=0.5),
+    params=NeuronParams(), repeats=3)  # leg frames, blank frames and lone tiles
+@example(frames=(_BLANK,) * 20, sched=TrainSchedule(), params=NeuronParams(),
+         repeats=1)  # no update, no spike
+def test_train_equals_the_dense_reference(priors, frames, sched, params, repeats):
+    """The same weights, log and raster: time runs on across repeats,
+    the network steps before the update, and weights stay in [0, w_max]."""
+    result = train(FrameStream.from_frames(frames), priors, sched, params, repeats)
+    expected = reference_train(frames, priors, sched, params, repeats)
+    assert result.log == expected.log
+    assert np.array_equal(result.weights.w, expected.weights.w)
+    assert result.raster == expected.raster
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

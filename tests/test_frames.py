@@ -11,28 +11,6 @@ from hexgait.frames import (BinaryFrame, FrameStream, _sort_unique, andpool,
                             frame_not, orpool, pooled_streams, popcount)
 
 
-def brute_pool(bits, k, op):
-    """Independent per-tile scan; the oracle for andpool/orpool."""
-    h, w = bits.shape
-    out = np.zeros((h // k, w // k), dtype=bool)
-    for i in range(h // k):
-        for j in range(w // k):
-            tile = bits[i * k:(i + 1) * k, j * k:(j + 1) * k]
-            out[i, j] = op(bool(b) for b in tile.flat)
-    return out
-
-
-@pytest.mark.parametrize("k", [2, 4, 8])
-def test_pool_matches_bruteforce(k):
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        w = k * int(rng.integers(1, 64 // k + 1))
-        h = k * int(rng.integers(1, 64 // k + 1))
-        f = random_frame(rng, w, h, density=float(rng.random()))
-        assert np.array_equal(andpool(f, k).bits, brute_pool(f.bits, k, all))
-        assert np.array_equal(orpool(f, k).bits, brute_pool(f.bits, k, any))
-
-
 def test_andpool_all_ones():
     f = BinaryFrame(np.ones((20, 20), dtype=bool))
     out = andpool(f, 10)
@@ -69,15 +47,6 @@ def test_orpool_trivial():
     bits[13, 5] = True
     out = orpool(BinaryFrame(bits), 10)
     assert out.bits.sum() == 1 and out.bits[1, 0]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]))
-def test_demorgan_duality(seed, k):
-    rng = np.random.default_rng(seed)
-    f = random_frame(rng, k * int(rng.integers(1, 9)), k * int(rng.integers(1, 9)),
-                     density=float(rng.random()))
-    assert orpool(f, k) == frame_not(andpool(frame_not(f), k))
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import centroid
 from hexgait.cli import main
 from hexgait.config import ANCHOR_DEG
 from hexgait.errors import DataError
@@ -187,92 +186,6 @@ def test_train_empty_stream_rejected(priors, cfg):
               cfg.neuron_params())
 
 
-def test_train_blank_stream_is_noop(priors, cfg):
-    blank = FrameStream.from_frames(
-        tuple(BinaryFrame.zeros(600, 600) for _ in range(20)))
-    result = train(blank, priors, cfg.train_schedule(), cfg.neuron_params())
-    assert not result.weights.w.any()
-    assert result.log == []
-    assert result.raster.total_spikes() == 0
-
-
-def test_train_freezes_once_decayed(train_stream, priors, cfg):
-    # With fast decay rates, one repetition exhausts the schedule and a
-    # second repetition leaves the weights numerically unchanged.
-    sched = TrainSchedule(alpha=2.0, beta=2.0)
-    params = cfg.neuron_params()
-    one = train(train_stream, priors, sched, params, repeats=1)
-    two = train(train_stream, priors, sched, params, repeats=2)
-    assert np.abs(two.weights.w - one.weights.w).max() < 1e-6
-
-
-def test_train_deterministic(train_stream, priors, cfg):
-    a = train(train_stream, priors, cfg.train_schedule(), cfg.neuron_params())
-    b = train(train_stream, priors, cfg.train_schedule(), cfg.neuron_params())
-    assert np.array_equal(a.weights.w, b.weights.w)
-    assert a.log == b.log
-    assert a.raster.steps == b.raster.steps
-
-
-def _tiles_frame(tiles):
-    """A 100x100 frame of the full 10x10 tiles at I10 cells (row, col)."""
-    bits = np.zeros((100, 100), dtype=bool)
-    for row, col in tiles:
-        bits[10 * row:10 * row + 10, 10 * col:10 * col + 10] = True
-    return BinaryFrame(bits)
-
-
-def test_train_update_follows_its_closed_form(priors, cfg):
-    # One label's frames alternate between the overlapping I10 cell sets A
-    # and B, with a blank frame between plays of A, B. Decay is fast, so no
-    # weight reaches w_max, and each update is exactly: +p at the frame's
-    # cells, -m at every other cell of the label's neuron, clipped to
-    # [0, w_max], with p and m decayed to the simulated time of the frame.
-    a, b = {(4, 8), (5, 8)}, {(5, 8), (5, 9)}
-    plays = [a, b, set(), a, b]
-    frames = [_tiles_frame(cells) for cells in plays]
-    label = estimate_leg(frames[:1], priors)
-    assert estimate_leg(frames[1:2], priors) == label
-    alpha, beta, omega, sigma_d, w_max = 5.0, 1.0, 0.05, 0.01, 0.35
-    sched = TrainSchedule(alpha=alpha, beta=beta, omega=omega, sigma_d=sigma_d,
-                          w_max=w_max)
-    dt, repeats = cfg.neuron_params().dt, 3
-    result = train(FrameStream.from_frames(frames), priors, sched,
-                   cfg.neuron_params(), repeats=repeats)
-
-    w = [0.0] * 100
-    log = []
-    for step in range(repeats * len(plays)):
-        cells = {10 * row + col for row, col in plays[step % len(plays)]}
-        if not cells:
-            continue
-        now = step * dt
-        p = omega * math.exp(-alpha * now)
-        m = sigma_d * math.exp(-beta * now)
-        w = [min(max(v + p if i in cells else v - m, 0.0), w_max)
-             for i, v in enumerate(w)]
-        log.append((f"{now:.3f}", str(label), f"{p:.9g}", f"{m:.9g}", str(len(cells))))
-
-    expected = np.zeros((6, 10, 10))
-    expected[label - 1] = np.reshape(w, (10, 10))
-    assert np.array_equal(result.weights.w, expected)
-    assert [(t, leg, p, m, count) for t, leg, _, p, m, count in
-            (line.split() for line in result.log)] == log
-    # Depression acts: the cells of A alone and of B alone end lower than
-    # the cell of both, and no weight saturates.
-    assert 0.0 < max(w[48], w[59]) < w[58] < w_max
-
-
-def test_train_time_runs_across_repeats(train_stream, priors, cfg):
-    result = train(train_stream, priors, cfg.train_schedule(),
-                   cfg.neuron_params(), repeats=2)
-    n = len(train_stream)
-    assert result.raster.n_steps * result.raster.dt == pytest.approx(
-        2 * n * cfg.neuron_params().dt)
-    times = [float(line.split()[0]) for line in result.log]
-    assert any(t >= n * cfg.neuron_params().dt for t in times)
-
-
 def test_train_ignores_salt_noise(geom, priors, cfg):
     # Salt noise never fills a 10x10 tile, so training on the noisy
     # default streams learns exactly what it learns on the clean one.
@@ -302,90 +215,3 @@ def test_repro_passes_under_salt_noise_that_fills_2x2_tiles(tmp_path):
     report = (out / "report.txt").read_text().splitlines()
     assert "sequence_accuracy=1.000000" in report
     assert "tripod_accuracy=1.000000" in report
-
-
-def _lone_tile_frame(y, x):
-    """One full 10x10 tile and nothing else."""
-    bits = np.zeros((600, 600), dtype=bool)
-    bits[y:y + 10, x:x + 10] = True
-    return BinaryFrame(bits)
-
-
-@pytest.mark.parametrize("n", [1, 3, 7, 10, 11, 12, 40, "skips"])
-def test_train_repeats_equal_an_unrolled_stream(train_stream, priors, cfg, n):
-    # Three plays of a stream are one play of the stream written out three
-    # times: the same frames at the same steps, so the same bits. "skips"
-    # loops 24 frames of blank frames and lone full tiles between leg
-    # frames; every active frame is labelled, none is skipped.
-    if n == "skips":
-        blank = BinaryFrame.zeros(600, 600)
-        frames = (train_stream.frames[:8] + (blank, _lone_tile_frame(300, 200))
-                  + (blank,) * 13 + (_lone_tile_frame(100, 400),))
-    else:
-        frames = train_stream.frames[:n]
-    sched = TrainSchedule(omega=0.5)
-    looped = train(FrameStream.from_frames(frames), priors, sched,
-                   cfg.neuron_params(), repeats=3)
-    unrolled = train(FrameStream.from_frames(frames * 3), priors, sched,
-                     cfg.neuron_params())
-    assert looped.log and looped.log == unrolled.log
-    assert np.array_equal(looped.weights.w, unrolled.weights.w)
-    assert looped.raster == unrolled.raster
-    assert looped.skipped == unrolled.skipped == 0
-
-
-def _dense_estimate(frame, priors):
-    """(leg, theta) of a frame from the dense I10 pool: the labeller's
-    reference. Theta runs from the I10 centroid to the body centre."""
-    x, y = centroid(andpool(frame, 10))
-    theta = math.atan2(0.5 - y, 0.5 - x)
-    return classify_angle(theta, priors), theta
-
-
-def _dense_log(frames, priors, repeats, dt):
-    """(time, leg, theta, popcount) columns of every update the dense
-    reference makes over `repeats` plays of `frames`."""
-    rows = []
-    for gt in range(repeats * len(frames)):
-        frame = frames[gt % len(frames)]
-        count = int(andpool(frame, 10).bits.sum())
-        if count:
-            leg, theta = _dense_estimate(frame, priors)
-            rows.append((f"{gt * dt:.3f}", str(leg), f"{theta:.6f}", str(count)))
-    return rows
-
-
-def _log_columns(log):
-    return [(t, leg, theta, count) for t, leg, theta, _, _, count in
-            (line.split() for line in log)]
-
-
-@pytest.mark.parametrize("n,repeats", [(216, 2), (15, 3)])
-def test_train_labels_match_dense_reference(train_stream, priors, cfg, n, repeats):
-    # Each update labels the leg, at the angle, that the dense pool gives
-    # for the frame played; estimate_leg agrees.
-    frames = train_stream.frames[:n]
-    params = cfg.neuron_params()
-    result = train(FrameStream.from_frames(frames), priors,
-                   cfg.train_schedule(), params, repeats=repeats)
-    assert len(result.log) == repeats * (48 if n == 216 else 8)
-    assert _log_columns(result.log) == _dense_log(frames, priors, repeats, params.dt)
-    for frame in frames:
-        if andpool(frame, 10).any():
-            assert estimate_leg([frame], priors) == _dense_estimate(frame, priors)[0]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(10, 20), st.integers(10, 20),
-       st.floats(0, 0.1), st.integers(2, 6), st.integers(1, 3))
-def test_train_labels_match_dense_reference_on_drawn_scenes(geom, priors, cfg, seed,
-                                                            tw, th, noise, fpc,
-                                                            repeats):
-    # Scenes of 100x100 to 200x200 pixels under salt noise up to 0.1.
-    stream = render_expert_sequence(geom, GaitSchedule.sequential(), fpc, 10 * tw,
-                                    10 * th, noise, seed, cfg.render_params())
-    params = cfg.neuron_params()
-    result = train(stream, priors, cfg.train_schedule(), params, repeats=repeats)
-    assert result.log
-    assert _log_columns(result.log) == _dense_log(stream.frames, priors, repeats,
-                                                  params.dt)
