@@ -1,4 +1,4 @@
-"""Atomic artifact writes: a temp file in the target directory, then a rename."""
+"""Text files: atomic writes and the line reader."""
 from __future__ import annotations
 
 import os
@@ -22,3 +22,19 @@ def write_atomic(path, text) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def text_lines(fh, start: int = 1):
+    """Yields (line number from `start`, text) of each line of binary file
+    `fh`, or of a list of byte lines, whose text is not empty: the line less
+    its LF or CRLF, its comment from `#` on, and spaces and tabs around the rest."""
+    for lineno, line in enumerate(fh, start):
+        line = line.removesuffix(b"\n").removesuffix(b"\r")
+        if text := line.split(b"#", 1)[0].strip(b" \t"):
+            yield lineno, text
+
+
+def quoted(text: bytes) -> str:
+    """A line's text for a message: its first 80 bytes as ascii() quotes
+    their Latin-1, then `...` if it is longer."""
+    return ascii(text[:80].decode("latin-1")) + ("..." if len(text) > 80 else "")

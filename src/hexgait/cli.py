@@ -24,8 +24,8 @@ _PIPELINE = {
              "sequence_accuracy", "spikes_to_gait"),
     "neurons": ("WeightMap", "load_weights", "run_network", "save_raster",
                 "save_weights"),
-    "scene": ("GaitSchedule", "render_expert_sequence", "segment_boundaries",
-              "splice_segments"),
+    "scene": ("GaitSchedule", "load_schedule", "render_expert_sequence",
+              "save_schedule", "segment_boundaries", "splice_segments"),
     "training": ("calibrate_priors", "train"),
 }
 
@@ -49,44 +49,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _schedule_text(cfg: RunConfig, schedule: GaitSchedule) -> str:
-    lines = [
-        f"frames_per_cycle={cfg['scene']['frames_per_cycle']}",
-        f"gap_frames={cfg['scene']['gap_frames']}",
-    ]
-    for i, legs in schedule.entries:
-        lines.append(f"step {i} {','.join(str(l) for l in sorted(legs))}")
-    return "\n".join(lines) + "\n"
-
-
-def _load_schedule(path) -> GaitSchedule:
-    """The steps of a schedule file: `step i legs` lines among blank and
-    comment lines and the header lines of _schedule_text. Any other line
-    is a DataError that names it."""
-    entries = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                key, _, value = line.partition("=")
-                try:
-                    if line.startswith("step "):
-                        _, idx, legs = line.split()
-                        entries.append((int(idx), {int(l) for l in legs.split(",")}))
-                    elif line and key not in ("frames_per_cycle", "gap_frames"):
-                        raise ValueError(line)
-                    elif line:
-                        int(value)
-                except ValueError as exc:
-                    raise DataError(
-                        f"bad schedule file {path}: line {lineno}: {line!r}") from exc
-        if not entries:
-            raise DataError(f"schedule file {path} has no steps")
-        return GaitSchedule(tuple(entries))
-    except ValueError as exc:
-        raise DataError(f"bad schedule file {path}: {exc}") from exc
-
-
 def _ingest_events(cfg: RunConfig, path):
     """Load an event file into frames of the configured size."""
     _load_pipeline()
@@ -106,7 +68,8 @@ def _synth(cfg: RunConfig, out: str):
         seed=cfg.seed, params=cfg.render_params())
     ev.save_events(os.path.join(out, "events.txt"), stream.keys, width, height,
                    cfg["events"]["window_ms"])
-    write_atomic(os.path.join(out, "schedule.txt"), _schedule_text(cfg, schedule))
+    save_schedule(os.path.join(out, "schedule.txt"), schedule,
+                  cfg["scene"]["frames_per_cycle"], cfg["scene"]["gap_frames"])
     return schedule, stream
 
 
@@ -158,7 +121,7 @@ def cmd_test(cfg: RunConfig, out: str, weights_path, events_path,
     if weights.w.shape[1:] != grid:
         raise DataError(f"weight file {weights_path}: grid {weights.w.shape[1:]} "
                         f"!= the I10 grid {grid} of the configured frame")
-    schedule = _load_schedule(schedule_path) if schedule_path else None
+    schedule = load_schedule(schedule_path) if schedule_path else None
     i10 = pooled_streams(_ingest_events(cfg, events_path))
     raster, sequence, accuracy = _test(cfg, out, weights, i10, "test_raster.txt",
                                        schedule)

@@ -14,7 +14,7 @@ centre-cropped. The block decoder alone reads the file, whose format is:
    begins `!sensor`, or `missing !sensor WxH header`.
 4. After it, each line is blank, a comment, or `x,y,t`: 1 to 16 ASCII
    digits per field, spaces or tabs around fields. Else `line N:
-   expected x,y,t_us, got '<text>'`, non-ASCII bytes escaped.
+   expected x,y,t_us, got '<text>'`, its text as `atomic.quoted` shows it.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import quoted, text_lines, write_atomic
 from .config import MAX_FRAMES, _window_us
 from .errors import DataError
 from .frames import FrameStream, _check_frame_count
@@ -136,13 +136,6 @@ def _sensor(text: bytes):
     return dims if dims and max(dims) <= _INT64_MAX else None
 
 
-def _text(line: bytes) -> bytes:
-    """A line's text: without its LF or CRLF, its comment and the spaces
-    and tabs around it."""
-    line = line.removesuffix(b"\n").removesuffix(b"\r")
-    return line.split(b"#", 1)[0].strip(b" \t")
-
-
 def _bare(block: bytes):
     """`block`, whole lines, with comments, blank lines and the spaces,
     tabs and CRs around fields removed; None if, outside its comments, it
@@ -237,16 +230,10 @@ def _decoded(path):
     order. A DataError names the first line outside the format of the
     module docstring, or the missing header."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):  # up to the header
-            if text := _text(line):
-                break
-        else:
-            text = b""
-        sensor = _sensor(text)
-        if sensor is None:
+        lineno, text = next(text_lines(fh), (1, b""))
+        if (sensor := _sensor(text)) is None:
             if text.startswith(b"!sensor"):
-                raise DataError(f"line {lineno}: bad sensor header "
-                                f"{ascii(text.decode('latin-1'))}")
+                raise DataError(f"line {lineno}: bad sensor header {quoted(text)}")
             raise DataError("missing !sensor WxH header")
         yield sensor
         offset = fh.tell()
@@ -284,10 +271,10 @@ def _bad_line(fh, offset: int, block: bytes) -> DataError:
     lineno = 1
     for start in range(0, offset, _BLOCK):
         lineno += fh.read(min(_BLOCK, offset - start)).count(b"\n")
-    for lineno, line in enumerate(block.split(b"\n"), start=lineno):
-        if _columns(line + b"\n") is None:
-            return DataError(f"line {lineno}: expected x,y,t_us, got "
-                             f"{ascii(_text(line).decode('latin-1'))}")
+    for lineno, text in text_lines(block.split(b"\n"), lineno):
+        # The "#" keeps a CR left at the end of the text from reading as a CRLF.
+        if _columns(text + b"#\n") is None:
+            return DataError(f"line {lineno}: expected x,y,t_us, got {quoted(text)}")
 
 
 def load_frames(path, window_ms: float, width: int, height: int) -> FrameStream:

@@ -16,12 +16,12 @@ its per-neuron reference.
 from __future__ import annotations
 
 import math
-import warnings
+import re
 from array import array
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import quoted, text_lines, write_atomic
 from .config import N_LEGS, NeuronParams, Record
 from .errors import DataError
 from .frames import as_stream
@@ -89,48 +89,46 @@ def save_weights(path, weights: WeightMap) -> None:
                  % tuple(weights.w.ravel().tolist()))
 
 
+_HEADER = re.compile(rb"[ \t]+".join([rb"0*([1-9][0-9]{0,18})"] * 3))
+_DATA = bytes(range(32, 127)) + b"\t"  # printable ASCII and tab
+
+
 def load_weights(path) -> WeightMap:
-    w = None  # the header's width, once it is read
+    """The weights of a file as save_weights writes it, read by
+    `atomic.text_lines`: a header of three ASCII integers from 1 to 10**19 - 1,
+    then rows of printable ASCII and tabs. A DataError names the first bad line."""
+    bad = f"bad weight file {path}: "
+    with open(path, "rb") as fh:
+        lines = text_lines(fh)
+        lineno, header = next(lines, (1, b""))
+        if not (match := _HEADER.fullmatch(header)):
+            raise DataError(f"{bad}line {lineno}: bad weight header {quoted(header)}")
+        n, h, w = map(int, match.groups())
+        rows = []  # (line number, text) of the body
+        for lineno, text in lines:
+            if len(text.split()) != w or text.translate(None, _DATA):
+                raise DataError(f"{bad}line {lineno}: expected {w} numbers, "
+                                f"got {quoted(text)}")
+            rows.append((lineno, text))
+    if len(rows) != n * h:
+        raise DataError(f"{bad}header {n} {h} {w} wants {n * h} rows of {w}, "
+                        f"got {len(rows)}")
     try:
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3:
-                raise ValueError(f"bad weight header {header!r}")
-            n, h, w = (int(v) for v in header)
-            with warnings.catch_warnings():
-                # An empty body is reported below, not as numpy's warning.
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        values = np.loadtxt([text for _, text in rows], dtype=np.float64, ndmin=2)
     except ValueError as exc:
         # numpy numbers the rows it failed on its own way; name the line.
-        bad = exc if w is None else _first_bad_line(path, w) or exc
-        raise DataError(f"bad weight file {path}: {bad}") from exc
-    if values.shape != (n * h, w):
-        raise DataError(f"bad weight file {path}: header {n} {h} {w} wants "
-                        f"{n * h} rows of {w}, got {values.shape}")
-    if n != N_LEGS:
-        raise DataError(f"bad weight file {path}: {n} neurons, need {N_LEGS}")
-    if not np.isfinite(values).all():
-        raise DataError(f"bad weight file {path}: non-finite weight")
-    return WeightMap(values.reshape(n, h, w))
-
-
-def _first_bad_line(path, w: int):
-    """`line N: …` for the first body line of a weight file that is not `w`
-    numbers as np.loadtxt reads them, N counted from 1; or None."""
-    with open(path, errors="surrogateescape") as fh:
-        next(fh, None)  # the header
-        for lineno, line in enumerate(fh, start=2):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
+        for lineno, text in rows:
             try:
-                if np.loadtxt([text], dtype=np.float64, ndmin=1).size == w:
-                    continue
+                np.loadtxt([text], dtype=np.float64)
             except ValueError:
-                pass
-            return f"line {lineno}: expected {w} numbers, got {text!r}"
-    return None
+                break
+        raise DataError(f"{bad}line {lineno}: expected {w} numbers, "
+                        f"got {quoted(text)}") from exc
+    if n != N_LEGS:
+        raise DataError(f"{bad}{n} neurons, need {N_LEGS}")
+    if not np.isfinite(values).all():
+        raise DataError(bad + "non-finite weight")
+    return WeightMap(values.reshape(n, h, w))
 
 
 class SpikeRaster(Record):

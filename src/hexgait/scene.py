@@ -11,9 +11,13 @@ it. Frames are built as flat pixel keys in one buffer, never as dense grids.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
+from .atomic import quoted, text_lines, write_atomic
 from .config import BLOCK, N_LEGS, HexapodGeometry, Record, RenderParams, foot_blocks
+from .errors import DataError
 from .frames import FrameStream
 from .noise import salt
 
@@ -49,6 +53,35 @@ class GaitSchedule(Record):
             steps.append((2 * r, {1, 3, 5}))
             steps.append((2 * r + 1, {2, 4, 6}))
         return cls(tuple(steps))
+
+
+_SCHEDULE_LINE = re.compile(rb"step[ \t]+([0-9]+)[ \t]+([0-9]+(?:,[0-9]+)*)"
+                            rb"|(?:frames_per_cycle|gap_frames)=[0-9]+")
+
+
+def save_schedule(path, schedule: GaitSchedule, frames_per_cycle: int,
+                  gap_frames: int) -> None:
+    """Write the schedule file of `schedule`, which load_schedule reads."""
+    write_atomic(path, [f"frames_per_cycle={frames_per_cycle}\n",
+                        f"gap_frames={gap_frames}\n"]
+                 + [f"step {i} {','.join(map(str, sorted(legs)))}\n"
+                    for i, legs in schedule.entries])
+
+
+def load_schedule(path) -> GaitSchedule:
+    """The GaitSchedule of a file as save_schedule writes it, in ASCII digits,
+    read by `atomic.text_lines`. A DataError names a bad line or the fault."""
+    entries = []
+    with open(path, "rb") as fh:
+        for lineno, text in text_lines(fh):
+            if not (match := _SCHEDULE_LINE.fullmatch(text)):
+                raise DataError(f"bad schedule file {path}: line {lineno}: {quoted(text)}")
+            if match[1]:
+                entries.append((match[1], match[2].split(b",")))
+    try:
+        return GaitSchedule(tuple((int(i), set(map(int, legs))) for i, legs in entries))
+    except ValueError as exc:
+        raise DataError(f"bad schedule file {path}: {exc}") from exc
 
 
 def _leg_pixels(geom: HexapodGeometry, leg: int, width: int, height: int,

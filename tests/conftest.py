@@ -125,8 +125,10 @@ _REF_EVENT = re.compile(rb"[ \t]*([0-9]{1,16})[ \t]*,[ \t]*([0-9]{1,16})[ \t]*,"
 
 def _ref_shown(text: bytes) -> str:
     """A line's text outside its comment, for a message: stripped of
-    spaces and tabs, non-ASCII bytes escaped."""
-    return ascii(text.strip(b" \t").decode("latin-1"))
+    spaces and tabs, non-ASCII bytes escaped, cut to 80 bytes with `...`
+    after the quote."""
+    text = text.strip(b" \t")
+    return ascii(text[:80].decode("latin-1")) + "..." * (len(text) > 80)
 
 
 def _ref_dimension(digits: bytes):

@@ -305,8 +305,17 @@ _FAILURES = [
             f": bad weight file weights: line 3: expected 2 numbers, got '{line}'$",
             weights=f"1 2 2\n0.1 0.2\n{line}\n", events=_EVENTS)
       for id, line in (("abc", "abc 0.4"), ("ragged", "0.3 0.4 0.5"))),
+    # A byte that is not text, in the first buffered chunk and far past it.
+    *(_data(f"weights-not-text{id}", "test weights events",
+            rf": bad weight file weights: line {n}: expected 2 numbers, got "
+            r"'\\xff 0\.4'$",
+            weights=b"1 2 2\n" + b"0.1 0.2\n" * (n - 2) + b"\xff 0.4\n", events=_EVENTS)
+      for id, n in (("", 3), ("-late", 2002))),
+    _data("weights-header", "test weights events",
+          ": bad weight file weights: line 1: bad weight header '1 2'$",
+          weights="1 2\n0.1 0.2\n", events=_EVENTS),
     _data("weights-no-body", "test weights events",
-          r": bad weight file weights: header 6 10 10 wants 60 rows of 10, got \(0, 1\)$",
+          ": bad weight file weights: header 6 10 10 wants 60 rows of 10, got 0$",
           weights="6 10 10\n", events=_EVENTS),
     *(_data(f"weights-{n}-neurons", "test weights events",
             f": bad weight file weights: {n} neurons, need 6$",
@@ -328,6 +337,14 @@ _FAILURES = [
           ("typo", _SIX.replace("step 2", "stpe 2"), "line 4: 'stpe 2 3'$"),
           ("not-a-step", "hello world\nstep 0 1\n", "line 2: 'hello world'$"),
           ("bad-gap", "gap_frames=x\n" + _SIX, "line 2: 'gap_frames=x'$"))),
+    # Its data is ASCII: a byte that is not text, or full-width digits.
+    *(_data(f"schedule-{id}", "test weights events --schedule schedule",
+            f": bad schedule file schedule: line 2: '{shown}'$", weights=_weights(),
+            events=_EVENTS, schedule=b"frames_per_cycle=25\n" + line + b"\nstep 0 1\n")
+      for id, line, shown in (
+          ("not-text", b"\xff", r"\\xff"),
+          ("fullwidth", "step \uff10 \uff11".encode(),
+           r"step \\xef\\xbc\\x90 \\xef\\xbc\\x91"))),
     # An OS error, such as a missing file.
     _data("train-missing-events", "train absent.txt", _NO_FILE.format("absent.txt")),
     _data("energy-missing-events", "energy absent.txt", _NO_FILE.format("absent.txt"),

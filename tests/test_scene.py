@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from hexgait.config import HexapodGeometry, RenderParams, foot_blocks
 from hexgait.frames import andpool, popcount
-from hexgait.scene import (GaitSchedule, leg_region_mask, render_expert_sequence,
-                           segment_boundaries, splice_segments)
+from hexgait.scene import (GaitSchedule, leg_region_mask, load_schedule,
+                           render_expert_sequence, save_schedule, segment_boundaries,
+                           splice_segments)
 
 FPC = 25
 
@@ -20,6 +21,30 @@ def test_schedule_validation():
         GaitSchedule(((0, {7}),))
     with pytest.raises(ValueError):
         GaitSchedule(((1, {1}), (0, {2})))
+
+
+_STEPS = st.lists(st.tuples(st.integers(0, 10**6),
+                            st.frozensets(st.integers(1, 6), min_size=1)),
+                  min_size=1, max_size=50).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_STEPS, st.integers(0, 10**6), st.integers(0, 10**6))
+def test_schedule_roundtrip(tmp_path_factory, steps, frames_per_cycle, gap_frames):
+    schedule = GaitSchedule(tuple(steps))
+    path = tmp_path_factory.mktemp("schedule") / "schedule.txt"
+    save_schedule(path, schedule, frames_per_cycle, gap_frames)
+    loaded = load_schedule(path)
+    assert loaded == schedule
+    again = path.with_name("again.txt")
+    save_schedule(again, loaded, frames_per_cycle, gap_frames)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_schedule_comment_may_hold_any_byte(tmp_path):
+    path = tmp_path / "schedule.txt"
+    path.write_bytes(b"# \xff\xfe\nstep 0 1 # caf\xe9\nstep 1 2,3\r\n")
+    assert load_schedule(path) == GaitSchedule(((0, {1}), (1, {2, 3})))
 
 
 def test_render_determinism(geom, cfg):
