@@ -55,8 +55,17 @@ class GaitSchedule(Record):
         return cls(tuple(steps))
 
 
-_SCHEDULE_LINE = re.compile(rb"step[ \t]+([0-9]+)[ \t]+([0-9]+(?:,[0-9]+)*)"
-                            rb"|(?:frames_per_cycle|gap_frames)=[0-9]+")
+# A step or leg number holds at most 19 significant digits, as a weight
+# header's numbers do, and is read without its leading zeros, so a long
+# number names its line instead of meeting CPython's 4300-digit limit. A
+# number matches one way only, so a long list of legs cannot backtrack.
+_NUMBER = rb"0*(?:[1-9][0-9]{0,18}|0)"
+_SCHEDULE_LINE = re.compile(rb"step[ \t]+(%b)[ \t]+(%b(?:,%b)*)"
+                            rb"|(?:frames_per_cycle|gap_frames)=[0-9]+" % ((_NUMBER,) * 3))
+
+
+def _number(digits: bytes) -> int:
+    return int(digits.lstrip(b"0") or b"0")
 
 
 def save_schedule(path, schedule: GaitSchedule, frames_per_cycle: int,
@@ -69,17 +78,18 @@ def save_schedule(path, schedule: GaitSchedule, frames_per_cycle: int,
 
 
 def load_schedule(path) -> GaitSchedule:
-    """The GaitSchedule of a file as save_schedule writes it, in ASCII digits,
-    read by `atomic.text_lines`. A DataError names a bad line or the fault."""
+    """The GaitSchedule of a file as save_schedule writes it, its numbers of
+    at most 19 significant ASCII digits, read by `atomic.text_lines`. A
+    DataError names a bad line or the fault."""
     entries = []
     with open(path, "rb") as fh:
         for lineno, text in text_lines(fh):
             if not (match := _SCHEDULE_LINE.fullmatch(text)):
                 raise DataError(f"bad schedule file {path}: line {lineno}: {quoted(text)}")
             if match[1]:
-                entries.append((match[1], match[2].split(b",")))
+                entries.append((_number(match[1]), set(map(_number, match[2].split(b",")))))
     try:
-        return GaitSchedule(tuple((int(i), set(map(int, legs))) for i, legs in entries))
+        return GaitSchedule(tuple(entries))
     except ValueError as exc:
         raise DataError(f"bad schedule file {path}: {exc}") from exc
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexgait.config import N_LEGS, HexapodGeometry, default_config
+from hexgait.config import BLOCK, N_LEGS, HexapodGeometry, default_config, foot_blocks
 from hexgait.errors import DataError
 from hexgait.events import centered_crop
 from hexgait.frames import (BinaryFrame, FrameStream, _check_frame_count, andpool,
@@ -112,6 +112,74 @@ def reference_train(frames, priors, sched, params, repeats) -> TrainResult:
         log.append(f"{now:.3f} {leg} {theta:.6f} {p:.9g} {m:.9g} {frame.bits.sum()}")
     raster = SpikeRaster(dt=params.dt, steps=tuple(steps), n_steps=repeats * len(i10))
     return TrainResult(weights=weights, raster=raster, log=log)
+
+
+# The scene references, one draw and one dense frame at a time. They share
+# no code with `noise.salt`, the renderer's keys or the splice.
+_M64, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _splitmix(z: int) -> int:
+    """SplitMix64's finalizer on a Python int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def reference_salt(area, p, seed, k) -> list:
+    """Frame k's salt pixels, one draw at a time: uniform n is SplitMix64 of
+    n * gamma plus a key of k and every 64-bit word of the seed, and the
+    pixels run up the geometric gaps to the first one at or past the area."""
+    key = _splitmix(k + _GAMMA & _M64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _splitmix((key ^ seed >> shift & _M64) + _GAMMA & _M64)
+    log_q = math.log1p(-p)
+    pixels, n = [-1], 0
+    while pixels[-1] < area:
+        n += 1
+        u = ((_splitmix(n * _GAMMA + key & _M64) >> 11) + 1) * 2.0**-53
+        pixels.append(pixels[-1] + int(max(math.log(u), area * log_q) / log_q) + 1)
+    return pixels[1:-1]
+
+
+def reference_foot_site(geom, leg, frames_per_cycle, width, height, params):
+    """The dense pixels leg `leg` sets in an active frame: its foot_blocks,
+    or none when a cycle has no active frame."""
+    site = np.zeros((height, width), dtype=bool)
+    if min(params.active_frames, frames_per_cycle):
+        for bx, by in foot_blocks(geom, leg, width, height, params):
+            site[BLOCK * by:BLOCK * (by + 1), BLOCK * bx:BLOCK * (bx + 1)] = True
+    return site
+
+
+def reference_render(geom, schedule, frames_per_cycle, width, height, noise_density,
+                     seed, params) -> np.ndarray:
+    """render_expert_sequence as dense boolean frames: each step is a cycle of
+    frames_per_cycle frames, its legs' foot sites in the first active_frames of
+    them, then gap_frames still ones; frame k holds reference_salt(W * H, p, seed, k)."""
+    frames = np.zeros((len(schedule.entries), frames_per_cycle + params.gap_frames,
+                       height, width), dtype=bool)
+    for cycle, (_, legs) in zip(frames, schedule.entries):
+        for leg in legs:
+            cycle[:frames_per_cycle][:params.active_frames] |= reference_foot_site(
+                geom, leg, frames_per_cycle, width, height, params)
+    frames = frames.reshape(-1, height, width)
+    for k, frame in enumerate(frames if noise_density else ()):
+        frame.flat[reference_salt(width * height, noise_density, seed, k)] = True
+    return frames
+
+
+def reference_splice(frames, boundaries, schedule) -> np.ndarray:
+    """splice_segments on dense frames: per step, the frame-by-frame OR of
+    its legs' segments, padded with empty frames to the longest of them."""
+    steps = []
+    for _, legs in schedule.entries:
+        segments = [frames[slice(*boundaries[leg - 1])] for leg in legs]
+        step = np.zeros((max(map(len, segments)),) + frames.shape[1:], dtype=bool)
+        for segment in segments:
+            step[:len(segment)] |= segment
+        steps.append(step)
+    return np.concatenate(steps)
 
 
 # The line-by-line reference that the block decoder of `events` is checked

@@ -336,7 +336,9 @@ _FAILURES = [
            "schedule entries must be ordered by step index$"),
           ("typo", _SIX.replace("step 2", "stpe 2"), "line 4: 'stpe 2 3'$"),
           ("not-a-step", "hello world\nstep 0 1\n", "line 2: 'hello world'$"),
-          ("bad-gap", "gap_frames=x\n" + _SIX, "line 2: 'gap_frames=x'$"))),
+          ("bad-gap", "gap_frames=x\n" + _SIX, "line 2: 'gap_frames=x'$"),
+          ("long-step", f"step {'1' * 5000} 1\n", r"line 2: 'step 1{75}'\.\.\.$"),
+          ("long-leg", f"step 0 {'1' * 5000}\n", r"line 2: 'step 0 1{73}'\.\.\.$"))),
     # Its data is ASCII: a byte that is not text, or full-width digits.
     *(_data(f"schedule-{id}", "test weights events --schedule schedule",
             f": bad schedule file schedule: line 2: '{shown}'$", weights=_weights(),

@@ -10,8 +10,10 @@ on where its blocks end; the repeated I10 of one tripod period against
 the I10 of the whole splice; the array-state network step
 (`step_state`) against the scalar `step_network` of conftest; the
 frozen replay of a pooled stream against that of its dense frames; the
-one-template weight writer against per-value formatting; and `train`
-against the dense step-by-step `reference_train` of conftest.
+one-template weight writer against per-value formatting; `train`
+against the dense step-by-step `reference_train` of conftest; and the
+scene against the scalar `reference_salt` and the dense
+`reference_render` and `reference_splice` of conftest.
 """
 
 import numpy as np
@@ -19,15 +21,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_events, reference_frames, reference_train, step_network
-from hexgait import events, frames as frames_module
+from conftest import (reference_events, reference_foot_site, reference_frames,
+                      reference_render, reference_salt, reference_splice, reference_train,
+                      step_network)
+from hexgait import events, frames as frames_module, noise
 from hexgait.errors import DataError
 from hexgait.events import load_frames
 from hexgait.frames import (MAX_FRAMES, BinaryFrame, FrameStream, andpool,
                             pooled_streams)
 from hexgait.neurons import (NetworkState, NeuronParams, NeuronState, WeightMap,
                              run_network, save_weights, step_state)
-from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams,
+from hexgait.scene import (GaitSchedule, HexapodGeometry, RenderParams, leg_region_mask,
                            render_expert_sequence, segment_boundaries,
                            splice_segments)
 from hexgait.training import TrainSchedule, train
@@ -344,6 +348,73 @@ def test_repeated_tripod_period_equals_the_whole_splice(seed, tw, th, noise, fpc
     repeated = period.repeated(repeats)
     assert len(repeated) == len(whole)
     assert np.array_equal(repeated.keys, whole.keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(area=st.integers(1, 360_000),
+       p=st.one_of(st.sampled_from([5e-324, 1e-300, 0.999999]), st.floats(5e-324, 0.999999)),
+       seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**200)),
+       k=st.integers(0, MAX_FRAMES), sigmas=st.sampled_from([0, noise._CHUNK_SIGMAS]))
+@example(area=10_000, p=0.01, seed=2**64 + 1, k=3, sigmas=6)  # the seed's second word
+@example(area=10_000, p=0.5, seed=0, k=1, sigmas=0)  # a frame of two chunks
+def test_salt_equals_the_scalar_reference(area, p, seed, k, sigmas):
+    """The same pixels whatever the chunk: with no sigma margin, a chunk of
+    area * p + 16 uniforms often ends short of the frame."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise, "_CHUNK_SIGMAS", sigmas)
+        pixels = noise.salt(area, p, seed, k)
+    assert pixels.dtype == np.int64
+    assert pixels.tolist() == reference_salt(area, p, seed, k)
+
+
+@st.composite
+def _cycles(draw):
+    """frames_per_cycle, drawn RenderParams, and any partition of the
+    sequential stream into six segments, in a drawn leg order."""
+    fpc = draw(st.integers(2, 6))
+    params = draw(st.builds(RenderParams, tip_blocks=st.integers(0, 4),
+                            gap_frames=st.integers(0, 3), active_frames=st.integers(0, 8)))
+    n = 6 * (fpc + params.gap_frames)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=5, max_size=5)))
+    segments = list(zip([0, *cuts], [*cuts, n]))
+    return fpc, params, tuple(segments[i] for i in draw(st.permutations(range(6))))
+
+
+_SCHEDULES = st.one_of(
+    st.just(GaitSchedule.sequential()), st.builds(GaitSchedule.tripod, st.integers(1, 2)),
+    st.lists(st.frozensets(st.integers(1, 6), min_size=1), min_size=1, max_size=4)
+    .map(lambda steps: GaitSchedule(tuple(enumerate(steps)))))
+_UNEVEN = ((0, 1), (5, 12), (1, 5), (12, 13), (13, 30), (30, 36))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tw=st.integers(1, 20), th=st.integers(1, 20), cycle=_cycles(), sched=_SCHEDULES,
+       p=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0, 0.5)),
+       seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**200)),
+       splice=_SCHEDULES)
+@example(tw=12, th=10, cycle=(4, RenderParams(gap_frames=2, active_frames=3), _UNEVEN),
+         sched=GaitSchedule.sequential(), p=0.001, seed=2**64 + 1,
+         splice=GaitSchedule.tripod(1))  # segments of 1 to 17 frames; idle cycle frames
+def test_scene_equals_the_dense_reference(tw, th, cycle, sched, p, seed, splice):
+    """The render, each leg's region and the splice of the sequential
+    stream equal their dense references, frame count and keys."""
+    fpc, params, bounds = cycle
+    geom, width, height = HexapodGeometry(), 10 * tw, 10 * th
+    stream = render_expert_sequence(geom, sched, fpc, width, height, p, seed, params)
+    dense = reference_render(geom, sched, fpc, width, height, p, seed, params)
+    assert len(stream) == len(dense)
+    assert np.array_equal(stream.keys, np.flatnonzero(dense))
+    for leg in range(1, 7):
+        assert np.array_equal(leg_region_mask(geom, leg, fpc, width, height, params),
+                              reference_foot_site(geom, leg, fpc, width, height, params))
+    sequential = render_expert_sequence(geom, GaitSchedule.sequential(), fpc, width,
+                                        height, p, seed, params)
+    frames = np.zeros((len(sequential), height, width), dtype=bool)
+    frames.flat[sequential.keys] = True
+    spliced = splice_segments(sequential, bounds, splice)
+    expected = reference_splice(frames, bounds, splice)
+    assert len(spliced) == len(expected)
+    assert np.array_equal(spliced.keys, np.flatnonzero(expected))
 
 
 _PARAMS = st.builds(

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexgait.config import HexapodGeometry, RenderParams, foot_blocks
-from hexgait.frames import andpool, popcount
+from hexgait.frames import BinaryFrame, andpool, popcount
 from hexgait.scene import (GaitSchedule, leg_region_mask, load_schedule,
-                           render_expert_sequence, save_schedule, segment_boundaries,
-                           splice_segments)
+                           render_expert_sequence, save_schedule, splice_segments)
 
 FPC = 25
 
@@ -23,7 +22,12 @@ def test_schedule_validation():
         GaitSchedule(((1, {1}), (0, {2})))
 
 
-_STEPS = st.lists(st.tuples(st.integers(0, 10**6),
+def test_ground_truth_empty_schedule_is_rejected():
+    with pytest.raises(ValueError):
+        GaitSchedule(())
+
+
+_STEPS = st.lists(st.tuples(st.integers(0, 10**19 - 1),
                             st.frozensets(st.integers(1, 6), min_size=1)),
                   min_size=1, max_size=50).map(sorted)
 
@@ -45,53 +49,6 @@ def test_schedule_comment_may_hold_any_byte(tmp_path):
     path = tmp_path / "schedule.txt"
     path.write_bytes(b"# \xff\xfe\nstep 0 1 # caf\xe9\nstep 1 2,3\r\n")
     assert load_schedule(path) == GaitSchedule(((0, {1}), (1, {2, 3})))
-
-
-def test_render_determinism(geom, cfg):
-    kwargs = dict(frames_per_cycle=FPC, width=200, height=200,
-                  noise_density=0.01, seed=42, params=cfg.render_params())
-    sched = GaitSchedule(((0, {1}), (1, {4})))
-    a = render_expert_sequence(geom, sched, **kwargs)
-    b = render_expert_sequence(geom, sched, **kwargs)
-    assert a.frames == b.frames
-    c = render_expert_sequence(geom, sched, **{**kwargs, "seed": 43})
-    assert a.frames != c.frames
-
-
-def test_render_separation(geom, cfg):
-    # Noise-free frames of a leg-1 segment stay inside leg 1's region.
-    params = cfg.render_params()
-    sched = GaitSchedule(((0, {1}),))
-    stream = render_expert_sequence(geom, sched, FPC, 600, 600,
-                                    noise_density=0.0, seed=0, params=params)
-    region = leg_region_mask(geom, 1, FPC, 600, 600, params)
-    for frame in stream.frames:
-        assert not (frame.bits & ~region).any()
-
-
-def test_render_lights_exactly_the_foot_sites(geom, cfg):
-    # Noise-free, each of the first min(active_frames, frames_per_cycle)
-    # frames of a step sets exactly the union of its legs' regions, and
-    # every other frame is empty.
-    params = cfg.render_params()
-    sched = GaitSchedule(GaitSchedule.sequential().entries + ((6, {3, 4}),))
-    stream = render_expert_sequence(geom, sched, FPC, 600, 600,
-                                    noise_density=0.0, seed=0, params=params)
-    seg_len = FPC + params.gap_frames
-    frames = stream.per_frame()
-    assert len(frames) == len(sched.entries) * seg_len
-    for step, (_, legs) in enumerate(sched.entries):
-        union = np.zeros((600, 600), dtype=bool)
-        for leg in legs:
-            union |= leg_region_mask(geom, leg, FPC, 600, 600, params)
-        assert union.any()
-        for j in range(seg_len):
-            expect = np.flatnonzero(union) if j < min(params.active_frames, FPC) else []
-            assert np.array_equal(frames[step * seg_len + j], expect), (step, j)
-    # A cycle with no active frame lights nothing.
-    idle = params.replace(active_frames=0)
-    assert not leg_region_mask(geom, 1, FPC, 600, 600, idle).any()
-    assert not render_expert_sequence(geom, sched, FPC, 600, 600, params=idle).keys.size
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,9 +89,7 @@ def test_render_noise_is_pool_removable(geom, cfg):
     params = cfg.render_params()
     noisy = render_expert_sequence(geom, sched, FPC, 600, 600,
                                    noise_density=0.001, seed=5, params=params)
-    region2 = andpool(
-        __import__("hexgait.frames", fromlist=["BinaryFrame"]).BinaryFrame(
-            leg_region_mask(geom, 1, FPC, 600, 600, params)), 2)
+    region2 = andpool(BinaryFrame(leg_region_mask(geom, 1, FPC, 600, 600, params)), 2)
     for frame in noisy.frames:
         pooled = andpool(frame, 2)
         # everything surviving the 2x2 pool is leg signal, not salt noise
@@ -151,44 +106,9 @@ def test_render_i10_sparsity(geom, cfg):
     assert all(1 <= c <= 5 for c in active)
 
 
-def test_splice_identity(train_stream, cfg):
-    bounds = segment_boundaries(GaitSchedule.sequential(), FPC, cfg.render_params())
-    out = splice_segments(train_stream, bounds, GaitSchedule.sequential())
-    assert out.frames == train_stream.frames
-
-
-def test_splice_tripod_is_per_frame_or(train_stream, cfg):
-    bounds = segment_boundaries(GaitSchedule.sequential(), FPC, cfg.render_params())
-    out = splice_segments(train_stream, bounds, GaitSchedule.tripod(1))
-    seg_len = bounds[0][1] - bounds[0][0]
-    assert len(out) == 2 * seg_len
-    for j in range(seg_len):
-        expect_a = (train_stream.frames[bounds[0][0] + j].bits
-                    | train_stream.frames[bounds[2][0] + j].bits
-                    | train_stream.frames[bounds[4][0] + j].bits)
-        assert np.array_equal(out.frames[j].bits, expect_a)
-        expect_b = (train_stream.frames[bounds[1][0] + j].bits
-                    | train_stream.frames[bounds[3][0] + j].bits
-                    | train_stream.frames[bounds[5][0] + j].bits)
-        assert np.array_equal(out.frames[seg_len + j].bits, expect_b)
-
-
-def test_splice_repeated_leg(train_stream, cfg):
-    bounds = segment_boundaries(GaitSchedule.sequential(), FPC, cfg.render_params())
-    out = splice_segments(train_stream, bounds,
-                          GaitSchedule(((0, {3}), (1, {3}))))
-    seg = train_stream.frames[bounds[2][0]:bounds[2][1]]
-    assert out.frames == seg + seg
-
-
 def test_splice_bad_boundaries(train_stream):
     with pytest.raises(ValueError):
         splice_segments(train_stream, [(0, 10)] * 6, GaitSchedule.sequential())
-
-
-def test_ground_truth_empty_schedule_is_rejected():
-    with pytest.raises(ValueError):
-        GaitSchedule(())
 
 
 def test_render_rejects_bad_args(geom):
@@ -197,24 +117,6 @@ def test_render_rejects_bad_args(geom):
         render_expert_sequence(geom, sched, 1, 600, 600)
     with pytest.raises(ValueError):
         render_expert_sequence(geom, sched, FPC, 600, 600, noise_density=1.0)
-
-
-def test_render_noise_depends_on_seed_and_frame_only(geom, cfg):
-    # Frame k draws its noise from the substream (seed, k): a longer
-    # schedule renders the frames of its first step exactly as a short one.
-    params = cfg.render_params()
-    kwargs = dict(frames_per_cycle=FPC, width=200, height=200, seed=3,
-                  params=params)
-    short = render_expert_sequence(geom, GaitSchedule(((0, {1}),)),
-                                   noise_density=0.01, **kwargs)
-    long = render_expert_sequence(geom, GaitSchedule.sequential(),
-                                  noise_density=0.01, **kwargs)
-    clean = render_expert_sequence(geom, GaitSchedule(((0, {1}),)),
-                                   noise_density=0.0, **kwargs)
-    seg_len = FPC + params.gap_frames
-    assert len(short) == seg_len and len(long) == 6 * seg_len
-    assert long.frames[:seg_len] == short.frames
-    assert np.setdiff1d(short.keys, clean.keys).size > 0
 
 
 def test_render_noise_count_is_binomial(geom, cfg, train_stream):
